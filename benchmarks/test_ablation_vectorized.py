@@ -3,8 +3,10 @@
 The paper gets its speed from C++ and a stream trace format; a Python
 reproduction gets the equivalent headroom from vectorization.  This
 ablation quantifies it: the same bimodal/gshare simulations through the
-per-branch scalar loop and through the ``O(n log n)`` clamped-walk scan,
-with bit-exactness asserted on every run.
+per-branch scalar loop and through the vector-kernel path
+(:func:`~repro.core.vectorized.simulate_vectorized`, whose kernels
+resolve counters with the ``O(n log n)`` clamped-walk scan), with
+bit-exactness asserted on every run.
 """
 
 import time
@@ -13,22 +15,14 @@ import pytest
 
 from repro.analysis.reporting import format_duration, format_table
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
+from repro.core.vectorized import simulate_vectorized
 from repro.predictors import Bimodal, GShare
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
 
 from conftest import emit_report
 
-CASES = {
-    "Bimodal": (lambda: Bimodal(),
-                lambda trace: simulate_bimodal_vectorized(trace)),
-    "GShare": (lambda: GShare(),
-               lambda trace: simulate_gshare_vectorized(trace)),
-}
+CASES = {"Bimodal": Bimodal, "GShare": GShare}
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +35,12 @@ def big_trace():
 def measurements(big_trace):
     config = SimulationConfig(collect_most_failed=False)
     rows = {}
-    for label, (factory, vectorized) in CASES.items():
+    for label, factory in CASES.items():
         start = time.perf_counter()
         scalar_result = simulate(factory(), big_trace, config)
         scalar_time = time.perf_counter() - start
         start = time.perf_counter()
-        vector_result = vectorized(big_trace)
+        vector_result = simulate_vectorized(factory(), big_trace, config)
         vector_time = time.perf_counter() - start
         assert (vector_result.mispredictions
                 == scalar_result.mispredictions), label
@@ -87,13 +81,13 @@ def test_ablation_vectorized_shape(measurements, report_only):
 
 def test_bench_vectorized_gshare(benchmark, big_trace):
     result = benchmark.pedantic(
-        lambda: simulate_gshare_vectorized(big_trace),
+        lambda: simulate_vectorized(GShare(), big_trace),
         rounds=3, iterations=1)
     assert result.mispredictions > 0
 
 
 def test_bench_vectorized_bimodal(benchmark, big_trace):
     result = benchmark.pedantic(
-        lambda: simulate_bimodal_vectorized(big_trace),
+        lambda: simulate_vectorized(Bimodal(), big_trace),
         rounds=3, iterations=1)
     assert result.mispredictions > 0

@@ -10,9 +10,9 @@ telemetry, and both recorded in ``BENCH_parallel_scaling.json``:
    either way the numbers are diffable across runs.
 
 2. **Engine reuse vs per-point pool churn.**  A parameter sweep run the
-   old way (a fresh ``ProcessPoolExecutor`` per grid point, every trace
-   re-pickled into every task) against the engine way (one pool forked
-   once, every trace decoded and shipped to shared memory once).  The
+   old way (``run_suite(workers=N)`` per grid point, each call opening
+   and closing its own private engine) against the engine way (one pool
+   forked once, every trace decoded and shipped to shared memory once).  The
    churn path pays ``points x workers`` forks and ``points x traces``
    trace shipments; the engine pays each exactly once, which is the
    ISSUE-5 acceptance criterion: >= 2x at 4 workers.  A third column
@@ -98,8 +98,9 @@ def sweep_styles(trace_paths):
     engine with config-batched vectorized evaluation on top."""
 
     def churn():
-        # The pre-engine dispatch style: every grid point forks its own
-        # pool, and every task re-opens and re-decodes its trace file.
+        # The pre-engine dispatch style: every grid point opens its own
+        # private engine — forks a pool and decodes and publishes every
+        # trace again.
         points = []
         for value in SWEEP_VALUES:
             import functools

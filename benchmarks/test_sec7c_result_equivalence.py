@@ -13,10 +13,7 @@ from repro.analysis.reporting import format_table
 from repro.baselines.champsim import run_champsim
 from repro.baselines.cbp5 import Cbp5Framework, FromMbpPredictor
 from repro.core.simulator import simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
+from repro.core.vectorized import simulate_vectorized
 from repro.predictors import TABLE2_PREDICTORS
 
 from conftest import emit_report
@@ -43,13 +40,9 @@ def equivalence_rows(cbp5_suite, cbp5_sbbt_paths, cbp5_bt9_gz_paths,
             checks["champsim"] = (
                 champsim.stats.direction_mispredictions
                 == branch_only.mispredictions)
-        if label == "Bimodal":
+        if factory().vector_kernel() is not None:
             checks["vectorized"] = (
-                simulate_bimodal_vectorized(branch_trace).mispredictions
-                == reference.mispredictions)
-        if label == "GShare":
-            checks["vectorized"] = (
-                simulate_gshare_vectorized(branch_trace).mispredictions
+                simulate_vectorized(factory(), branch_trace).mispredictions
                 == reference.mispredictions)
         rows.append((label, reference.mispredictions, checks))
     return rows

@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from ..core.batch import CacheLike, run_suite
+from ..core.engine import engine_scope
 from ..core.predictor import Predictor
 from ..core.simulator import SimulationConfig
 from ..sbbt.trace import TraceData
-from .sweep import engine_scope, evaluate_param_sets
+from .sweep import evaluate_param_sets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import ExecutionEngine

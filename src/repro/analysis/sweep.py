@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, Union
 
 from pathlib import Path
 
 from ..core.batch import BatchResult, CacheLike, SuiteError, TraceFailure
+from ..core.engine import engine_scope
 from ..core.output import SimulationResult
 from ..core.plan import WorkPlan, execute_plan
 from ..core.predictor import Predictor
@@ -40,29 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import ExecutionEngine
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_parameter", "sweep_grid",
-           "engine_scope", "evaluate_param_sets"]
+           "evaluate_param_sets"]
 
 TraceLike = Union[TraceData, str, Path]
-
-
-@contextmanager
-def engine_scope(engine: "ExecutionEngine | None",
-                 workers: int) -> "Iterator[ExecutionEngine | None]":
-    """Yield the engine a multi-point driver should dispatch through.
-
-    A caller-provided ``engine`` is yielded as-is (the caller owns its
-    lifecycle).  Otherwise, ``workers > 1`` opens a *private*
-    :class:`~repro.core.engine.ExecutionEngine` that lives exactly as
-    long as the ``with`` block — one pool and one trace shipment for the
-    whole sweep/search instead of per point — and ``workers == 1``
-    yields ``None`` (serial in-process execution).
-    """
-    if engine is not None or workers <= 1:
-        yield engine
-        return
-    from ..core.engine import ExecutionEngine
-    with ExecutionEngine(workers=workers) as own:
-        yield own
 
 
 @dataclass(frozen=True, slots=True)

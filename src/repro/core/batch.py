@@ -15,7 +15,7 @@ Two robustness/scale features beyond the paper:
 
 * ``cache=`` plugs in a :class:`repro.cache.SimulationCache` (or just a
   directory path): traces whose results are already cached are served
-  without simulating — cache hits bypass the process pool entirely and
+  without simulating — cache hits bypass the worker pool entirely and
   are excluded from :attr:`BatchResult.timing`.
 * per-trace failures are wrapped into :class:`TraceFailure` records that
   name the offending trace; the rest of the suite always completes.  The
@@ -273,10 +273,11 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
     workers:
         Process count.  ``1`` (default) runs inline, which is also the
         right mode for timing measurements — parallel workers contend for
-        cores and distort per-trace times.
+        cores and distort per-trace times.  ``workers > 1`` opens a
+        private :class:`repro.core.engine.ExecutionEngine` for this call.
     engine:
         A :class:`repro.core.engine.ExecutionEngine` to dispatch through
-        instead of a throwaway pool.  The engine's persistent workers
+        instead of a private one.  The engine's persistent workers
         and resident shared-memory traces amortize pool startup and
         trace shipping across *many* ``run_suite`` calls (whole sweeps
         and searches); when given, it takes precedence over ``workers``
@@ -317,7 +318,7 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         :meth:`~repro.core.engine.ExecutionEngine.run_plan`: ``"auto"``
         (default) packs several traces per worker round-trip sized by
         the measured per-trace cost; an integer forces that chunk size.
-        Ignored by the serial and throwaway-pool paths.
+        Ignored by the serial path.
     batch:
         Config-batched evaluation, forwarded to
         :func:`~repro.core.plan.execute_plan`: ``"auto"`` (default)
@@ -339,7 +340,7 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     # Lower into the WorkPlan IR and run it through the shared execution
-    # funnel (cache scan + serial / pool / engine dispatch) — the same
+    # funnel (cache scan + inline / engine dispatch) — the same
     # path sweeps, searches, the serve daemon and the CLI use.
     plan = WorkPlan.for_suite(factory, traces, config, names=names,
                               probe=probe, sim_engine=sim_engine)

@@ -48,8 +48,8 @@ Observability: the engine keeps an :class:`EngineStats` record —
 ``tasks_dispatched`` counters plus a per-engine phase breakdown
 (``publish`` / ``dispatch`` / ``drain``) — and mirrors the counters into
 any :mod:`repro.telemetry` instrumentation passed to
-:meth:`run_tasks`, so the "each trace shipped at most once per worker"
-property is measurable, not folklore.
+:meth:`ExecutionEngine.run_plan`, so the "each trace shipped at most
+once per worker" property is measurable, not folklore.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context, shared_memory
 from pathlib import Path
@@ -80,7 +81,7 @@ from .predictor import Predictor
 from .simulator import SimulationConfig
 
 __all__ = ["EngineStats", "ExecutionEngine", "SharedTrace",
-           "default_workers"]
+           "default_workers", "engine_scope"]
 
 
 def default_workers(units: int | None = None) -> int:
@@ -99,6 +100,27 @@ def default_workers(units: int | None = None) -> int:
     if units is not None and units < cap:
         cap = max(1, units)
     return cap
+
+
+@contextmanager
+def engine_scope(engine: "ExecutionEngine | None",
+                 workers: int) -> "Iterator[ExecutionEngine | None]":
+    """Yield the engine a multi-unit driver should dispatch through.
+
+    The one owner of the "who creates the engine" policy.  A
+    caller-provided ``engine`` is yielded as-is (the caller owns its
+    lifecycle).  Otherwise, ``workers > 1`` opens a *private*
+    :class:`ExecutionEngine` that lives exactly as long as the ``with``
+    block — one pool and one trace shipment for the whole suite, sweep
+    or search — and ``workers == 1`` yields ``None`` (serial in-process
+    execution).
+    """
+    if engine is not None or workers <= 1:
+        yield engine
+        return
+    with ExecutionEngine(workers=workers) as own:
+        yield own
+
 
 #: Adaptive chunking aims for this much worker time per round-trip: large
 #: enough to amortize the pickle/IPC/future overhead of a dispatch, small
@@ -566,7 +588,7 @@ class ExecutionEngine:
         all methods behave identically; ``spawn`` pays a per-worker
         interpreter startup but is immune to fork-unsafe state.
     window:
-        Maximum in-flight tasks during :meth:`run_tasks` (default
+        Maximum in-flight units during :meth:`run_plan` (default
         ``4 * workers``, at least 16).  Bounds both executor queue
         growth and the latency until a failure is observed.
 
@@ -666,7 +688,7 @@ class ExecutionEngine:
     def recover(self) -> None:
         """Replace the worker pool after a crash; resident traces survive.
 
-        :meth:`run_tasks` restarts the pool automatically when it
+        :meth:`run_plan` restarts the pool automatically when it
         observes a :class:`BrokenProcessPool`; callers driving
         :meth:`submit` directly (the serve daemon, custom schedulers)
         use this to do the same.  No-op on a closed engine.
@@ -762,31 +784,25 @@ class ExecutionEngine:
     # Task execution.
     # ------------------------------------------------------------------
 
-    def submit(self, factory: PredictorFactory, trace: TraceLike,
-               config: SimulationConfig | None = None, *,
-               name: str | None = None, probe: bool = False,
-               sim_engine: str = "scalar",
+    def submit(self, unit: WorkUnit, *,
                trace_wire: dict | None = None,
                tracer: Any = None) -> Future:
-        """Publish ``trace`` if needed and schedule one simulation.
+        """Publish ``unit``'s trace if needed and schedule its simulation
+        (the serve daemon's per-request path).
 
         The future resolves to a :class:`~repro.core.output.\
 SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
-        exceptions are wrapped, never raised).  ``sim_engine`` selects
-        the worker-side simulation engine (``"scalar"``, ``"vectorized"``
-        or ``"auto"``).  ``trace_wire`` (a
+        exceptions are wrapped, never raised).  ``trace_wire`` (a
         :meth:`~repro.tracing.TraceContext.to_wire` dict) ships a trace
         context into the worker; the spans it emits are folded into
-        ``tracer`` when the future completes.  Most callers want
-        :meth:`run_tasks` or ``run_suite(engine=...)`` instead.
+        ``tracer`` when the future completes.  Multi-unit callers want
+        :meth:`run_plan` or ``run_suite(engine=...)`` instead.
         """
         self._check_open()
-        ref = self.publish(trace)
-        resolved = name if name is not None else (
-            "trace[shared]" if isinstance(trace, TraceData) else str(trace))
+        ref = self.publish(unit.trace)
         future = self._ensure_pool().submit(
-            _engine_run_one, factory, ref, config or SimulationConfig(),
-            resolved, probe, sim_engine, trace_wire)
+            _engine_run_one, unit.factory, ref, unit.config, unit.name,
+            unit.probe, unit.sim_engine, trace_wire)
         self.stats.tasks_dispatched += 1
         return self._unwrap(future, tracer)
 
@@ -815,17 +831,6 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         else:
             self.stats.trace_reuses += 1
 
-    def submit_unit(self, unit: WorkUnit, *,
-                    trace_wire: dict | None = None,
-                    tracer: Any = None) -> Future:
-        """Schedule one :class:`~repro.core.plan.WorkUnit` (the serve
-        daemon's per-request path).  Equivalent to :meth:`submit` with
-        the unit's fields."""
-        return self.submit(unit.factory, unit.trace, unit.config,
-                           name=unit.name, probe=unit.probe,
-                           sim_engine=unit.sim_engine,
-                           trace_wire=trace_wire, tracer=tracer)
-
     def _spool_path(self) -> str:
         """The crash-recovery spool directory, created on first use.
 
@@ -847,28 +852,6 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         else:
             self._unit_ema = (_EMA_ALPHA * seconds
                               + (1.0 - _EMA_ALPHA) * self._unit_ema)
-
-    def run_tasks(self, factory: PredictorFactory,
-                  tasks: Sequence[tuple[TraceLike, str]],
-                  config: SimulationConfig | None = None, *,
-                  probe: bool = False,
-                  instrumentation: Any = None,
-                  sim_engine: str = "scalar",
-                  chunk: int | str = "auto",
-                  batch: str | bool = "auto",
-                  ) -> Iterator[tuple[int, Any]]:
-        """Run ``(trace, name)`` tasks; yield ``(index, outcome)`` pairs
-        in **completion order** (``as_completed`` semantics).
-
-        Compatibility wrapper: lowers the task list into a
-        :class:`~repro.core.plan.WorkPlan` and delegates to
-        :meth:`run_plan`.
-        """
-        plan = WorkPlan.for_suite(factory, [trace for trace, _ in tasks],
-                                  config, names=[name for _, name in tasks],
-                                  probe=probe, sim_engine=sim_engine)
-        return self.run_plan(plan, chunk=chunk, batch=batch,
-                             instrumentation=instrumentation)
 
     def run_plan(self, plan: WorkPlan, *,
                  chunk: int | str = "auto",
@@ -974,8 +957,8 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         from .batch import TraceFailure
 
         # Publish per unit, not en masse: one unreadable trace becomes
-        # that unit's TraceFailure (matching the serial and ad-hoc pool
-        # paths' isolation contract) instead of aborting the whole plan.
+        # that unit's TraceFailure (matching the inline path's isolation
+        # contract) instead of aborting the whole plan.
         refs: dict[int, SharedTrace] = {}
         publish_failures: list[tuple[int, TraceFailure]] = []
         for index, unit in enumerate(plan):

@@ -19,9 +19,9 @@ This module is the single funnel they all lower into:
   lowering constructors (:meth:`WorkPlan.for_suite`,
   :meth:`WorkPlan.for_points`) and grouping helpers.
 * :func:`execute_plan` — runs a plan through the cache, then through one
-  of the three execution backends (inline, throwaway process pool, or a
-  persistent :class:`~repro.core.engine.ExecutionEngine` with adaptive
-  chunked dispatch), preserving per-unit failure isolation and returning
+  of two execution backends (inline, or an
+  :class:`~repro.core.engine.ExecutionEngine` with adaptive chunked
+  dispatch), preserving per-unit failure isolation and returning
   outcomes in plan order.
 
 The IR deliberately carries *no* scheduling policy: chunking, windowing
@@ -269,13 +269,13 @@ def execute_plan(plan: WorkPlan, *,
     holds on every backend, so one bad trace or predictor bug never
     aborts the rest of the plan.
 
-    Backend selection mirrors the historical ``run_suite`` contract:
-    a caller-owned ``engine`` wins (persistent pool, resident traces,
-    adaptive chunked dispatch — see
+    There are two backends.  A caller-owned ``engine`` wins (persistent
+    pool, resident traces, adaptive chunked dispatch — see
     :meth:`~repro.core.engine.ExecutionEngine.run_plan`); otherwise
-    ``workers > 1`` fans out over a throwaway process pool; otherwise
-    units run inline.  ``chunk`` (``"auto"`` or a fixed size >= 1) is
-    forwarded to the engine backend and ignored elsewhere.
+    ``workers > 1`` with more than one unit to simulate opens a private
+    engine for this call (:func:`~repro.core.engine.engine_scope`);
+    otherwise units run inline.  ``chunk`` (``"auto"`` or a fixed size
+    >= 1) is forwarded to the engine backend and ignored inline.
 
     With ``batch="auto"`` (the default), cache-missed units that share
     a trace and admit the vectorized engine are evaluated in *batched
@@ -285,8 +285,8 @@ def execute_plan(plan: WorkPlan, *,
     produces its own outcome and cache entry, byte-identical (up to
     wall clock) to the per-unit path.  Batching applies to the inline
     backend here and is forwarded to the engine backend (whose workers
-    batch within each chunk); the throwaway pool ignores it.
-    ``batch="off"`` forces the per-unit path everywhere.
+    batch within each chunk).  ``batch="off"`` forces the per-unit path
+    everywhere.
     ``instrumentation`` gains a ``batch_eval`` phase plus
     ``batch_groups`` / ``batch_units`` / ``context_reuse`` counters
     when groups actually form, and the tracer emits one
@@ -391,14 +391,18 @@ def execute_plan(plan: WorkPlan, *,
         if pending:
             with trc.span("simulate", parent=plan_span.context,
                           attributes={"pending": len(pending)}) as sim:
-                if engine is not None:
-                    for position, outcome in engine.run_plan(
-                            plan.subset(pending), chunk=chunk,
-                            batch=batch,
-                            instrumentation=instr, tracer=trc,
-                            trace_parent=sim.context):
-                        slots[pending[position]] = outcome
-                elif workers == 1 or len(pending) <= 1:
+                if engine is not None or (workers > 1
+                                          and len(pending) > 1):
+                    from .engine import engine_scope
+
+                    with engine_scope(engine, workers) as scoped:
+                        for position, outcome in scoped.run_plan(
+                                plan.subset(pending), chunk=chunk,
+                                batch=batch,
+                                instrumentation=instr, tracer=trc,
+                                trace_parent=sim.context):
+                            slots[pending[position]] = outcome
+                else:
                     groups, loose = (_batch_groups(plan, pending)
                                      if use_batch else ([], list(pending)))
                     if groups:
@@ -432,8 +436,6 @@ def execute_plan(plan: WorkPlan, *,
                             if not isinstance(outcome, SimulationResult):
                                 unit_span.set_status("error")
                             slots[i] = outcome
-                else:
-                    _execute_pool(plan, pending, slots, workers)
             if store is not None:
                 for i in pending:
                     outcome = slots[i]
@@ -450,33 +452,6 @@ def execute_plan(plan: WorkPlan, *,
                 if failed:
                     instr.count("trace_failure", failed)
     return list(slots)
-
-
-def _execute_pool(plan: WorkPlan, pending: Sequence[int],
-                  slots: list[Outcome | None], workers: int) -> None:
-    """Throwaway-pool backend: one worker task per unit, results consumed
-    in completion order so one slow unit never delays the others."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    from .batch import TraceFailure, _run_one
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {}
-        for i in pending:
-            unit = plan[i]
-            futures[pool.submit(_run_one, unit.factory, unit.trace,
-                                unit.config, unit.name, unit.probe,
-                                sim_engine=unit.sim_engine)] = i
-        for future in as_completed(futures):
-            i = futures[future]
-            try:
-                slots[i] = future.result()
-            except Exception as exc:  # noqa: BLE001 - broken pool
-                slots[i] = TraceFailure(
-                    trace_name=plan[i].name,
-                    error=f"{type(exc).__name__}: {exc}",
-                    details=traceback.format_exc(),
-                )
 
 
 def _run_group_inline(plan: WorkPlan, members: Sequence[int],

@@ -47,19 +47,17 @@ protocol cost.
 This is the reproduction's analogue of MBPlib's C++-level speed work and
 the subject of the ``benchmarks/test_vectorized_catalog.py`` benchmark.
 
-Observability: the engines accept an optional ``instrumentation``
-object (:mod:`repro.telemetry`).  The two standalone engines
-(:func:`simulate_bimodal_vectorized`, :func:`simulate_gshare_vectorized`)
-bracket their array passes as phases — "index", "scan" and "finish" —
-while :func:`simulate_vectorized` reports the standard simulator's
-phase set ("trace_read", "simulate_loop", "finalize") so manifests and
-phase timers are engine-independent.  The default is off and adds no
-calls, matching the standard simulator's contract.  They likewise
-accept an optional ``probe`` (:class:`repro.probe.PredictionProbe`),
-filled post-hoc from the prediction arrays via the bulk hooks —
-per-component attribution (including override accounting for arbitrated
-predictors), the full per-branch profile, and the final tables'
-structural statistics reconstructed from the scans.
+Observability: :func:`simulate_vectorized` accepts an optional
+``instrumentation`` object (:mod:`repro.telemetry`) and reports the
+standard simulator's phase set ("trace_read", "simulate_loop",
+"finalize"), so manifests and phase timers are engine-independent.  The
+default is off and adds no calls, matching the standard simulator's
+contract.  It likewise accepts an optional ``probe``
+(:class:`repro.probe.PredictionProbe`), filled post-hoc from the
+prediction arrays via the bulk hooks — per-component attribution
+(including override accounting for arbitrated predictors), the full
+per-branch profile, and the final tables' structural statistics
+reconstructed from the scans.
 """
 
 from __future__ import annotations
@@ -84,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .simulator import SimulationConfig
 
 __all__ = [
-    "VectorizedResult",
     "clamped_walk_states",
     "global_history_windows",
     "segmented_history_windows",
@@ -98,40 +95,7 @@ __all__ = [
     "YagsKernel",
     "simulate_vectorized",
     "run_unit_group",
-    "simulate_bimodal_vectorized",
-    "simulate_gshare_vectorized",
 ]
-
-_BIG = np.int64(1 << 40)  # sentinel for the identity map's bounds
-
-
-@dataclass(frozen=True, slots=True)
-class VectorizedResult:
-    """Outcome of a vectorized simulation.
-
-    ``predictions`` is per *conditional* branch, in trace order — exactly
-    what the scalar predictor's ``predict`` would have returned — so the
-    equivalence tests can compare prediction streams, not just totals.
-    """
-
-    num_conditional_branches: int
-    mispredictions: int
-    simulation_instructions: int
-    predictions: np.ndarray
-
-    @property
-    def mpki(self) -> float:
-        """Mispredictions per kilo-instruction."""
-        if self.simulation_instructions == 0:
-            return 0.0
-        return 1000.0 * self.mispredictions / self.simulation_instructions
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of conditional branches predicted correctly."""
-        if self.num_conditional_branches == 0:
-            return 1.0
-        return 1.0 - self.mispredictions / self.num_conditional_branches
 
 
 def clamped_walk_states(segments: np.ndarray, steps: np.ndarray,
@@ -335,29 +299,6 @@ def skew_hash_array(v1: np.ndarray, v2: np.ndarray, bank: int,
     return (a ^ b ^ keep) & mask
 
 
-def _finish(trace: TraceData, conditional: np.ndarray,
-            predictions: np.ndarray,
-            warmup_instructions: int) -> VectorizedResult:
-    """Count mispredictions over the post-warm-up region."""
-    taken = trace.taken[conditional]
-    wrong = predictions != taken
-    if warmup_instructions > 0:
-        numbers = trace.instruction_numbers()[conditional]
-        measured = numbers > warmup_instructions
-        mispredictions = int((wrong & measured).sum())
-        num_conditional = int(measured.sum())
-    else:
-        mispredictions = int(wrong.sum())
-        num_conditional = int(conditional.sum())
-    instructions = max(0, trace.num_instructions - warmup_instructions)
-    return VectorizedResult(
-        num_conditional_branches=num_conditional,
-        mispredictions=mispredictions,
-        simulation_instructions=instructions,
-        predictions=predictions,
-    )
-
-
 def _final_table_values(indices_sorted: np.ndarray, before: np.ndarray,
                         steps: np.ndarray, lo: int, hi: int,
                         size: int) -> np.ndarray:
@@ -376,158 +317,6 @@ def _final_table_values(indices_sorted: np.ndarray, before: np.ndarray,
         final = np.clip(before[is_last] + steps[is_last], lo, hi)
         values[indices_sorted[is_last].astype(np.int64)] = final
     return values
-
-
-def _final_table_stats(indices_sorted: np.ndarray, before: np.ndarray,
-                       steps: np.ndarray, lo: int, hi: int,
-                       size: int) -> dict:
-    """Structural statistics of the table *after* the whole run."""
-    from ..utils.tables import distribution_stats
-
-    return distribution_stats(
-        _final_table_values(indices_sorted, before, steps, lo, hi, size),
-        lo, hi)
-
-
-def _fill_probe(probe: "PredictionProbe", trace: TraceData,
-                conditional: np.ndarray, predictions: np.ndarray,
-                warmup_instructions: int, structure: dict) -> None:
-    """Populate ``probe`` from a finished engine run via the bulk hooks.
-
-    Only the measured (post-warm-up) region is profiled, matching the
-    scalar simulator's accounting; the single ``table`` component
-    receives the whole attribution because these predictors have no
-    arbitration to observe.
-    """
-    probe.start()
-    ips = trace.ips[conditional]
-    taken = trace.taken[conditional]
-    wrong = predictions != taken
-    if warmup_instructions > 0:
-        numbers = trace.instruction_numbers()[conditional]
-        measured = numbers > warmup_instructions
-        ips = ips[measured]
-        taken = taken[measured]
-        wrong = wrong[measured]
-    n = len(ips)
-    probe.record_bulk("table", n, n - int(wrong.sum()))
-    unique_ips, inverse = np.unique(ips, return_inverse=True)
-    occurrences = np.bincount(inverse, minlength=len(unique_ips))
-    taken_counts = np.bincount(inverse, weights=taken,
-                               minlength=len(unique_ips))
-    wrong_counts = np.bincount(inverse, weights=wrong,
-                               minlength=len(unique_ips))
-    for i, ip in enumerate(unique_ips):
-        probe.record_branch_bulk(int(ip), int(occurrences[i]),
-                                 int(taken_counts[i]),
-                                 int(wrong_counts[i]), component="table")
-    probe.set_structure(structure)
-    probe.finish()
-
-
-def _phase_end(instrumentation: "Instrumentation | None", name: str,
-               start: float) -> float:
-    """Record one engine phase; returns the next phase's start time."""
-    now = time.perf_counter()
-    instrumentation.add_phase(name, now - start)
-    return now
-
-
-def simulate_bimodal_vectorized(trace: TraceData, log_table_size: int = 14,
-                                counter_width: int = 2,
-                                instruction_shift: int = 0,
-                                warmup_instructions: int = 0, *,
-                                instrumentation:
-                                "Instrumentation | None" = None,
-                                probe: "PredictionProbe | None" = None
-                                ) -> VectorizedResult:
-    """Bit-exact vectorized run of :class:`repro.predictors.Bimodal`.
-
-    Each table entry's counter sequence is independent, so branches are
-    grouped by table index (stable sort) and every group's counter walk
-    is resolved by one segmented scan.
-    """
-    if counter_width < 1:
-        raise SimulationError("counter_width must be >= 1")
-    instr = instrumentation
-    start = time.perf_counter() if instr is not None else 0.0
-    conditional = trace.conditional_mask()
-    ips = trace.ips[conditional]
-    taken = trace.taken[conditional]
-    n = len(ips)
-    mask = np.uint64((1 << log_table_size) - 1)
-    indices = (ips >> np.uint64(instruction_shift)) & mask
-    if instr is not None:
-        start = _phase_end(instr, "index", start)
-
-    order = np.argsort(indices, kind="stable")
-    lo = -(1 << (counter_width - 1))
-    hi = (1 << (counter_width - 1)) - 1
-    steps = np.where(taken[order], 1, -1)
-    before = clamped_walk_states(indices[order], steps, lo, hi)
-    if instr is not None:
-        start = _phase_end(instr, "scan", start)
-
-    predictions = np.empty(n, dtype=bool)
-    predictions[order] = before >= 0
-    result = _finish(trace, conditional, predictions, warmup_instructions)
-    if probe is not None:
-        structure = {"table": _final_table_stats(
-            indices[order], before, steps, lo, hi, 1 << log_table_size)}
-        _fill_probe(probe, trace, conditional, predictions,
-                    warmup_instructions, structure)
-    if instr is not None:
-        _phase_end(instr, "finish", start)
-    return result
-
-
-def simulate_gshare_vectorized(trace: TraceData, history_length: int = 15,
-                               log_table_size: int = 17,
-                               counter_width: int = 2,
-                               warmup_instructions: int = 0, *,
-                               instrumentation:
-                               "Instrumentation | None" = None,
-                               probe: "PredictionProbe | None" = None
-                               ) -> VectorizedResult:
-    """Bit-exact vectorized run of :class:`repro.predictors.GShare`.
-
-    GShare's scenario state (the global history register) is a pure
-    function of the preceding outcomes, so it is precomputed for every
-    branch; after that the problem reduces to the same grouped
-    clamped-walk scan as bimodal, keyed by the hashed index.
-    """
-    if counter_width < 1:
-        raise SimulationError("counter_width must be >= 1")
-    instr = instrumentation
-    start = time.perf_counter() if instr is not None else 0.0
-    # track() pushes *every* branch outcome (unconditional = taken).
-    history = global_history_windows(trace.taken, history_length)
-    conditional = trace.conditional_mask()
-    ips = trace.ips[conditional]
-    taken = trace.taken[conditional]
-    indices = xor_fold_array(ips ^ history[conditional], log_table_size)
-    if instr is not None:
-        start = _phase_end(instr, "index", start)
-
-    order = np.argsort(indices, kind="stable")
-    lo = -(1 << (counter_width - 1))
-    hi = (1 << (counter_width - 1)) - 1
-    steps = np.where(taken[order], 1, -1)
-    before = clamped_walk_states(indices[order], steps, lo, hi)
-    if instr is not None:
-        start = _phase_end(instr, "scan", start)
-
-    predictions = np.empty(len(ips), dtype=bool)
-    predictions[order] = before >= 0
-    result = _finish(trace, conditional, predictions, warmup_instructions)
-    if probe is not None:
-        structure = {"table": _final_table_stats(
-            indices[order], before, steps, lo, hi, 1 << log_table_size)}
-        _fill_probe(probe, trace, conditional, predictions,
-                    warmup_instructions, structure)
-    if instr is not None:
-        _phase_end(instr, "finish", start)
-    return result
 
 
 # ----------------------------------------------------------------------

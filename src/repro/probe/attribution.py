@@ -150,17 +150,6 @@ class PredictionProbe:
 
     # -- bulk hooks (vectorized engines) ------------------------------
 
-    def record_bulk(self, provider: str, count: int, correct: int,
-                    scope: str = "") -> None:
-        """Attribute ``count`` predictions (``correct`` of them right)."""
-        if not self._armed or count <= 0:
-            return
-        components = self._scopes.setdefault(scope, {})
-        self._scope_totals[scope] = self._scope_totals.get(scope, 0) + count
-        cell = components.setdefault(provider, [0, 0, 0, 0, 0])
-        cell[_PROVIDED] += count
-        cell[_CORRECT] += correct
-
     def record_component_bulk(self, provider: str, provided: int,
                               correct: int, *, overrides: int = 0,
                               override_correct: int = 0,
@@ -168,12 +157,13 @@ class PredictionProbe:
                               scope: str = "") -> None:
         """Attribute a component's aggregate counts, overrides included.
 
-        The full-matrix counterpart of :meth:`record_bulk` for
-        arbitrated predictors: ``overrides``/``override_correct`` count
-        the provider's wins over a disagreeing loser, ``overridden`` its
-        own losses.  Mirrors :meth:`record` cell semantics — a component
-        that neither provided nor was overridden gets no cell, and only
-        provided predictions advance the scope total.
+        ``provided``/``correct`` count the component's predictions and
+        how many were right; for arbitrated predictors
+        ``overrides``/``override_correct`` count the provider's wins over
+        a disagreeing loser, ``overridden`` its own losses.  Mirrors
+        :meth:`record` cell semantics — a component that neither
+        provided nor was overridden gets no cell, and only provided
+        predictions advance the scope total.
         """
         if not self._armed or (provided <= 0 and overridden <= 0):
             return
@@ -294,11 +284,6 @@ class ScopedProbe:
                overrode: str | None = None, scope: str = "") -> None:
         path = f"{self._scope}/{scope}" if scope else self._scope
         self._probe.record(ip, provider, correct, overrode, scope=path)
-
-    def record_bulk(self, provider: str, count: int, correct: int,
-                    scope: str = "") -> None:
-        path = f"{self._scope}/{scope}" if scope else self._scope
-        self._probe.record_bulk(provider, count, correct, scope=path)
 
     def record_component_bulk(self, provider: str, provided: int,
                               correct: int, *, overrides: int = 0,

@@ -680,10 +680,10 @@ class MbpServer:
         loop = asyncio.get_running_loop()
         trc = self.tracer
         if self.engine is not None:
-            # submit_unit() publishes the trace (a decode on first touch)
+            # submit() publishes the trace (a decode on first touch)
             # — blocking work, so it runs on the io executor too.
             submit = functools.partial(
-                self.engine.submit_unit, unit,
+                self.engine.submit, unit,
                 trace_wire=ctx.to_wire() if ctx is not None else None,
                 tracer=trc if trc.enabled else None)
             future = await loop.run_in_executor(self._io, submit)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.search import SearchSpace, hill_climb, random_search
-from repro.analysis.sweep import engine_scope, sweep_grid, sweep_parameter
-from repro.core.engine import ExecutionEngine
+from repro.analysis.sweep import sweep_grid, sweep_parameter
+from repro.core.engine import ExecutionEngine, engine_scope
 from repro.predictors import Bimodal, GShare
 from tests.conftest import make_trace
 

@@ -48,6 +48,50 @@ def make_trace(ips, taken, *, targets=None, opcodes=None, gaps=None,
                      num_instructions)
 
 
+def scalar_predictions(predictor, trace: TraceData, *,
+                       track_all: bool = True) -> np.ndarray:
+    """Drive ``predictor`` exactly like the standard simulator does
+    (predict/train on conditional branches, track on every branch — or
+    only the conditional ones when ``track_all`` is false) and collect
+    each conditional branch's prediction in trace order.
+
+    ``simulate()`` does not expose per-branch predictions, so this loop
+    is the reference the vector kernels must match bit for bit.
+    """
+    predictions = []
+    for branch, _gap in trace.iter_branches():
+        if branch.is_conditional:
+            predictions.append(predictor.predict(branch.ip))
+            predictor.train(branch)
+            predictor.track(branch)
+        elif track_all:
+            predictor.track(branch)
+    return np.array(predictions, dtype=bool)
+
+
+def kernel_predictions(predictor, trace: TraceData, *,
+                       track_all: bool = True) -> np.ndarray:
+    """The per-conditional-branch prediction stream of ``predictor``'s
+    vector kernel — the array every vectorized result is counted from."""
+    from repro.core.vectorized import _VectorContext
+
+    context = _VectorContext(trace, track_all=track_all)
+    return predictor.vector_kernel().run(context).predictions
+
+
+def assert_kernel_matches_scalar(factory, trace: TraceData, *,
+                                 track_all: bool = True) -> None:
+    """The vector kernel of ``factory()`` predicts every conditional
+    branch of ``trace`` exactly as the scalar predictor does."""
+    reference = scalar_predictions(factory(), trace, track_all=track_all)
+    vectorized = kernel_predictions(factory(), trace, track_all=track_all)
+    assert len(vectorized) == len(reference)
+    mismatches = np.flatnonzero(vectorized != reference)
+    assert mismatches.size == 0, (
+        f"first divergence at conditional branch {mismatches[:5]}"
+    )
+
+
 @pytest.fixture(scope="session")
 def small_trace() -> TraceData:
     """~5k branches of a loopy mobile-like program (fast to simulate)."""
@@ -71,7 +115,7 @@ def medium_trace() -> TraceData:
 
 # Re-exported so tests can import everything from conftest.
 __all__ = [
-    "make_branch", "make_trace",
+    "make_branch", "make_trace", "assert_kernel_matches_scalar",
     "OPCODE_CALL", "OPCODE_COND_JUMP", "OPCODE_IND_JUMP", "OPCODE_JUMP",
     "OPCODE_RET",
 ]

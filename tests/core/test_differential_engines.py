@@ -1,10 +1,11 @@
-"""Differential tests: vectorized engines vs the scalar predictors.
+"""Differential tests: vector kernels vs the scalar predictors.
 
-The vectorized bimodal/GShare engines claim to be *bit-exact* rewrites of
-the per-branch predictors.  Aggregate MPKI agreement can mask compensating
-errors, so these tests drive the scalar predictor branch-by-branch exactly
-the way the standard simulator does and compare the full **per-branch
-prediction stream**, not just the totals.
+The vector kernels claim to be *bit-exact* rewrites of the per-branch
+predictors.  Aggregate MPKI agreement can mask compensating errors, so
+these tests drive the scalar predictor branch-by-branch exactly the way
+the standard simulator does and compare the full **per-branch
+prediction stream** of ``predictor.vector_kernel()`` against it, not
+just the totals — for every predictor in the vectorizable catalog.
 
 Also checks the cache boundary: a result served by :mod:`repro.cache`
 must be byte-identical (``to_json_string``) to the fresh simulation that
@@ -20,33 +21,38 @@ import pytest
 
 from repro.cache import SimulationCache
 from repro.core.branch import OPCODE_COND_JUMP, OPCODE_JUMP, OPCODE_RET
-from repro.core.predictor import Predictor
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
+from repro.core.vectorized import simulate_vectorized
+from repro.predictors import (
+    Bimodal,
+    GShare,
+    LocalPredictor,
+    Tournament,
+    TwoBcGskew,
+    Yags,
 )
-from repro.predictors import Bimodal, GShare
+from repro.predictors.twolevel import Scope, TwoLevel
 from repro.sbbt.trace import TraceData
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
+from tests.conftest import assert_kernel_matches_scalar
 
-
-def scalar_predictions(predictor: Predictor, trace: TraceData) -> np.ndarray:
-    """Drive ``predictor`` exactly like the standard simulator does
-    (predict/train on conditional branches, track on every branch) and
-    collect each conditional branch's prediction in trace order.
-
-    ``simulate()`` does not expose per-branch predictions, so this loop is
-    the reference the vectorized engines must match bit for bit.
-    """
-    predictions = []
-    for branch, _gap in trace.iter_branches():
-        if branch.is_conditional:
-            predictions.append(predictor.predict(branch.ip))
-            predictor.train(branch)
-        predictor.track(branch)
-    return np.array(predictions, dtype=bool)
+#: The seven catalog predictors that provide a vector kernel, sized
+#: small so the traces below drive every table into aliasing.
+KERNEL_CATALOG = {
+    "bimodal": lambda: Bimodal(log_table_size=7, instruction_shift=2),
+    "gshare": lambda: GShare(history_length=12, log_table_size=8),
+    "two-level": lambda: TwoLevel(Scope.PER_ADDRESS, Scope.PER_SET,
+                                  history_length=6, log_histories=4,
+                                  log_pattern_tables=2, set_shift=2),
+    "local": lambda: LocalPredictor(log_histories=5, history_length=8),
+    "tournament": lambda: Tournament(meta=Bimodal(6), bp0=Bimodal(7),
+                                     bp1=GShare(10, 8)),
+    "gskew": lambda: TwoBcGskew(log_bank_size=6, history_length_g0=4,
+                                history_length_g1=11),
+    "yags": lambda: Yags(log_choice_size=7, log_cache_size=5,
+                         tag_width=6, history_length=8),
+}
 
 
 def synthetic_traces() -> list[TraceData]:
@@ -90,6 +96,17 @@ def trace(request):
     return synthetic_traces()[request.param]
 
 
+class TestCatalogDifferential:
+    @pytest.mark.parametrize("track_all", [True, False],
+                             ids=["track_all", "track_conditional"])
+    @pytest.mark.parametrize("name", list(KERNEL_CATALOG))
+    def test_per_branch_bit_exact(self, trace, name, track_all):
+        # track_all=True feeds unconditional outcomes into the history
+        # registers, exactly like the default simulator config.
+        assert_kernel_matches_scalar(KERNEL_CATALOG[name], trace,
+                                     track_all=track_all)
+
+
 class TestBimodalDifferential:
     @pytest.mark.parametrize("log_table_size,counter_width,shift", [
         (7, 2, 0),    # small table: heavy aliasing
@@ -99,20 +116,12 @@ class TestBimodalDifferential:
     ])
     def test_per_branch_bit_exact(self, trace, log_table_size,
                                   counter_width, shift):
-        reference = scalar_predictions(
-            Bimodal(log_table_size, counter_width, shift), trace)
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=log_table_size,
-            counter_width=counter_width, instruction_shift=shift)
-        assert len(vectorized.predictions) == len(reference)
-        mismatches = np.flatnonzero(vectorized.predictions != reference)
-        assert mismatches.size == 0, (
-            f"first divergence at conditional branch {mismatches[:5]}"
-        )
+        assert_kernel_matches_scalar(
+            lambda: Bimodal(log_table_size, counter_width, shift), trace)
 
     def test_aggregates_match_scalar_simulate(self, trace):
         result = simulate(Bimodal(8), trace)
-        vectorized = simulate_bimodal_vectorized(trace, log_table_size=8)
+        vectorized = simulate_vectorized(Bimodal(8), trace)
         assert vectorized.mispredictions == result.mispredictions
         assert (vectorized.num_conditional_branches
                 == result.num_conditional_branches)
@@ -120,11 +129,10 @@ class TestBimodalDifferential:
                 == result.simulation_instructions)
 
     def test_warmup_region_matches(self, trace):
-        warmup = trace.num_instructions // 3
-        result = simulate(Bimodal(8), trace,
-                          SimulationConfig(warmup_instructions=warmup))
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=8, warmup_instructions=warmup)
+        config = SimulationConfig(
+            warmup_instructions=trace.num_instructions // 3)
+        result = simulate(Bimodal(8), trace, config)
+        vectorized = simulate_vectorized(Bimodal(8), trace, config)
         assert vectorized.mispredictions == result.mispredictions
         assert (vectorized.num_conditional_branches
                 == result.num_conditional_branches)
@@ -139,32 +147,22 @@ class TestGShareDifferential:
     ])
     def test_per_branch_bit_exact(self, trace, history_length,
                                   log_table_size, counter_width):
-        reference = scalar_predictions(
-            GShare(history_length, log_table_size, counter_width), trace)
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=history_length,
-            log_table_size=log_table_size, counter_width=counter_width)
-        assert len(vectorized.predictions) == len(reference)
-        mismatches = np.flatnonzero(vectorized.predictions != reference)
-        assert mismatches.size == 0, (
-            f"first divergence at conditional branch {mismatches[:5]}"
-        )
+        assert_kernel_matches_scalar(
+            lambda: GShare(history_length, log_table_size, counter_width),
+            trace)
 
     def test_aggregates_match_scalar_simulate(self, trace):
         result = simulate(GShare(10, 9), trace)
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=10, log_table_size=9)
+        vectorized = simulate_vectorized(GShare(10, 9), trace)
         assert vectorized.mispredictions == result.mispredictions
         assert (vectorized.num_conditional_branches
                 == result.num_conditional_branches)
 
     def test_warmup_region_matches(self, trace):
-        warmup = trace.num_instructions // 4
-        result = simulate(GShare(10, 9), trace,
-                          SimulationConfig(warmup_instructions=warmup))
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=10, log_table_size=9,
-            warmup_instructions=warmup)
+        config = SimulationConfig(
+            warmup_instructions=trace.num_instructions // 4)
+        result = simulate(GShare(10, 9), trace, config)
+        vectorized = simulate_vectorized(GShare(10, 9), trace, config)
         assert vectorized.mispredictions == result.mispredictions
 
 

@@ -2,7 +2,7 @@
 
 Covers the ISSUE-5 acceptance criteria:
 
-* engine-parallel, pool-parallel and serial ``run_suite`` produce
+* caller-owned-engine, private-engine and serial ``run_suite`` produce
   byte-identical ``SimulationResult`` JSON (modulo the wall-clock
   ``simulation_time`` field, which no two runs can share);
 * no shared-memory segments survive engine shutdown — after a normal
@@ -22,7 +22,9 @@ from repro.cache import SimulationCache
 from repro.core.batch import TraceFailure, run_suite
 from repro.core.engine import ExecutionEngine
 from repro.core.errors import SimulationError
+from repro.core.plan import WorkUnit
 from repro.core.predictor import derive_spec
+from repro.core.simulator import SimulationConfig
 from repro.predictors import Bimodal, GShare
 from repro.sbbt.writer import write_trace
 from repro.traces.synth import generate_trace
@@ -99,11 +101,11 @@ def _comparable(result):
 class TestDifferential:
     def test_engine_pool_serial_identical_json(self, trace_files):
         serial = run_suite(bimodal_factory, trace_files, workers=1)
-        pooled = run_suite(bimodal_factory, trace_files, workers=2)
+        private = run_suite(bimodal_factory, trace_files, workers=2)
         with ExecutionEngine(workers=2) as engine:
             engined = run_suite(bimodal_factory, trace_files, engine=engine)
         expected = [_comparable(r) for r in serial.results]
-        assert [_comparable(r) for r in pooled.results] == expected
+        assert [_comparable(r) for r in private.results] == expected
         assert [_comparable(r) for r in engined.results] == expected
 
     def test_in_memory_traces_match_files(self, traces, trace_files):
@@ -278,7 +280,8 @@ class TestAccounting:
 
     def test_submit_single_task(self, traces):
         with ExecutionEngine(workers=1) as engine:
-            future = engine.submit(bimodal_factory, traces[0], name="solo")
+            future = engine.submit(WorkUnit(
+                bimodal_factory, traces[0], "solo", SimulationConfig()))
             outcome = future.result()
         assert outcome.trace_name == "solo"
         assert outcome.mispredictions > 0

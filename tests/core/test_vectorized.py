@@ -1,6 +1,6 @@
-"""Equivalence and unit tests for the vectorized engines.
+"""Equivalence and unit tests for the vectorized engine.
 
-The headline property: the numpy engines are *bit-exact* against the
+The headline property: the numpy kernels are *bit-exact* against the
 scalar predictors driven by the standard simulator, prediction by
 prediction — not just in aggregate.
 """
@@ -14,13 +14,17 @@ from repro.core.simulator import SimulationConfig, simulate
 from repro.core.vectorized import (
     clamped_walk_states,
     global_history_windows,
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
+    simulate_vectorized,
     xor_fold_array,
 )
 from repro.predictors import Bimodal, GShare
 from repro.utils.hashing import xor_fold
-from tests.conftest import OPCODE_COND_JUMP, OPCODE_JUMP, make_trace
+from tests.conftest import (
+    OPCODE_COND_JUMP,
+    OPCODE_JUMP,
+    assert_kernel_matches_scalar,
+    make_trace,
+)
 
 
 class TestClampedWalkScan:
@@ -146,73 +150,55 @@ class TestBimodalEquivalence:
                                                 (4, 1)])
     def test_bit_exact_vs_scalar(self, log_size, width):
         trace = _random_trace(seed=log_size * 10 + width)
-        scalar = simulate(
-            Bimodal(log_table_size=log_size, counter_width=width), trace)
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=log_size, counter_width=width)
-        assert vectorized.mispredictions == scalar.mispredictions
-        assert (vectorized.num_conditional_branches
-                == scalar.num_conditional_branches)
-        assert vectorized.mpki == pytest.approx(scalar.mpki)
+        assert_kernel_matches_scalar(
+            lambda: Bimodal(log_table_size=log_size, counter_width=width),
+            trace)
 
     def test_warmup_equivalence(self):
         trace = _random_trace(seed=3)
-        scalar = simulate(Bimodal(log_table_size=8), trace,
-                          SimulationConfig(warmup_instructions=500))
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=8, warmup_instructions=500)
+        config = SimulationConfig(warmup_instructions=500)
+        scalar = simulate(Bimodal(log_table_size=8), trace, config)
+        vectorized = simulate_vectorized(Bimodal(log_table_size=8), trace,
+                                         config)
         assert vectorized.mispredictions == scalar.mispredictions
+        assert (vectorized.num_conditional_branches
+                == scalar.num_conditional_branches)
 
     def test_instruction_shift(self):
-        trace = _random_trace(seed=4)
-        scalar = simulate(Bimodal(log_table_size=8, instruction_shift=2),
-                          trace)
-        vectorized = simulate_bimodal_vectorized(
-            trace, log_table_size=8, instruction_shift=2)
-        assert vectorized.mispredictions == scalar.mispredictions
+        assert_kernel_matches_scalar(
+            lambda: Bimodal(log_table_size=8, instruction_shift=2),
+            _random_trace(seed=4))
 
     def test_synthetic_workload(self, small_trace):
         scalar = simulate(Bimodal(), small_trace)
-        vectorized = simulate_bimodal_vectorized(small_trace)
+        vectorized = simulate_vectorized(Bimodal(), small_trace)
         assert vectorized.mispredictions == scalar.mispredictions
+        assert vectorized.mpki == pytest.approx(scalar.mpki)
 
 
 class TestGshareEquivalence:
     @pytest.mark.parametrize("history,log_size", [(4, 8), (12, 10), (25, 12)])
     def test_bit_exact_vs_scalar(self, history, log_size):
-        trace = _random_trace(seed=history + log_size)
-        scalar = simulate(
-            GShare(history_length=history, log_table_size=log_size), trace)
-        vectorized = simulate_gshare_vectorized(
-            trace, history_length=history, log_table_size=log_size)
-        assert vectorized.mispredictions == scalar.mispredictions
+        assert_kernel_matches_scalar(
+            lambda: GShare(history_length=history, log_table_size=log_size),
+            _random_trace(seed=history + log_size))
 
     def test_unconditional_branches_enter_history(self):
         # The scalar GShare tracks unconditional branches too; the
-        # vectorized engine must reproduce that (it reads trace.taken of
-        # every branch, which is True for unconditional ones).
-        trace = _random_trace(seed=9, conditional_fraction=0.6)
-        scalar = simulate(GShare(history_length=8, log_table_size=8), trace)
-        vectorized = simulate_gshare_vectorized(trace, history_length=8,
-                                                log_table_size=8)
-        assert vectorized.mispredictions == scalar.mispredictions
+        # kernel must reproduce that (its history windows read
+        # trace.taken of every branch, True for unconditional ones).
+        assert_kernel_matches_scalar(
+            lambda: GShare(history_length=8, log_table_size=8),
+            _random_trace(seed=9, conditional_fraction=0.6))
 
     def test_synthetic_workload(self, small_trace):
         scalar = simulate(GShare(), small_trace)
-        vectorized = simulate_gshare_vectorized(small_trace)
+        vectorized = simulate_vectorized(GShare(), small_trace)
         assert vectorized.mispredictions == scalar.mispredictions
         assert vectorized.accuracy == pytest.approx(scalar.accuracy)
 
     def test_prediction_stream_matches(self):
         # Stronger than totals: compare each individual prediction.
-        trace = _random_trace(seed=17, n=600)
-        predictions = []
-        predictor = GShare(history_length=6, log_table_size=7)
-        for branch, _ in trace.iter_branches():
-            if branch.is_conditional:
-                predictions.append(predictor.predict(branch.ip))
-                predictor.train(branch)
-            predictor.track(branch)
-        vectorized = simulate_gshare_vectorized(trace, history_length=6,
-                                                log_table_size=7)
-        assert vectorized.predictions.tolist() == predictions
+        assert_kernel_matches_scalar(
+            lambda: GShare(history_length=6, log_table_size=7),
+            _random_trace(seed=17, n=600))

@@ -19,10 +19,7 @@ from repro.baselines.champsim import (
 )
 from repro.baselines.cbp5 import Cbp5Framework, FromMbpPredictor, write_bt9
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
+from repro.core.vectorized import simulate_vectorized
 from repro.predictors import (
     TABLE2_PREDICTORS,
     AlwaysTaken,
@@ -32,6 +29,7 @@ from repro.predictors import (
     mcfarling_tournament,
 )
 from repro.traces import generate_workload
+from tests.conftest import assert_kernel_matches_scalar
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +61,14 @@ class TestResultEquivalence:
                 == library.num_conditional_branches)
 
     def test_vectorized_identical(self, workload):
-        assert (simulate_bimodal_vectorized(workload).mispredictions
-                == simulate(Bimodal(), workload).mispredictions)
-        assert (simulate_gshare_vectorized(workload).mispredictions
-                == simulate(GShare(), workload).mispredictions)
+        vectorizable = [name for name, factory in TABLE2_PREDICTORS.items()
+                        if factory().vector_kernel() is not None]
+        assert {"Bimodal", "GShare"} <= set(vectorizable)
+        for name in vectorizable:
+            factory = TABLE2_PREDICTORS[name]
+            assert_kernel_matches_scalar(factory, workload)
+            assert (simulate_vectorized(factory(), workload).mispredictions
+                    == simulate(factory(), workload).mispredictions), name
 
     def test_repeated_runs_identical(self, workload):
         # "Trace-based simulators always give the same results."

@@ -8,7 +8,7 @@ Covers the ISSUE-4 acceptance properties:
   warmup and under warmup;
 * with the probe disabled the ``SimulationResult`` JSON is byte-
   identical to a probe-less run — the hooks are invisible when off;
-* the vectorized engines fill a probe whose attribution, branch
+* the vectorized engine fills a probe whose attribution, branch
   profile and structural statistics match the scalar simulator's
   exactly;
 * ``run_suite(probe=True)`` attaches one fresh probe per trace on both
@@ -26,10 +26,7 @@ import pytest
 from repro.cache import SimulationCache
 from repro.core.batch import run_suite
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
+from repro.core.vectorized import simulate_vectorized
 from repro.predictors import (
     Batage,
     Bimodal,
@@ -245,8 +242,8 @@ class TestVectorizedProbe:
         scalar_result = simulate(Bimodal(log_table_size=10), server_trace,
                                  SimulationConfig(), probe=scalar)
         vectorized = PredictionProbe(top_branches=10 ** 9)
-        vec_result = simulate_bimodal_vectorized(
-            server_trace, log_table_size=10, probe=vectorized)
+        vec_result = simulate_vectorized(
+            Bimodal(log_table_size=10), server_trace, probe=vectorized)
         a, b = scalar.report(), vectorized.report()
         assert a["attribution"] == b["attribution"]
         assert a["branches"] == b["branches"]
@@ -256,22 +253,22 @@ class TestVectorizedProbe:
 
     def test_gshare_matches_scalar_probe(self, server_trace):
         scalar = PredictionProbe(top_branches=10 ** 9)
+        config = SimulationConfig(track_only_conditional=False)
         simulate(GShare(log_table_size=10, history_length=8), server_trace,
-                 SimulationConfig(track_only_conditional=False),
-                 probe=scalar)
+                 config, probe=scalar)
         vectorized = PredictionProbe(top_branches=10 ** 9)
-        simulate_gshare_vectorized(server_trace, history_length=8,
-                                   log_table_size=10, probe=vectorized)
+        simulate_vectorized(GShare(log_table_size=10, history_length=8),
+                            server_trace, config, probe=vectorized)
         assert scalar.report() == vectorized.report()
 
     def test_warmup_region_excluded(self, server_trace):
         scalar = PredictionProbe(top_branches=10 ** 9)
-        simulate(Bimodal(log_table_size=10), server_trace,
-                 SimulationConfig(warmup_instructions=5000), probe=scalar)
+        config = SimulationConfig(warmup_instructions=5000)
+        simulate(Bimodal(log_table_size=10), server_trace, config,
+                 probe=scalar)
         vectorized = PredictionProbe(top_branches=10 ** 9)
-        result = simulate_bimodal_vectorized(
-            server_trace, log_table_size=10, warmup_instructions=5000,
-            probe=vectorized)
+        result = simulate_vectorized(Bimodal(log_table_size=10),
+                                     server_trace, config, probe=vectorized)
         assert scalar.report() == vectorized.report()
         assert probe_consistent_with(vectorized.report(), result)
 

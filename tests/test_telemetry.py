@@ -8,7 +8,7 @@ Covers the ISSUE-2 acceptance properties:
   final ``SimulationResult`` totals under warmup and max_instructions;
 * run manifests round-trip through JSON exactly;
 * phase timers are recorded by the standard simulator, the vectorized
-  engines, ``run_suite``, the cache and both baselines;
+  engine, ``run_suite``, the cache and both baselines;
 * no duration anywhere depends on the non-monotonic ``time.time``.
 """
 
@@ -24,10 +24,6 @@ from repro.cache import SimulationCache
 from repro.core.batch import run_suite
 from repro.core.errors import TelemetryError
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import (
-    simulate_bimodal_vectorized,
-    simulate_gshare_vectorized,
-)
 from repro.predictors import Bimodal, GShare
 from repro.telemetry import (
     NULL_INSTRUMENTATION,
@@ -398,26 +394,6 @@ class TestCacheTelemetry:
         assert loaded["manifest"]["cache"] == {"used": True, "hit": True}
         assert loaded["intervals"] is None
         assert "probe" not in loaded
-
-
-class TestVectorizedInstrumentation:
-    def test_phases_and_unchanged_results(self, small_trace):
-        timers = PhaseTimers()
-        instrumented = simulate_gshare_vectorized(
-            small_trace, history_length=8, log_table_size=10,
-            instrumentation=timers)
-        plain = simulate_gshare_vectorized(
-            small_trace, history_length=8, log_table_size=10)
-        assert set(timers.phases) == {"index", "scan", "finish"}
-        assert instrumented.mispredictions == plain.mispredictions
-
-    def test_bimodal_phases(self, small_trace):
-        timers = PhaseTimers()
-        instrumented = simulate_bimodal_vectorized(
-            small_trace, log_table_size=10, instrumentation=timers)
-        plain = simulate_bimodal_vectorized(small_trace, log_table_size=10)
-        assert set(timers.phases) == {"index", "scan", "finish"}
-        assert instrumented.mispredictions == plain.mispredictions
 
 
 class TestBaselineInstrumentation:
