@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
+# Called as sbbt_digest.trace_digest so a patched trace_digest is seen.
+from ..sbbt import digest as sbbt_digest
 from ..sbbt.trace import TraceData
 from ..tracing import NULL_TRACER
 from .output import SimulationResult
@@ -218,6 +220,15 @@ class WorkPlan:
 # ----------------------------------------------------------------------
 
 
+def _trace_identity(trace: TraceLike) -> tuple[str, Any]:
+    """What "the same trace" means within one :func:`execute_plan` call:
+    the same :class:`~repro.sbbt.trace.TraceData` object, or the same
+    path string.  Batch grouping and digest reuse both key on it."""
+    if isinstance(trace, TraceData):
+        return ("data", id(trace))
+    return ("path", str(trace))
+
+
 def _batch_groups(plan: WorkPlan, indices: Sequence[int],
                   ) -> tuple[list[list[int]], list[int]]:
     """Partition cache-missed unit indices into per-trace batch groups.
@@ -238,10 +249,7 @@ def _batch_groups(plan: WorkPlan, indices: Sequence[int],
         if unit.sim_engine not in ("vectorized", "auto"):
             loose.append(i)
             continue
-        trace = unit.trace
-        key = (("data", id(trace)) if isinstance(trace, TraceData)
-               else ("path", str(trace)))
-        buckets.setdefault(key, []).append(i)
+        buckets.setdefault(_trace_identity(unit.trace), []).append(i)
     groups: list[list[int]] = []
     for members in buckets.values():
         if len(members) >= 2:
@@ -297,6 +305,10 @@ def execute_plan(plan: WorkPlan, *,
     are stored.  Specs are derived once per distinct factory object, and
     the derivation's cold predictor instance is reused for that factory's
     first inline simulation (the ``derive_spec`` cheap-keying contract).
+    Traces are digested once per distinct trace (same object or same
+    path) per call; a digest that fails is not remembered, so every unit
+    on that trace retries it and records its own failure.  Nothing
+    carries over between calls, so a rewritten file is digested afresh.
 
     ``instrumentation`` receives the suite-level phases and counters the
     batch layer has always reported: a ``cache_lookup`` phase with
@@ -338,6 +350,19 @@ def execute_plan(plan: WorkPlan, *,
             derived[id(factory)] = entry
         return entry
 
+    # Per-trace content digests: _trace_identity(trace) -> hex digest.
+    # Only successful digests are stored; the plan keeps every trace
+    # alive, so ``id``-based identities are stable for this call.
+    digests: dict[tuple[str, Any], str] = {}
+
+    def _digest(trace: TraceLike) -> str:
+        identity = _trace_identity(trace)
+        digest = digests.get(identity)
+        if digest is None:
+            digest = sbbt_digest.trace_digest(trace)
+            digests[identity] = digest
+        return digest
+
     def _take_prebuilt(factory: PredictorFactory) -> Predictor | None:
         """The derivation instance, at most once per factory (it is cold
         exactly once — reusing a trained predictor would corrupt runs)."""
@@ -358,7 +383,8 @@ def execute_plan(plan: WorkPlan, *,
                 for i, unit in enumerate(plan):
                     spec, _ = _derive(unit.factory)
                     try:
-                        key = store.key_for(unit.trace, spec, unit.config)
+                        key = store.make_key(_digest(unit.trace), spec,
+                                             unit.config)
                     except Exception as exc:  # noqa: BLE001 - bad trace
                         slots[i] = TraceFailure(
                             trace_name=unit.name,

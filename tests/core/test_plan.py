@@ -7,18 +7,21 @@ path.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+import repro.sbbt.digest as sbbt_digest
 from repro.cache import SimulationCache
 from repro.core.batch import TraceFailure, run_suite
 from repro.core.engine import ExecutionEngine
 from repro.core.output import SimulationResult
-from repro.core.plan import (WorkPlan, WorkUnit, chunk_cost_size,
-                             default_trace_names, execute_plan,
-                             normalize_chunk)
+from repro.core.plan import (WorkPlan, WorkUnit, _trace_identity,
+                             chunk_cost_size, default_trace_names,
+                             execute_plan, normalize_chunk)
 from repro.core.simulator import SimulationConfig
 from repro.predictors import Bimodal, GShare
+from repro.sbbt.writer import write_trace
 from repro.telemetry import PhaseTimers
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
@@ -220,3 +223,130 @@ class TestExecutePlan:
         plan = WorkPlan.for_suite(bimodal_factory, traces)
         with pytest.raises(ValueError):
             execute_plan(plan, chunk=0)
+
+
+def _sweep_factories(points=16):
+    return [(h, lambda h=h: GShare(history_length=h, log_table_size=10))
+            for h in range(1, points + 1)]
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Count ``trace_digest`` calls per trace (reset by the test)."""
+    calls = Counter()
+    original = sbbt_digest.trace_digest
+
+    def spy(trace):
+        calls[_trace_identity(trace)] += 1
+        return original(trace)
+
+    monkeypatch.setattr(sbbt_digest, "trace_digest", spy)
+    return calls
+
+
+def _record_keys(monkeypatch, cache):
+    """Record every key ``cache.get`` is asked for, in call order."""
+    keys = []
+    original = cache.get
+
+    def get(key):
+        keys.append(key)
+        return original(key)
+
+    monkeypatch.setattr(cache, "get", get)
+    return keys
+
+
+class TestDigestOncePerPlan:
+    """The cache scan digests each distinct trace once per call."""
+
+    @pytest.mark.parametrize("batch", ["auto", "off"])
+    def test_one_digest_per_trace_and_identical_keys(
+            self, traces, tmp_path, monkeypatch, digest_calls, batch):
+        paths = []
+        for i, data in enumerate(traces[:2]):
+            path = tmp_path / f"t{i}.sbbt.xz"
+            write_trace(path, data)
+            paths.append(path)
+        suite = [paths[0], str(paths[1]), traces[2]]
+        plan = WorkPlan.for_points(_sweep_factories(), suite,
+                                   sim_engine="auto")
+        assert len(plan) == 48
+        cache = SimulationCache(tmp_path / "cache")
+        keys = _record_keys(monkeypatch, cache)
+        expected_calls = {_trace_identity(t): 1 for t in suite}
+
+        cold = execute_plan(plan, cache=cache, batch=batch)
+        assert dict(digest_calls) == expected_calls
+        assert cache.misses == len(plan)
+        cold_keys = list(keys)
+
+        digest_calls.clear()
+        keys.clear()
+        warm = execute_plan(plan, cache=cache, batch=batch)
+        assert dict(digest_calls) == expected_calls
+        assert cache.hits == len(plan)
+        assert keys == cold_keys
+
+        assert keys == [
+            cache.key_for(unit.trace, unit.factory().spec(), unit.config)
+            for unit in plan]
+        uncached = execute_plan(plan, batch=batch)
+        assert all(isinstance(o, SimulationResult) for o in cold)
+        assert [_comparable(o) for o in warm] == \
+            [_comparable(o) for o in cold] == \
+            [_comparable(o) for o in uncached]
+
+    @pytest.mark.parametrize("batch", ["auto", "off"])
+    def test_failed_digest_is_per_unit_and_never_memoized(
+            self, traces, tmp_path, digest_calls, batch):
+        good = tmp_path / "good.sbbt.xz"
+        write_trace(good, traces[0])
+        missing = tmp_path / "missing.sbbt.xz"
+        truncated = tmp_path / "truncated.sbbt.xz"
+        write_trace(truncated, traces[1])
+        raw = truncated.read_bytes()
+        truncated.write_bytes(raw[:len(raw) // 2])
+
+        expected_errors = {}
+        for bad in (missing, truncated):
+            with pytest.raises(Exception) as info:
+                sbbt_digest.trace_digest(bad)
+            expected_errors[str(bad)] = \
+                f"{type(info.value).__name__}: {info.value}"
+        digest_calls.clear()
+
+        suite = [good, missing, truncated]
+        plan = WorkPlan.for_points(_sweep_factories(4), suite,
+                                   sim_engine="auto")
+        reference = [o for o, unit in zip(execute_plan(plan, batch=batch),
+                                          plan) if unit.trace == good]
+        cache = SimulationCache(tmp_path / "cache")
+        for pass_name in ("cold", "warm"):
+            digest_calls.clear()
+            timers = PhaseTimers()
+            outcomes = execute_plan(plan, cache=cache, batch=batch,
+                                    instrumentation=timers)
+            counters = timers.counters
+            assert (counters.get("cache_hit", 0)
+                    + counters.get("cache_miss", 0)
+                    + counters.get("trace_failure", 0)) == len(plan), \
+                pass_name
+            assert counters["trace_failure"] == 8
+            # The good trace is digested once; each bad-trace unit
+            # retries its own digest and records its own failure.
+            assert digest_calls[_trace_identity(good)] == 1
+            assert digest_calls[_trace_identity(missing)] == 4
+            assert digest_calls[_trace_identity(truncated)] == 4
+            good_outcomes = []
+            for unit, outcome in zip(plan, outcomes):
+                if unit.trace == good:
+                    assert isinstance(outcome, SimulationResult)
+                    good_outcomes.append(outcome)
+                else:
+                    assert isinstance(outcome, TraceFailure)
+                    assert outcome.trace_name == unit.name
+                    assert outcome.error == expected_errors[str(unit.trace)]
+            assert [_comparable(o) for o in good_outcomes] == \
+                [_comparable(o) for o in reference]
+        assert counters["cache_hit"] == 4
