@@ -91,6 +91,16 @@ class TestSimulateGolden:
                    "--warmup", "5000"], capsys)
         check_golden("simulate_bimodal_warmup.json", out, trace_file.parent)
 
+    def test_simulate_tage(self, trace_file, capsys):
+        out = run(["simulate", str(trace_file), "--predictor", "tage"],
+                  capsys)
+        check_golden("simulate_tage.json", out, trace_file.parent)
+
+    def test_simulate_batage(self, trace_file, capsys):
+        out = run(["simulate", str(trace_file), "--predictor", "batage"],
+                  capsys)
+        check_golden("simulate_batage.json", out, trace_file.parent)
+
 
 class TestEngineGolden:
     """``--engine vectorized`` / ``--engine auto`` pin the bit-exactness
@@ -295,6 +305,12 @@ class TestExplainGolden:
         out = run(["explain", str(trace_file), "--predictor", "gshare",
                    "--warmup", "5000", "--top", "3"], capsys)
         check_golden("explain_gshare_warmup.txt", out, trace_file.parent)
+
+    def test_explain_tage(self, trace_file, capsys):
+        # Pins the probe attribution path inside Tage.train.
+        out = run(["explain", str(trace_file), "--predictor", "tage",
+                   "--top", "5"], capsys)
+        check_golden("explain_tage.txt", out, trace_file.parent)
 
 
 class TestCacheGolden:
