@@ -193,6 +193,17 @@ class Batage(Predictor):
             FoldedHistory(length, max(1, self.tag_widths[i] - 1))
             for i, length in enumerate(self.history_lengths)
         ]
+        # Per-table lookup lanes and history registers, zipped once so
+        # the hot path iterates tuples instead of indexing five lists.
+        self._index_mask = mask(log_tagged_size)
+        self._lanes = tuple(zip(
+            range(num_tables), [3 * t for t in range(num_tables)],
+            self._tables, self._folded_index, self._folded_tag0,
+            self._folded_tag1, self.tag_widths,
+            [mask(w) for w in self.tag_widths]))
+        self._registers = tuple(zip(
+            self.history_lengths, self._folded_index, self._folded_tag0,
+            self._folded_tag1))
         self._path = 0
         self._rng = Lfsr(width=32, seed=lfsr_seed)
         self._cat = 0  # Controlled Allocation Throttling state
@@ -203,36 +214,30 @@ class Batage(Predictor):
         self._stat_decays = 0
 
     # ------------------------------------------------------------------
-    # Index and tag computation (shared shape with TAGE).
+    # Prediction (index and tag shape shared with TAGE).
     # ------------------------------------------------------------------
 
     def _base_index(self, ip: int) -> int:
         return ip & self._base_mask
 
-    def _tagged_index(self, table: int, ip: int) -> int:
-        w = self.log_tagged_size
-        value = (xor_fold(ip, w) ^ xor_fold(ip >> w, w)
-                 ^ self._folded_index[table].value
-                 ^ xor_fold(self._path, w) ^ (table * 3))
-        return value & mask(w)
-
-    def _tag(self, table: int, ip: int) -> int:
-        w = self.tag_widths[table]
-        value = (xor_fold(ip, w) ^ self._folded_tag0[table].value
-                 ^ (self._folded_tag1[table].value << 1))
-        return value & mask(w)
-
-    # ------------------------------------------------------------------
-    # Prediction.
-    # ------------------------------------------------------------------
-
     def _lookup(self, ip: int) -> dict[str, Any]:
-        indices = [self._tagged_index(t, ip) for t in range(self.num_tables)]
-        tags = [self._tag(t, ip) for t in range(self.num_tables)]
-        hits = [
-            t for t in range(self.num_tables)
-            if self._tables[t].tags[indices[t]] == tags[t]
-        ]
+        # As in TAGE, the table-independent ip/path fold is computed once
+        # per prediction; only the salt (3 * t) differs from TAGE's.
+        w = self.log_tagged_size
+        shared = (xor_fold(ip, w) ^ xor_fold(ip >> w, w)
+                  ^ xor_fold(self._path, w))
+        index_mask = self._index_mask
+        indices = []
+        tags = []
+        hits = []
+        for t, salt, table, fi, f0, f1, tag_width, tag_mask in self._lanes:
+            index = (shared ^ fi.value ^ salt) & index_mask
+            tag = (xor_fold(ip, tag_width) ^ f0.value
+                   ^ (f1.value << 1)) & tag_mask
+            indices.append(index)
+            tags.append(tag)
+            if table.tags[index] == tag:
+                hits.append(t)
         base_index = self._base_index(ip)
         base_n1 = self._base.n_taken[base_index]
         base_n0 = self._base.n_not_taken[base_index]
@@ -318,11 +323,11 @@ class Batage(Predictor):
                     self._base.update(self._base_index(branch.ip), taken)
 
         if mispredicted:
-            self._allocate(branch.ip, taken, provider, indices)
+            self._allocate(taken, provider, indices, state["tags"])
         self._cached_ip = None
 
-    def _allocate(self, ip: int, taken: bool, provider: int | None,
-                  indices: list[int]) -> None:
+    def _allocate(self, taken: bool, provider: int | None,
+                  indices: list[int], tags: list[int]) -> None:
         """CAT-throttled allocation in a longer-history table.
 
         The CAT counter tracks how often allocations clobber useful
@@ -350,7 +355,7 @@ class Batage(Predictor):
             self._stat_decays += 1
             self._cat = min(self.cat_max - 1, self._cat + 3)
         else:
-            entry.allocate(index, self._tag(table, ip), taken)
+            entry.allocate(index, tags[table], taken)
             self._stat_allocations += 1
             self._cat = max(0, self._cat - 1)
 
@@ -361,12 +366,13 @@ class Batage(Predictor):
     def track(self, branch: Branch) -> None:
         """Push the outcome through the window and folded registers."""
         new_bit = branch.taken
-        for t in range(self.num_tables):
-            evicted = self._window[self.history_lengths[t] - 1]
-            self._folded_index[t].update(new_bit, evicted)
-            self._folded_tag0[t].update(new_bit, evicted)
-            self._folded_tag1[t].update(new_bit, evicted)
-        self._window.push(new_bit)
+        window = self._window
+        for length, fi, f0, f1 in self._registers:
+            evicted = window[length - 1]
+            fi.update(new_bit, evicted)
+            f0.update(new_bit, evicted)
+            f1.update(new_bit, evicted)
+        window.push(new_bit)
         self._path = ((self._path << 1) ^ (branch.ip & 0xFFFF)) & 0xFFFF
         self._cached_ip = None
 

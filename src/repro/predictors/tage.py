@@ -132,6 +132,16 @@ class Tage(Predictor):
             FoldedHistory(length, max(1, self.tag_widths[i] - 1))
             for i, length in enumerate(self.history_lengths)
         ]
+        # Per-table lookup lanes and history registers, zipped once so
+        # the hot path iterates tuples instead of indexing five lists.
+        self._index_mask = mask(log_tagged_size)
+        self._lanes = tuple(zip(
+            range(num_tables), self._tables, self._folded_index,
+            self._folded_tag0, self._folded_tag1, self.tag_widths,
+            [mask(w) for w in self.tag_widths]))
+        self._registers = tuple(zip(
+            self.history_lengths, self._folded_index, self._folded_tag0,
+            self._folded_tag1))
         self._path = 0
         self._rng = Lfsr(width=32, seed=lfsr_seed)
         self._use_alt_on_na = self.USE_ALT_MAX // 2
@@ -146,36 +156,31 @@ class Tage(Predictor):
         self._stat_allocation_failures = 0
 
     # ------------------------------------------------------------------
-    # Index and tag computation.
+    # Prediction.
     # ------------------------------------------------------------------
 
     def _base_index(self, ip: int) -> int:
         return ip & self._base_mask
 
-    def _tagged_index(self, table: int, ip: int) -> int:
-        w = self.log_tagged_size
-        value = (xor_fold(ip, w) ^ xor_fold(ip >> w, w)
-                 ^ self._folded_index[table].value
-                 ^ xor_fold(self._path, w) ^ table)
-        return value & mask(w)
-
-    def _tag(self, table: int, ip: int) -> int:
-        w = self.tag_widths[table]
-        value = (xor_fold(ip, w) ^ self._folded_tag0[table].value
-                 ^ (self._folded_tag1[table].value << 1))
-        return value & mask(w)
-
-    # ------------------------------------------------------------------
-    # Prediction.
-    # ------------------------------------------------------------------
-
     def _lookup(self, ip: int) -> dict[str, Any]:
-        indices = [self._tagged_index(t, ip) for t in range(self.num_tables)]
-        tags = [self._tag(t, ip) for t in range(self.num_tables)]
-        hits = [
-            t for t in range(self.num_tables)
-            if self._tables[t].matches(indices[t], tags[t])
-        ]
+        # Table t's index is fold(ip) ^ fold(ip >> w) ^ fold(path) ^
+        # folded_index[t] ^ t on w = log_tagged_size bits; the first three
+        # terms do not depend on t, so they are folded once per prediction.
+        w = self.log_tagged_size
+        shared = (xor_fold(ip, w) ^ xor_fold(ip >> w, w)
+                  ^ xor_fold(self._path, w))
+        index_mask = self._index_mask
+        indices = []
+        tags = []
+        hits = []
+        for t, table, fi, f0, f1, tag_width, tag_mask in self._lanes:
+            index = (shared ^ fi.value ^ t) & index_mask
+            tag = (xor_fold(ip, tag_width) ^ f0.value
+                   ^ (f1.value << 1)) & tag_mask
+            indices.append(index)
+            tags.append(tag)
+            if table.tags[index] == tag:
+                hits.append(t)
         base_pred = self._base[self._base_index(ip)] >= 0
         provider = hits[-1] if hits else None
         alt = hits[-2] if len(hits) >= 2 else None
@@ -287,15 +292,15 @@ class Tage(Predictor):
                 table.update_useful(index, delta)
 
         if mispredicted:
-            self._allocate(branch.ip, taken, provider, indices)
+            self._allocate(taken, provider, indices, state["tags"])
 
         self._train_count += 1
         if self._train_count % self.u_reset_period == 0:
             self._graceful_u_reset()
         self._cached_ip = None
 
-    def _allocate(self, ip: int, taken: bool, provider: int | None,
-                  indices: list[int]) -> None:
+    def _allocate(self, taken: bool, provider: int | None,
+                  indices: list[int], tags: list[int]) -> None:
         """Claim an entry in a longer-history table after a mispredict.
 
         Following the original policy: pick a random start among the
@@ -318,8 +323,7 @@ class Tage(Predictor):
         for t in range(start + offset, self.num_tables):
             index = indices[t]
             if int(self._tables[t].useful[index]) == 0:
-                tag = self._tag(t, ip)
-                self._tables[t].allocate(index, tag, taken)
+                self._tables[t].allocate(index, tags[t], taken)
                 self._stat_allocations += 1
                 allocated = True
                 break
@@ -343,12 +347,13 @@ class Tage(Predictor):
     def track(self, branch: Branch) -> None:
         """Push the outcome through the shared window and folded registers."""
         new_bit = branch.taken
-        for t in range(self.num_tables):
-            evicted = self._window[self.history_lengths[t] - 1]
-            self._folded_index[t].update(new_bit, evicted)
-            self._folded_tag0[t].update(new_bit, evicted)
-            self._folded_tag1[t].update(new_bit, evicted)
-        self._window.push(new_bit)
+        window = self._window
+        for length, fi, f0, f1 in self._registers:
+            evicted = window[length - 1]
+            fi.update(new_bit, evicted)
+            f0.update(new_bit, evicted)
+            f1.update(new_bit, evicted)
+        window.push(new_bit)
         self._path = ((self._path << 1) ^ (branch.ip & 0xFFFF)) & 0xFFFF
         self._cached_ip = None
 

@@ -89,7 +89,8 @@ class FoldedHistory:
         size, or a tag width).
     """
 
-    __slots__ = ("_history_length", "_folded_width", "_evict_pos", "_value")
+    __slots__ = ("_history_length", "_folded_width", "_mask", "_evict_pos",
+                 "_value")
 
     def __init__(self, history_length: int, folded_width: int):
         if history_length < 1:
@@ -98,6 +99,7 @@ class FoldedHistory:
             raise ValueError(f"folded_width must be >= 1, got {folded_width}")
         self._history_length = history_length
         self._folded_width = folded_width
+        self._mask = mask(folded_width)
         # Folded bit position where the outgoing (oldest) bit currently sits.
         self._evict_pos = history_length % folded_width
         self._value = 0
@@ -124,15 +126,12 @@ class FoldedHistory:
         ``history_length`` branches ago (i.e. ``window[history_length - 1]``
         *before* the window itself is pushed).
         """
-        w = self._folded_width
-        value = self._value
         # Rotate left by 1 within the folded width, inserting the new bit.
-        value = (value << 1) | int(bool(new_bit))
-        value ^= value >> w  # fold the carried-out MSB back into bit 0
-        value &= mask(w)
+        value = (self._value << 1) | (1 if new_bit else 0)
+        # Fold the carried-out MSB back into bit 0.
+        value = (value ^ (value >> self._folded_width)) & self._mask
         # The evicted history bit, after this rotation, sits at _evict_pos.
-        value ^= (evicted_bit & 1) << self._evict_pos
-        self._value = value
+        self._value = value ^ ((evicted_bit & 1) << self._evict_pos)
 
     def reset(self) -> None:
         """Clear the folded register (consistent with an all-zero window)."""

@@ -40,9 +40,10 @@ def xor_fold(value: int, width: int) -> int:
         raise ValueError(f"width must be positive, got {width}")
     if value < 0:
         raise ValueError("xor_fold expects a non-negative value")
+    chunk = mask(width)
     result = 0
     while value:
-        result ^= value & mask(width)
+        result ^= value & chunk
         value >>= width
     return result
 

@@ -167,8 +167,9 @@ class TaggedTable:
     than thousands of Python objects.
     """
 
-    __slots__ = ("_log_size", "_tag_width", "_ctr_min", "_ctr_max",
-                 "_useful_max", "tags", "counters", "useful", "aux")
+    __slots__ = ("_log_size", "_tag_width", "_index_mask", "_tag_mask",
+                 "_ctr_min", "_ctr_max", "_useful_max",
+                 "tags", "counters", "useful", "aux")
 
     def __init__(self, log_size: int, tag_width: int,
                  counter_width: int = 3, useful_width: int = 2):
@@ -183,6 +184,8 @@ class TaggedTable:
         size = 1 << log_size
         self._log_size = log_size
         self._tag_width = tag_width
+        self._index_mask = mask(log_size)
+        self._tag_mask = mask(tag_width)
         self._ctr_min = -(1 << (counter_width - 1))
         self._ctr_max = (1 << (counter_width - 1)) - 1
         self._useful_max = (1 << useful_width) - 1
@@ -199,7 +202,7 @@ class TaggedTable:
     @property
     def index_mask(self) -> int:
         """Mask selecting a valid index from a hash."""
-        return mask(self._log_size)
+        return self._index_mask
 
     @property
     def tag_width(self) -> int:
@@ -209,7 +212,7 @@ class TaggedTable:
     @property
     def tag_mask(self) -> int:
         """Mask selecting a valid tag from a hash."""
-        return mask(self._tag_width)
+        return self._tag_mask
 
     @property
     def counter_min(self) -> int:

@@ -84,6 +84,25 @@ class TestFoldedHistoryInvariant:
     def test_invariant_width_one(self, outcomes):
         self._run(history_length=9, folded_width=1, outcomes=outcomes)
 
+    @given(st.integers(min_value=1, max_value=40),
+           st.lists(st.booleans(), max_size=100))
+    def test_invariant_width_one_any_length(self, length, outcomes):
+        # A 1-bit fold is the parity of the window (TAGE's second tag
+        # register for 1- and 2-bit tags).
+        self._run(history_length=length, folded_width=1, outcomes=outcomes)
+
+    def test_update_accepts_truthy_outcomes(self):
+        # Non-bool truthy outcomes (numpy bools, ints) shift in a 1.
+        import numpy as np
+
+        plain = FoldedHistory(5, 3)
+        mixed = FoldedHistory(5, 3)
+        for taken, raw in [(True, np.bool_(True)), (False, 0),
+                           (True, 2), (True, np.int64(1))]:
+            plain.update(taken, 0)
+            mixed.update(raw, 0)
+            assert mixed.value == plain.value
+
     @settings(max_examples=25)
     @given(st.integers(min_value=1, max_value=64),
            st.integers(min_value=1, max_value=16),

@@ -47,6 +47,23 @@ class TestXorFold:
         assert (xor_fold(value ^ shifted, width)
                 == xor_fold(value, width) ^ xor_fold(shifted, width))
 
+    @staticmethod
+    def _naive_fold(value, width):
+        result = 0
+        for shift in range(0, value.bit_length(), width):
+            result ^= (value >> shift) & ((1 << width) - 1)
+        return result
+
+    @given(st.integers(min_value=0, max_value=2**80 - 1))
+    def test_width_one_is_parity(self, value):
+        assert xor_fold(value, 1) == self._naive_fold(value, 1)
+        assert xor_fold(value, 1) == bin(value).count("1") % 2
+
+    @given(st.integers(min_value=2**64, max_value=2**200),
+           st.integers(min_value=1, max_value=24))
+    def test_matches_naive_chunk_loop_above_64_bits(self, value, width):
+        assert xor_fold(value, width) == self._naive_fold(value, width)
+
     def test_every_input_bit_matters(self):
         width = 6
         base = xor_fold(0, width)
