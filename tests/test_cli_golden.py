@@ -101,6 +101,11 @@ class TestSimulateGolden:
                   capsys)
         check_golden("simulate_batage.json", out, trace_file.parent)
 
+    def test_simulate_perceptron(self, trace_file, capsys):
+        out = run(["simulate", str(trace_file), "--predictor", "perceptron"],
+                  capsys)
+        check_golden("simulate_perceptron.json", out, trace_file.parent)
+
 
 class TestEngineGolden:
     """``--engine vectorized`` / ``--engine auto`` pin the bit-exactness
@@ -311,6 +316,12 @@ class TestExplainGolden:
         out = run(["explain", str(trace_file), "--predictor", "tage",
                    "--top", "5"], capsys)
         check_golden("explain_tage.txt", out, trace_file.parent)
+
+    def test_explain_perceptron(self, trace_file, capsys):
+        # Pins the probe attribution path inside HashedPerceptron.train.
+        out = run(["explain", str(trace_file), "--predictor", "perceptron",
+                   "--top", "5"], capsys)
+        check_golden("explain_perceptron.txt", out, trace_file.parent)
 
 
 class TestCacheGolden:
