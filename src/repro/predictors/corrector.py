@@ -23,7 +23,7 @@ from typing import Any
 from ..core.branch import Branch
 from ..core.predictor import Predictor
 from ..utils.bits import mask
-from ..utils.hashing import xor_fold
+from ..utils.hashing import vote_indices, vote_lanes
 from .loop import WithLoopPredictor
 from .tage import Tage
 
@@ -67,28 +67,21 @@ class StatisticalCorrector(Predictor):
         self._tables = [[0] * (1 << log_table_size)
                         for _ in range(num_tables)]
         self._history_lengths = tuple(2 * i for i in range(num_tables))
+        self._history_mask = mask(max(self._history_lengths) or 1)
+        self._lanes = vote_lanes(self._history_lengths, log_table_size)
         self._ghist = 0
         self._cached_ip: int | None = None
         self._cache: tuple | None = None
         self._stat_overrides = 0
         self._stat_good_overrides = 0
 
-    def _indices(self, ip: int, main_prediction: bool) -> list[int]:
-        # The main prediction is part of the index: the corrector learns
-        # "when TAGE says X here, X is statistically wrong".
-        seed = (ip << 1) | main_prediction
-        return [
-            xor_fold(seed ^ ((self._ghist & mask(length)) << 2)
-                     ^ (table << 1), self.log_table_size)
-            for table, length in enumerate(self._history_lengths)
-        ]
-
     def _compute(self, ip: int) -> tuple:
         main_prediction = self.main.predict(ip)
-        indices = self._indices(ip, main_prediction)
-        total = 0
-        for table, index in zip(self._tables, indices):
-            total += table[index]
+        # The main prediction is part of the index: the corrector learns
+        # "when TAGE says X here, X is statistically wrong".
+        indices = vote_indices((ip << 1) | main_prediction, self._ghist,
+                               self._lanes, self.log_table_size)
+        total = sum(map(list.__getitem__, self._tables, indices))
         # The corrector votes on agreement: positive supports the main
         # prediction, strongly negative inverts it.
         if total <= -self.threshold:
@@ -134,8 +127,7 @@ class StatisticalCorrector(Predictor):
     def track(self, branch: Branch) -> None:
         """Track the main predictor and the corrector's own history."""
         self.main.track(branch)
-        self._ghist = ((self._ghist << 1) | branch.taken) & mask(
-            max(self._history_lengths) or 1)
+        self._ghist = ((self._ghist << 1) | branch.taken) & self._history_mask
         self._cached_ip = None
 
     def metadata_stats(self) -> dict[str, Any]:

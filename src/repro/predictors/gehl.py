@@ -22,7 +22,7 @@ from typing import Any, Sequence
 from ..core.branch import Branch
 from ..core.predictor import Predictor
 from ..utils.bits import mask
-from ..utils.hashing import xor_fold
+from ..utils.hashing import vote_indices, vote_lanes
 from .tage import geometric_history_lengths
 
 __all__ = ["OGehl"]
@@ -67,6 +67,8 @@ class OGehl(Predictor):
         long_lengths = (0,) + geometric_history_lengths(
             num_tables - 1, min_history, alt_max_history)
         self._length_configs = (base_lengths, long_lengths)
+        self._lanes = tuple(vote_lanes(lengths, log_table_size)
+                            for lengths in self._length_configs)
         self._config = 0
 
         self._c_max = (1 << (counter_width - 1)) - 1
@@ -88,20 +90,12 @@ class OGehl(Predictor):
         """The active history-length configuration."""
         return self._length_configs[self._config]
 
-    def _index(self, table: int, ip: int) -> int:
-        length = self.history_lengths[table]
-        if length == 0:
-            return xor_fold(ip, self.log_table_size)
-        segment = self._ghist & mask(length)
-        return xor_fold(ip ^ (segment << 2) ^ (table << 1),
-                        self.log_table_size)
-
     def _compute(self, ip: int) -> tuple[list[int], int]:
-        indices = [self._index(t, ip) for t in range(self.num_tables)]
+        indices = vote_indices(ip, self._ghist, self._lanes[self._config],
+                               self.log_table_size)
         # The classic GEHL sum adds num_tables/2 to de-bias the vote.
-        total = self.num_tables // 2
-        for table, index in zip(self._tables, indices):
-            total += table[index]
+        total = self.num_tables // 2 + sum(
+            map(list.__getitem__, self._tables, indices))
         return indices, total
 
     def predict(self, ip: int) -> bool:

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 from ..core.branch import Branch
 from ..core.predictor import Predictor
 from ..utils.bits import mask
-from ..utils.hashing import xor_fold
+from ..utils.hashing import vote_indices, vote_lanes
 from ..utils.history import PathHistory
 
 __all__ = ["HashedPerceptron"]
@@ -82,6 +82,8 @@ class HashedPerceptron(Predictor):
             [0] * (1 << log_table_size) for _ in range(self.num_tables)
         ]
         self._max_history = max(self.history_lengths)
+        self._history_mask = mask(self._max_history)
+        self._lanes = vote_lanes(self.history_lengths, log_table_size)
         self._ghist = 0
         self._path = PathHistory(width=min(16, log_table_size))
         # Adaptive-threshold controller (Seznec, O-GEHL): counts
@@ -97,33 +99,15 @@ class HashedPerceptron(Predictor):
         self._stat_mispredict_trainings = 0
 
     # ------------------------------------------------------------------
-    # Indexing and summation.
-    # ------------------------------------------------------------------
-
-    def _index(self, table: int, ip: int) -> int:
-        length = self.history_lengths[table]
-        if length == 0:
-            return xor_fold(ip, self.log_table_size)
-        segment = self._ghist & mask(length)
-        value = ip ^ (segment << 2) ^ (table << 1)
-        if self.use_path_history:
-            value ^= self._path.value << 3
-        return xor_fold(value, self.log_table_size)
-
-    def _compute(self, ip: int) -> tuple[list[int], int]:
-        indices = [self._index(t, ip) for t in range(self.num_tables)]
-        total = 0
-        for table, index in zip(self._tables, indices):
-            total += table[index]
-        return indices, total
-
-    # ------------------------------------------------------------------
     # Predictor interface.
     # ------------------------------------------------------------------
 
     def predict(self, ip: int) -> bool:
         """Sign of the weight sum: non-negative means taken."""
-        indices, total = self._compute(ip)
+        extra = self._path.value << 3 if self.use_path_history else 0
+        indices = vote_indices(ip, self._ghist, self._lanes,
+                               self.log_table_size, extra)
+        total = sum(map(list.__getitem__, self._tables, indices))
         self._cached_ip = ip
         self._cached_indices = indices
         self._cached_sum = total
@@ -150,10 +134,13 @@ class HashedPerceptron(Predictor):
                 self._stat_mispredict_trainings += 1
             else:
                 self._stat_threshold_trainings += 1
+            # Weights stay in [w_min, w_max]: only a weight already at
+            # the bound in the training direction is left unchanged.
             delta = 1 if taken else -1
+            bound = self._w_max if taken else self._w_min
             for table, index in zip(self._tables, self._cached_indices):
-                w = table[index] + delta
-                table[index] = min(self._w_max, max(self._w_min, w))
+                if table[index] != bound:
+                    table[index] += delta
             if self.adaptive_theta:
                 self._adapt_theta(mispredicted)
         self._cached_ip = None
@@ -170,9 +157,10 @@ class HashedPerceptron(Predictor):
             self._tc = 0
 
     def track(self, branch: Branch) -> None:
-        """Update outcome and path histories with every branch."""
-        self._ghist = ((self._ghist << 1) | branch.taken) & mask(self._max_history)
-        self._path.push(branch.ip)
+        """Update the outcome (and, when used, path) history."""
+        self._ghist = ((self._ghist << 1) | branch.taken) & self._history_mask
+        if self.use_path_history:
+            self._path.push(branch.ip)
         self._cached_ip = None
 
     # ------------------------------------------------------------------
