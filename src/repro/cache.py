@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -56,6 +57,7 @@ __all__ = [
     "resolve_cache_dir",
     "CacheStats",
     "VerifyReport",
+    "InflightClaim",
     "SimulationCache",
 ]
 
@@ -136,6 +138,24 @@ class VerifyReport:
         return not self.invalid
 
 
+@dataclass(slots=True, eq=False)
+class InflightClaim:
+    """One key some caller is computing right now (see
+    :meth:`SimulationCache.claim`).
+
+    ``leader`` is whatever the claimant passed in — the plan's trace
+    context, so a waiter's span can link to the work it shared.
+    ``outcome`` is the result the claimant released with, or ``None``
+    when it released without one (its simulation failed).
+    """
+
+    leader: Any = None
+    outcome: SimulationResult | None = None
+    released: bool = False
+    #: Created by the first waiter only: most claims are never waited on.
+    waiter: threading.Event | None = None
+
+
 class SimulationCache:
     """A content-addressed store of :class:`SimulationResult` objects.
 
@@ -173,6 +193,9 @@ class SimulationCache:
         self.stores = 0
         self.evictions = 0
         self.dropped = 0
+        #: key -> the claim of the caller computing it (in-flight table).
+        self._claims: dict[str, InflightClaim] = {}
+        self._claims_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Key derivation.
@@ -269,6 +292,48 @@ class SimulationCache:
         self.stores += 1
         if self.max_entries is not None or self.max_bytes is not None:
             self.prune()
+
+    # ------------------------------------------------------------------
+    # In-flight claims: one computation per key across concurrent callers.
+    # ------------------------------------------------------------------
+
+    def claim(self, key: str, leader: Any = None) -> InflightClaim | None:
+        """Claim the computation of ``key`` on this handle.
+
+        Returns ``None`` when the caller now holds the claim: it reads
+        the cache, simulates on a miss and must :meth:`release` the key
+        (in a ``finally``).  Otherwise returns the holder's claim, which
+        the caller may :meth:`wait_claim` on — but only once it holds no
+        claims of its own, or two callers waiting on each other's keys
+        would deadlock.
+        """
+        with self._claims_lock:
+            held = self._claims.get(key)
+            if held is None:
+                self._claims[key] = InflightClaim(leader)
+            return held
+
+    def release(self, key: str,
+                outcome: SimulationResult | None = None) -> None:
+        """Release a claim from :meth:`claim`, handing ``outcome`` (or
+        ``None``: nothing to share) to every waiter."""
+        with self._claims_lock:
+            claim = self._claims.pop(key)
+            claim.outcome = outcome
+            claim.released = True
+            waiter = claim.waiter
+        if waiter is not None:
+            waiter.set()
+
+    def wait_claim(self, claim: InflightClaim) -> SimulationResult | None:
+        """Block until ``claim`` is released; return its outcome."""
+        with self._claims_lock:
+            if not claim.released and claim.waiter is None:
+                claim.waiter = threading.Event()
+            waiter = None if claim.released else claim.waiter
+        if waiter is not None:
+            waiter.wait()
+        return claim.outcome
 
     def get_or_simulate(self, factory: Callable[[], Predictor],
                         trace: TraceLike,

@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="execution-engine worker processes shared by every client "
-             "(0 = simulate on in-process threads, no multiprocessing; "
+             "(0 = run each request inline on the daemon's plan threads, "
+             "no multiprocessing; "
              "default: cpu-aware, min(4, cores-1))")
     serve_parser.add_argument(
         "--start-method", default=None,
@@ -359,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(default auto)")
     serve_parser.add_argument(
         "--batch", default="auto", choices=["auto", "off"],
-        help="config-batched prewarm for suite/sweep requests: 'auto' "
+        help="config batching for suite/sweep requests: 'auto' "
              "(default) evaluates a request's cache-missed vectorized "
-             "units in stacked per-trace passes before the per-unit "
-             "fan-out, 'off' disables the prewarm")
+             "units in stacked per-trace passes, 'off' runs them one "
+             "by one")
     serve_parser.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
         help="per-client pending-request bound; a full queue answers "

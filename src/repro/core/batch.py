@@ -100,12 +100,17 @@ class TraceFailure:
     """One trace that could not be simulated.
 
     ``details`` carries the worker-side traceback text, so a failure in a
-    child process is as debuggable as an inline one.
+    child process is as debuggable as an inline one.  ``stage`` says
+    what failed: ``"trace"`` (the trace could not be digested, resolved
+    or published), ``"predictor"`` (its factory raised while deriving
+    the spec or building the predictor — a bad configuration) or
+    ``"simulate"`` (the simulation itself).
     """
 
     trace_name: str
     error: str
     details: str = ""
+    stage: str = "simulate"
 
     def __str__(self) -> str:
         return f"{self.trace_name}: {self.error}"
@@ -214,21 +219,26 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
     ``predictor`` optionally supplies a pre-built **cold** instance to
     use instead of calling ``factory()`` — the spec-derivation instance
     :func:`repro.core.predictor.derive_spec` had to construct anyway.
-    Callers must never pass a trained predictor here.
+    Callers must never pass a trained predictor here.  A factory that
+    raises fails the unit with ``stage="predictor"``.
     """
+    stage = "predictor"
     try:
+        if predictor is None:
+            predictor = factory()
+        stage = "simulate"
         run_probe = None
         if probe:
             from ..probe import PredictionProbe
             run_probe = PredictionProbe()
-        return simulate(predictor if predictor is not None else factory(),
-                        trace, config, trace_name=name, probe=run_probe,
-                        engine=sim_engine)
+        return simulate(predictor, trace, config, trace_name=name,
+                        probe=run_probe, engine=sim_engine)
     except Exception as exc:  # noqa: BLE001 - deliberate fault barrier
         return TraceFailure(
             trace_name=name if name is not None else str(trace),
             error=f"{type(exc).__name__}: {exc}",
             details=traceback.format_exc(),
+            stage=stage,
         )
 
 

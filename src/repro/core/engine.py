@@ -75,7 +75,7 @@ import numpy as np
 from ..sbbt.trace import TraceData
 from .errors import SimulationError
 from .output import SimulationResult
-from .plan import (WorkPlan, WorkUnit, chunk_cost_size, normalize_batch,
+from .plan import (WorkPlan, chunk_cost_size, normalize_batch,
                    normalize_chunk)
 from .predictor import Predictor
 from .simulator import SimulationConfig
@@ -672,31 +672,31 @@ class ExecutionEngine:
             raise SimulationError("ExecutionEngine is closed")
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The live executor, (re)created lazily and after crashes."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._context)
-        return self._pool
+        """The live executor, (re)created lazily and after crashes.
 
-    def _restart_pool(self) -> None:
-        """Replace a broken executor (a worker died mid-task)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self.stats.pool_restarts += 1
-
-    def recover(self) -> None:
-        """Replace the worker pool after a crash; resident traces survive.
-
-        :meth:`run_plan` restarts the pool automatically when it
-        observes a :class:`BrokenProcessPool`; callers driving
-        :meth:`submit` directly (the serve daemon, custom schedulers)
-        use this to do the same.  No-op on a closed engine.
+        Locked, like every other piece of shared engine state: several
+        :meth:`run_plan` generators (the serve daemon's plan threads)
+        may ask at once, and exactly one pool must come out of it.
         """
         with self._lock:
-            if self._closed:
+            self._check_open()
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=self._context)
+            return self._pool
+
+    def _restart_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Replace ``broken`` after a worker died mid-task.
+
+        A no-op when another generator already replaced it, so
+        concurrent plans that all saw one crash restart the pool once.
+        """
+        with self._lock:
+            if self._pool is not broken:
                 return
-            self._restart_pool()
+            self._pool = None
+            self.stats.pool_restarts += 1
+        broken.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Trace publication.
@@ -783,47 +783,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Task execution.
     # ------------------------------------------------------------------
-
-    def submit(self, unit: WorkUnit, *,
-               trace_wire: dict | None = None,
-               tracer: Any = None) -> Future:
-        """Publish ``unit``'s trace if needed and schedule its simulation
-        (the serve daemon's per-request path).
-
-        The future resolves to a :class:`~repro.core.output.\
-SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
-        exceptions are wrapped, never raised).  ``trace_wire`` (a
-        :meth:`~repro.tracing.TraceContext.to_wire` dict) ships a trace
-        context into the worker; the spans it emits are folded into
-        ``tracer`` when the future completes.  Multi-unit callers want
-        :meth:`run_plan` or ``run_suite(engine=...)`` instead.
-        """
-        self._check_open()
-        ref = self.publish(unit.trace)
-        future = self._ensure_pool().submit(
-            _engine_run_one, unit.factory, ref, unit.config, unit.name,
-            unit.probe, unit.sim_engine, trace_wire)
-        self.stats.tasks_dispatched += 1
-        return self._unwrap(future, tracer)
-
-    def _unwrap(self, future: Future, tracer: Any = None) -> Future:
-        """Map a worker ``(outcome, attached, spans)`` future to
-        outcome-only, folding worker spans into ``tracer``."""
-        unwrapped: Future = Future()
-
-        def _transfer(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                unwrapped.set_exception(exc)
-                return
-            outcome, attached, spans = done.result()
-            self._count_attach(attached)
-            if tracer is not None:
-                tracer.record_wire(spans)
-            unwrapped.set_result(outcome)
-
-        future.add_done_callback(_transfer)
-        return unwrapped
 
     def _count_attach(self, attached: bool) -> None:
         if attached:
@@ -969,6 +928,7 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                     trace_name=unit.name,
                     error=f"{type(exc).__name__}: {exc}",
                     details=traceback.format_exc(),
+                    stage="trace",
                 )))
         if use_batch:
             # Trace-digest affinity: make same-trace units adjacent in
@@ -986,8 +946,10 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
         else:
             queue = deque(i for i in range(len(plan)) if i in refs)
         planned_units = len(queue)
-        #: future -> (chunk id, plan indices in chunk order, spool dir).
-        in_flight: dict[Future, tuple[str, list[int], str | None]] = {}
+        #: future -> (chunk id, plan indices in chunk order, spool dir,
+        #: the pool it was submitted to).
+        in_flight: dict[Future, tuple[str, list[int], str | None,
+                                      ProcessPoolExecutor]] = {}
         units_in_flight = 0
         chunk_phase = 0.0
         chunk_units_dispatched = 0
@@ -1010,8 +972,9 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                 size = max(1, min(size, len(queue),
                                   self._window - units_in_flight))
                 indices = [queue.popleft() for _ in range(size)]
-                self._chunk_seq += 1
-                chunk_id = f"c{self._chunk_seq}"
+                with self._lock:
+                    self._chunk_seq += 1
+                    chunk_id = f"c{self._chunk_seq}"
                 spool = self._spool_path() if size > 1 else None
                 if traced:
                     for i in indices:
@@ -1025,12 +988,20 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                      unit_meta[i][0].to_wire() if traced else None)
                     for i in indices
                 ]
-                future = pool.submit(_engine_run_chunk, items, spool,
-                                     chunk_id, use_batch)
+                try:
+                    future = pool.submit(_engine_run_chunk, items, spool,
+                                         chunk_id, use_batch)
+                except BrokenProcessPool:
+                    # A worker of another plan's chunk died since this
+                    # call fetched the pool: replace it and go on.
+                    queue.extendleft(reversed(indices))
+                    self._restart_pool(pool)
+                    pool = self._ensure_pool()
+                    continue
                 self.stats.tasks_dispatched += size
                 self.stats.chunks_dispatched += 1
                 chunk_units_dispatched += size
-                in_flight[future] = (chunk_id, indices, spool)
+                in_flight[future] = (chunk_id, indices, spool, pool)
                 units_in_flight += size
             chunk_phase += time.perf_counter() - submit_start
 
@@ -1040,9 +1011,10 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
             _submit_chunks()
             while in_flight:
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                broke = False
+                broken: ProcessPoolExecutor | None = None
                 for future in done:
-                    chunk_id, indices, spool = in_flight.pop(future)
+                    chunk_id, indices, spool, submitted = \
+                        in_flight.pop(future)
                     units_in_flight -= len(indices)
                     try:
                         payloads, chunk_info = future.result()
@@ -1054,7 +1026,8 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                             chunk_info["context_reuse"]
                     except Exception as exc:  # noqa: BLE001 - broken pool
                         crashed = isinstance(exc, BrokenProcessPool)
-                        broke = broke or crashed
+                        if crashed:
+                            broken = submitted
                         recovered = (_spool_load(spool, chunk_id,
                                                  len(indices))
                                      if spool is not None else {})
@@ -1126,8 +1099,8 @@ SimulationResult` or a :class:`~repro.core.batch.TraceFailure` (worker
                         yield index, outcome
                     if spool is not None:
                         _spool_clear(spool, chunk_id, len(indices))
-                if broke:
-                    self._restart_pool()
+                if broken is not None:
+                    self._restart_pool(broken)
                 _submit_chunks()
         finally:
             elapsed = time.perf_counter() - start

@@ -53,6 +53,10 @@ class SimulationResult:
     #: JSON schema: a cached result serializes identically to the run
     #: that produced it.
     from_cache: bool = field(default=False, compare=False)
+    #: True when this result is a copy of the one another unit computed
+    #: (or read) under the same cache key while this unit waited on it
+    #: (see :func:`repro.core.plan.execute_plan`).  Never serialized.
+    coalesced: bool = field(default=False, compare=False)
     #: Phase-timing snapshot (phase name -> seconds) attached by the
     #: simulator when a :class:`repro.telemetry.PhaseTimers` was passed.
     #: Like ``from_cache`` this is in-memory provenance, *not* part of

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
@@ -48,6 +48,7 @@ from .predictor import Predictor, derive_spec
 from .simulator import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cache import InflightClaim
     from ..telemetry.instrumentation import Instrumentation
     from .batch import CacheLike, TraceFailure
     from .engine import ExecutionEngine
@@ -309,11 +310,25 @@ def execute_plan(plan: WorkPlan, *,
     path) per call; a digest that fails is not remembered, so every unit
     on that trace retries it and records its own failure.  Nothing
     carries over between calls, so a rewritten file is digested afresh.
+    A unit whose spec cannot be derived (a bad predictor configuration)
+    fails with ``stage="predictor"``, one whose trace cannot be digested
+    with ``stage="trace"``.
+
+    Calls sharing one cache handle compute each key once.  The scan
+    claims every key before reading it
+    (:meth:`~repro.cache.SimulationCache.claim`).  A key that another
+    call — or an earlier unit of this plan — already holds makes the
+    unit a *follower*: it waits only after this call has simulated and
+    released its own claims, then receives a copy of the leader's
+    outcome with its own ``trace_name`` and ``coalesced=True``.  A
+    follower whose leader released without a result claims the key
+    again and computes it itself.
 
     ``instrumentation`` receives the suite-level phases and counters the
     batch layer has always reported: a ``cache_lookup`` phase with
     ``cache_hit`` / ``cache_miss`` counts, a ``simulate`` phase, and a
-    ``trace_failure`` count — plus whatever the engine backend records.
+    ``trace_failure`` count — plus a ``coalesced`` count of followers
+    and whatever the engine backend records.
 
     ``tracer`` (a :mod:`repro.tracing` object; the default is the
     zero-overhead null tracer) receives the same structure as spans: an
@@ -322,7 +337,9 @@ def execute_plan(plan: WorkPlan, *,
     and a ``simulate`` child under which the inline backend emits one
     ``unit`` span per simulation and the engine backend emits its
     dispatch/worker span tree (contexts cross the process boundary on
-    the chunk payloads).
+    the chunk payloads).  Each follower records a ``coalesced`` span
+    whose ``leader_span`` / ``leader_trace`` attributes name the
+    ``execute_plan`` span of the call that did the work.
     """
     from .batch import TraceFailure, _resolve_cache, _run_one
 
@@ -336,7 +353,6 @@ def execute_plan(plan: WorkPlan, *,
 
     slots: list[Outcome | None] = [None] * len(plan)
     keys: list[str | None] = [None] * len(plan)
-    pending: list[int] = []
     # Per-factory derivation artifacts: id(factory) -> (spec, cold
     # instance or None).  Factories are kept alive by the plan, so ids
     # are stable for the duration of this call.
@@ -372,110 +388,167 @@ def execute_plan(plan: WorkPlan, *,
         derived[id(factory)] = (entry[0], None)
         return entry[1]
 
+    def _fail(i: int, exc: Exception, stage: str) -> None:
+        slots[i] = TraceFailure(trace_name=plan[i].name,
+                                error=f"{type(exc).__name__}: {exc}",
+                                details=traceback.format_exc(), stage=stage)
+
+    def _scan(todo: list[int], pending: list[int],
+              waiting: list[tuple[int, "InflightClaim"]],
+              parent: Any) -> None:
+        """Key, claim and read every unit of ``todo``: hits fill their
+        slots, claimed misses go to ``pending`` (released by the
+        caller), keys claimed elsewhere go to ``waiting``."""
+        lookup_start = time.perf_counter() if instr is not None else 0.0
+        hits = 0
+        with trc.span("cache_lookup", parent=parent) as lookup_span:
+            for i in todo:
+                unit = plan[i]
+                try:
+                    spec, _ = _derive(unit.factory)
+                except Exception as exc:  # noqa: BLE001 - bad configuration
+                    _fail(i, exc, "predictor")
+                    continue
+                try:
+                    key = store.make_key(_digest(unit.trace), spec,
+                                         unit.config)
+                except Exception as exc:  # noqa: BLE001 - bad trace
+                    _fail(i, exc, "trace")
+                    continue
+                keys[i] = key
+                # Claim before reading: no other plan can store and
+                # release the key between our miss and our claim.
+                held = store.claim(key, parent)
+                if held is not None:
+                    waiting.append((i, held))
+                    continue
+                pending.append(i)
+                hit = store.get(key)
+                if hit is not None:
+                    pending.pop()
+                    hit.trace_name = unit.name
+                    slots[i] = hit
+                    store.release(key, hit)
+                    hits += 1
+            if instr is not None or trc.enabled:
+                lookup_span.set_attribute("cache_hit", hits)
+                lookup_span.set_attribute("cache_miss", len(pending))
+                if waiting:
+                    lookup_span.set_attribute("waiting", len(waiting))
+                if instr is not None:
+                    instr.add_phase("cache_lookup",
+                                    time.perf_counter() - lookup_start)
+                    instr.count("cache_hit", hits)
+                    instr.count("cache_miss", len(pending))
+
+    def _simulate(pending: list[int], parent: Any) -> None:
+        with trc.span("simulate", parent=parent,
+                      attributes={"pending": len(pending)}) as sim:
+            if engine is not None or (workers > 1 and len(pending) > 1):
+                from .engine import engine_scope
+
+                with engine_scope(engine, workers) as scoped:
+                    for position, outcome in scoped.run_plan(
+                            plan.subset(pending), chunk=chunk, batch=batch,
+                            instrumentation=instr, tracer=trc,
+                            trace_parent=sim.context):
+                        slots[pending[position]] = outcome
+                return
+            groups, loose = (_batch_groups(plan, pending)
+                             if use_batch else ([], list(pending)))
+            if groups:
+                batch_start = time.perf_counter() if instr is not None \
+                    else 0.0
+                context_reuse = 0
+                for members in groups:
+                    context_reuse += _run_group_inline(
+                        plan, members, slots, _take_prebuilt, trc,
+                        sim.context)
+                if instr is not None:
+                    instr.add_phase("batch_eval",
+                                    time.perf_counter() - batch_start)
+                    instr.count("batch_groups", len(groups))
+                    instr.count("batch_units", sum(len(m) for m in groups))
+                    if context_reuse:
+                        instr.count("context_reuse", context_reuse)
+            for i in loose:
+                unit = plan[i]
+                with trc.span("unit", parent=sim.context,
+                              attributes={"unit": unit.name}) as unit_span:
+                    outcome = _run_one(
+                        unit.factory, unit.trace, unit.config, unit.name,
+                        unit.probe, predictor=_take_prebuilt(unit.factory),
+                        sim_engine=unit.sim_engine)
+                    if not isinstance(outcome, SimulationResult):
+                        unit_span.set_status("error")
+                    slots[i] = outcome
+
+    def _join(waiting: list[tuple[int, "InflightClaim"]],
+              parent: Any) -> list[int]:
+        """Fill follower slots from their leaders' outcomes; return the
+        units whose leader had nothing to share (they go round again)."""
+        again: list[int] = []
+        joined = 0
+        for i, claim in waiting:
+            wall = time.time()
+            start = time.perf_counter()
+            outcome = store.wait_claim(claim)
+            if outcome is None:
+                again.append(i)
+                continue
+            unit = plan[i]
+            slots[i] = replace(outcome, trace_name=unit.name, coalesced=True)
+            joined += 1
+            if trc.enabled:
+                attributes = {"unit": unit.name}
+                if claim.leader is not None:
+                    attributes["leader_span"] = claim.leader.span_id
+                    attributes["leader_trace"] = claim.leader.trace_id
+                trc.add_span("coalesced", time.perf_counter() - start,
+                             parent=parent, start=wall,
+                             attributes=attributes)
+        if joined and instr is not None:
+            instr.count("coalesced", joined)
+        return again
+
     with trc.span("execute_plan", parent=trace_parent,
                   attributes={"units": len(plan),
                               "workers": workers}) as plan_span:
-        if store is not None:
-            lookup_start = (time.perf_counter()
-                            if instr is not None else 0.0)
-            with trc.span("cache_lookup",
-                          parent=plan_span.context) as lookup_span:
-                for i, unit in enumerate(plan):
-                    spec, _ = _derive(unit.factory)
-                    try:
-                        key = store.make_key(_digest(unit.trace), spec,
-                                             unit.config)
-                    except Exception as exc:  # noqa: BLE001 - bad trace
-                        slots[i] = TraceFailure(
-                            trace_name=unit.name,
-                            error=f"{type(exc).__name__}: {exc}",
-                            details=traceback.format_exc(),
-                        )
-                        continue
-                    keys[i] = key
-                    hit = store.get(key)
-                    if hit is not None:
-                        hit.trace_name = unit.name
-                        slots[i] = hit
-                    else:
-                        pending.append(i)
-                if instr is not None or trc.enabled:
-                    hits = sum(1 for s in slots
-                               if isinstance(s, SimulationResult))
-                    lookup_span.set_attribute("cache_hit", hits)
-                    lookup_span.set_attribute("cache_miss", len(pending))
-                    if instr is not None:
-                        instr.add_phase(
-                            "cache_lookup",
-                            time.perf_counter() - lookup_start)
-                        instr.count("cache_hit", hits)
-                        instr.count("cache_miss", len(pending))
-        else:
-            pending = list(range(len(plan)))
-
-        simulate_start = time.perf_counter() if instr is not None else 0.0
-        if pending:
-            with trc.span("simulate", parent=plan_span.context,
-                          attributes={"pending": len(pending)}) as sim:
-                if engine is not None or (workers > 1
-                                          and len(pending) > 1):
-                    from .engine import engine_scope
-
-                    with engine_scope(engine, workers) as scoped:
-                        for position, outcome in scoped.run_plan(
-                                plan.subset(pending), chunk=chunk,
-                                batch=batch,
-                                instrumentation=instr, tracer=trc,
-                                trace_parent=sim.context):
-                            slots[pending[position]] = outcome
+        todo = list(range(len(plan)))
+        while todo:
+            pending: list[int] = []
+            waiting: list[tuple[int, InflightClaim]] = []
+            try:
+                if store is None:
+                    pending = todo
                 else:
-                    groups, loose = (_batch_groups(plan, pending)
-                                     if use_batch else ([], list(pending)))
-                    if groups:
-                        batch_start = (time.perf_counter()
-                                       if instr is not None else 0.0)
-                        context_reuse = 0
-                        for members in groups:
-                            context_reuse += _run_group_inline(
-                                plan, members, slots, _take_prebuilt,
-                                trc, sim.context)
-                        if instr is not None:
-                            instr.add_phase(
-                                "batch_eval",
-                                time.perf_counter() - batch_start)
-                            instr.count("batch_groups", len(groups))
-                            instr.count("batch_units",
-                                        sum(len(m) for m in groups))
-                            if context_reuse:
-                                instr.count("context_reuse",
-                                            context_reuse)
-                    for i in loose:
-                        unit = plan[i]
-                        with trc.span(
-                                "unit", parent=sim.context,
-                                attributes={"unit": unit.name}) as unit_span:
-                            outcome = _run_one(
-                                unit.factory, unit.trace, unit.config,
-                                unit.name, unit.probe,
-                                predictor=_take_prebuilt(unit.factory),
-                                sim_engine=unit.sim_engine)
-                            if not isinstance(outcome, SimulationResult):
-                                unit_span.set_status("error")
-                            slots[i] = outcome
-            if store is not None:
-                for i in pending:
-                    outcome = slots[i]
-                    if isinstance(outcome, SimulationResult) and keys[i]:
-                        store.put(keys[i], outcome)
+                    _scan(todo, pending, waiting, plan_span.context)
+                simulate_start = (time.perf_counter()
+                                  if instr is not None else 0.0)
+                if pending:
+                    _simulate(pending, plan_span.context)
+                    if store is not None:
+                        for i in pending:
+                            outcome = slots[i]
+                            if isinstance(outcome, SimulationResult):
+                                store.put(keys[i], outcome)
+                if instr is not None:
+                    instr.add_phase("simulate",
+                                    time.perf_counter() - simulate_start)
+            finally:
+                if store is not None:
+                    for i in pending:
+                        outcome = slots[i]
+                        store.release(keys[i], outcome if isinstance(
+                            outcome, SimulationResult) else None)
+            # Followers wait only now, holding no claims of their own.
+            todo = _join(waiting, plan_span.context) if waiting else []
         if instr is not None or trc.enabled:
             failed = sum(1 for s in slots
                          if not isinstance(s, SimulationResult))
             if failed:
                 plan_span.set_attribute("trace_failure", failed)
-            if instr is not None:
-                instr.add_phase("simulate",
-                                time.perf_counter() - simulate_start)
-                if failed:
+                if instr is not None:
                     instr.count("trace_failure", failed)
     return list(slots)
 
@@ -509,6 +582,7 @@ def _run_group_inline(plan: WorkPlan, members: Sequence[int],
                     trace_name=plan[i].name,
                     error=f"{type(exc).__name__}: {exc}",
                     details=traceback.format_exc(),
+                    stage="trace",
                 )
             return 0
         units = [

@@ -58,7 +58,8 @@ OPERATIONS = ("ping", "stats", "simulate", "suite", "sweep", "shutdown")
 #: Error code -> meaning.  Codes are part of the protocol contract
 #: (documented in docs/serve.md); messages are human-readable detail.
 ERROR_CODES = {
-    "bad_request": "the frame is not a valid request object",
+    "bad_request": ("the frame is not a valid request object, or the "
+                    "predictor rejects its parameters"),
     "too_large": "the frame exceeds the server's frame size limit",
     "unknown_op": "the request names an operation the server lacks",
     "unknown_predictor": "the predictor name is not in the registry",

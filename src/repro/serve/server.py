@@ -4,28 +4,33 @@ The library already has every primitive a server needs — the
 persistent :class:`~repro.core.engine.ExecutionEngine` (one worker
 pool, traces resident in shared memory), the content-addressed
 :class:`~repro.cache.SimulationCache` (deterministic results keyed by
-*what* was simulated) and :func:`~repro.core.predictor.derive_spec`
-cheap keying.  :class:`MbpServer` composes them behind an asyncio
-front-end speaking the newline-delimited JSON protocol of
-:mod:`repro.serve.protocol`:
+*what* was simulated) and :func:`~repro.core.plan.execute_plan`, the
+one cache-scan + dispatch funnel every driver lowers into.
+:class:`MbpServer` composes them behind an asyncio front-end speaking
+the newline-delimited JSON protocol of :mod:`repro.serve.protocol`.
+Each ``simulate`` / ``suite`` / ``sweep`` request is lowered into one
+:class:`~repro.core.plan.WorkPlan` and run by one ``execute_plan`` call
+on a plan thread; replies, counters and error frames are built from
+the outcomes it returns.
 
 * **one engine, many clients** — every connection shares the worker
   pool and the resident-trace registry, so the Nth client simulating a
   trace pays no decode and no ship;
-* **request coalescing** — identical in-flight work, keyed by the same
-  ``(trace digest, predictor spec, config)`` key the cache uses (plus
-  the simulation engine), is computed **once**; later arrivals await
-  the first computation's task and are counted as ``serve_coalesced``;
+* **request coalescing** — identical in-flight work, keyed by the
+  ``(trace digest, predictor spec, config)`` key the cache uses, is
+  computed **once**: concurrent plans claim keys on the shared cache
+  handle, later arrivals wait for the first computation and are
+  counted as ``serve_coalesced``;
 * **multi-tenant result store** — completed simulations land in the
   shared cache, so a result computed for one client serves every
   later client (and every later server over the same directory);
 * **backpressure** — each client owns a bounded queue (an over-full
   client gets an immediate ``overloaded`` error, other clients are
   unaffected), queued work is drained **round-robin across clients**
-  (one greedy client cannot starve the rest), concurrent dispatches
-  are capped, and every request carries a server-side time budget
-  that degrades into a clean ``timeout`` error frame — the underlying
-  computation still completes and lands in the cache for the retry.
+  (one greedy client cannot starve the rest), concurrent plans are
+  capped, and every request carries a server-side time budget that
+  degrades into a clean ``timeout`` error frame — the underlying plan
+  still completes and lands in the cache for the retry.
 
 Observability rides :mod:`repro.telemetry`: the server keeps a
 :class:`~repro.telemetry.PhaseTimers` whose counters
@@ -44,24 +49,20 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import os
 import tempfile
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..cache import SimulationCache, resolve_cache_dir
-from ..core.output import SIMULATOR_VERSION
-from ..core.plan import WorkPlan, WorkUnit, _batch_groups, execute_plan
-from ..core.predictor import derive_spec
+from ..core.output import SIMULATOR_VERSION, SimulationResult
+from ..core.plan import WorkPlan, WorkUnit, execute_plan
 from ..core.simulator import SimulationConfig
-from ..sbbt.digest import trace_digest
 from ..telemetry import PhaseTimers
 from ..tracing import (
     NULL_TRACER,
@@ -80,6 +81,23 @@ from .protocol import (
 
 __all__ = ["ServeConfig", "MbpServer", "ServerHandle", "start_in_thread"]
 
+#: A plan's instrumentation counters and phases under their serve names.
+_SERVE_COUNTERS = {
+    "cache_hit": "serve_cache_hits",
+    "cache_miss": "serve_cache_misses",
+    "coalesced": "serve_coalesced",
+    "batch_groups": "serve_batch_groups",
+    "batch_units": "serve_batch_units",
+    "context_reuse": "serve_context_reuse",
+}
+_SERVE_PHASES = {"cache_lookup": "serve_cache_lookup",
+                 "simulate": "serve_dispatch"}
+
+#: A failed unit's :attr:`~repro.core.batch.TraceFailure.stage` -> the
+#: protocol error code it is reported with.
+_FAILURE_CODES = {"trace": "bad_trace", "predictor": "bad_request",
+                  "simulate": "simulation_failed"}
+
 
 @dataclass(slots=True)
 class ServeConfig:
@@ -89,8 +107,10 @@ class ServeConfig:
     (the default transport), or TCP when ``host`` is set.  ``workers``
     selects the execution backend — ``>= 1`` wraps a persistent
     :class:`~repro.core.engine.ExecutionEngine` with that many worker
-    processes; ``0`` runs simulations on an in-process thread pool
+    processes; ``0`` runs each plan inline on the server's plan threads
     (no multiprocessing — handy for embedding, tests and doctests).
+    ``max_inflight`` (default ``max(2, 2 * workers)``) caps how many
+    requests run at once, and so how many plans execute concurrently.
 
     ``cache_dir=None`` resolves through
     :func:`repro.cache.resolve_cache_dir` (``MBP_CACHE_DIR``) and, when
@@ -102,8 +122,8 @@ class ServeConfig:
     ``trace_dir`` resolves through
     :func:`repro.tracing.resolve_trace_dir` (``MBP_TRACE_DIR``); when
     it lands on a directory, every request grows a span tree (queueing,
-    cache lookup, coalescing, dispatch, worker simulation, reply
-    encode) streamed to ``serve-<pid>.jsonl`` there.  Unset (the
+    the plan's cache lookup, coalescing and simulation down to the
+    workers, reply encode) streamed to ``serve-<pid>.jsonl`` there.  Unset (the
     default), tracing is the zero-overhead null object.
     """
 
@@ -185,9 +205,6 @@ class MbpServer:
         self.telemetry = PhaseTimers()
         self.tracer = NULL_TRACER
         self._trace_sink: JsonlSpanSink | None = None
-        #: coalesce key -> the leader's serve_compute context, so a
-        #: coalesced request can record which span it piggybacked on.
-        self._inflight_spans: dict[tuple, TraceContext] = {}
         self.cache: SimulationCache | None = None
         self.engine = None  # ExecutionEngine when workers >= 1
         self.bound: tuple | None = None  # ("unix", path) | ("tcp", host, port)
@@ -204,13 +221,10 @@ class MbpServer:
         self._scheduler_task: asyncio.Task | None = None
         self._job_slots: asyncio.Semaphore | None = None
         self._job_tasks: set[asyncio.Task] = set()
-        #: coalesce key -> the single in-flight computation task.
-        self._inflight: dict[tuple, asyncio.Task] = {}
-        #: serializes batched prewarms (one engine.run_plan at a time).
-        self._batch_lock: asyncio.Lock | None = None
-        self._dispatch_sem: asyncio.Semaphore | None = None
-        self._io: ThreadPoolExecutor | None = None
-        self._thread_pool: ThreadPoolExecutor | None = None
+        #: Plans running or queued on the plan threads; a timed-out
+        #: request's plan stays here until it lands in the cache.
+        self._plan_futures: set[asyncio.Future] = set()
+        self._plans: ThreadPoolExecutor | None = None
         self._tmp_cache: tempfile.TemporaryDirectory | None = None
 
     # ------------------------------------------------------------------
@@ -226,14 +240,14 @@ class MbpServer:
         inflight = cfg.max_inflight
         if inflight is None:
             inflight = max(2, 2 * cfg.workers)
-        self._dispatch_sem = asyncio.Semaphore(inflight)
         # Job slots make the queue bound real: work beyond `inflight`
         # concurrent requests *stays queued* (where round-robin picks
         # it and the overloaded bound can see it) instead of unrolling
-        # into unbounded in-flight tasks.
+        # into unbounded in-flight tasks.  The plan threads are the
+        # matching cap on concurrent execute_plan calls.
         self._job_slots = asyncio.Semaphore(inflight)
-        self._io = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="mbp-serve-io")
+        self._plans = ThreadPoolExecutor(
+            max_workers=inflight, thread_name_prefix="mbp-serve-plan")
 
         cache_dir = resolve_cache_dir(cfg.cache_dir)
         if cache_dir is None:
@@ -252,9 +266,6 @@ class MbpServer:
 
             self.engine = ExecutionEngine(workers=cfg.workers,
                                           start_method=cfg.start_method)
-        else:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="mbp-serve-sim")
 
         limit = cfg.max_request_bytes + 2
         if cfg.host is not None:
@@ -309,7 +320,7 @@ class MbpServer:
                 await self._send(client, error_response(
                     request.get("id"), "shutting_down",
                     "server is shutting down"))
-        pending = [task for task in (*self._job_tasks, *self._inflight.values())
+        pending = [task for task in (*self._job_tasks, *self._plan_futures)
                    if not task.done()]
         if pending:
             done, live = await asyncio.wait(
@@ -325,10 +336,8 @@ class MbpServer:
         self._clients.clear()
         if self.engine is not None:
             self.engine.close()
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False, cancel_futures=True)
-        if self._io is not None:
-            self._io.shutdown(wait=False, cancel_futures=True)
+        if self._plans is not None:
+            self._plans.shutdown(wait=False, cancel_futures=True)
         if self.bound is not None and self.bound[0] == "unix":
             with contextlib.suppress(OSError):
                 os.unlink(self.bound[1])
@@ -529,185 +538,62 @@ class MbpServer:
                 await self._send(client, frame)
 
     # ------------------------------------------------------------------
-    # The shared simulation unit: coalesce -> cache -> dispatch.
+    # Operations: each request runs as one WorkPlan.
     # ------------------------------------------------------------------
 
-    async def _simulate_unit(self, unit: WorkUnit,
-                             ctx: TraceContext | None = None,
-                             ) -> dict[str, Any]:
-        """One :class:`~repro.core.plan.WorkUnit` through the full funnel.
+    async def _run_plan(self, plan: WorkPlan,
+                        ctx: TraceContext | None = None) -> list[Any]:
+        """Run ``plan`` on a plan thread; return its outcomes.
 
-        Returns the response entry
-        ``{"trace", "result", "from_cache", "coalesced"}``; raises
-        :class:`_Failure` with a protocol error code otherwise.
-        ``ctx`` is the request's trace context; the unit's spans
-        (``serve_unit`` → ``serve_cache_lookup`` / ``serve_compute``)
-        nest under it.
+        Shielded: a timed-out requester must not cancel a queued plan,
+        which still finishes into the cache for the retry.
         """
-        loop = asyncio.get_running_loop()
-        trc = self.tracer
-        self.telemetry.count("serve_units")
-        with trc.span("serve_unit", parent=ctx,
-                      attributes={"unit": unit.name}) as unit_span:
-            start = time.perf_counter()
-            start_wall = time.time()
-            try:
-                key = await loop.run_in_executor(self._io, self._derive_key,
-                                                 unit)
-            except ProtocolError:
-                unit_span.set_status("error")
-                raise
-            except TypeError as exc:
-                unit_span.set_status("error")
-                raise ProtocolError(
-                    "bad_request",
-                    f"cannot configure predictor: {exc}") from None
-            except Exception as exc:  # noqa: BLE001 - unreadable trace etc.
-                unit_span.set_status("error")
-                raise _Failure(
-                    "bad_trace", f"{type(exc).__name__}: {exc}") from None
-            finally:
-                elapsed = time.perf_counter() - start
-                self.telemetry.add_phase("serve_cache_lookup", elapsed)
-                trc.add_span("serve_cache_lookup", elapsed,
-                             parent=unit_span.context, start=start_wall)
-            coalesce_key = (key, unit.sim_engine)
-            task = self._inflight.get(coalesce_key)
-            coalesced = task is not None
-            if coalesced:
-                self.telemetry.count("serve_coalesced")
-                unit_span.set_attribute("coalesced", True)
-                leader = self._inflight_spans.get(coalesce_key)
-                if leader is not None:
-                    # The span link across requests: this request waited
-                    # on another request's serve_compute span.
-                    unit_span.set_attribute("leader_span", leader.span_id)
-                    unit_span.set_attribute("leader_trace", leader.trace_id)
-            else:
-                # Pre-mint the compute span's context so coalesced
-                # followers can link to it while it is still open.
-                compute_ctx = trc.child(unit_span.context)
-                task = asyncio.ensure_future(
-                    self._compute(key, unit, compute_ctx))
-                self._inflight[coalesce_key] = task
-                if compute_ctx is not None:
-                    self._inflight_spans[coalesce_key] = compute_ctx
+        self.telemetry.count("serve_units", len(plan))
+        future = asyncio.get_running_loop().run_in_executor(
+            self._plans, self._execute, plan, ctx)
+        self._plan_futures.add(future)
+        future.add_done_callback(self._plan_futures.discard)
+        return await asyncio.shield(future)
 
-                def _done(_t: asyncio.Task) -> None:
-                    self._inflight.pop(coalesce_key, None)
-                    self._inflight_spans.pop(coalesce_key, None)
+    def _execute(self, plan: WorkPlan,
+                 ctx: TraceContext | None) -> list[Any]:
+        """The daemon's one funnel (runs on a plan thread): cache scan,
+        coalescing and dispatch all happen in :func:`execute_plan`,
+        whose instrumentation is tallied into the ``serve_*`` names."""
+        timers = PhaseTimers()
+        outcomes = execute_plan(plan, engine=self.engine, cache=self.cache,
+                                batch=self.config.batch,
+                                instrumentation=timers, tracer=self.tracer,
+                                trace_parent=ctx)
+        for name, count in timers.counters.items():
+            if count and name in _SERVE_COUNTERS:
+                self.telemetry.count(_SERVE_COUNTERS[name], count)
+        for name, seconds in timers.phases.items():
+            if name in _SERVE_PHASES:
+                self.telemetry.add_phase(_SERVE_PHASES[name], seconds)
+        return outcomes
 
-                task.add_done_callback(_done)
-            # Shielded: a timed-out or disconnected requester must not
-            # cancel the computation other requesters are coalesced onto
-            # (and whose result the cache wants either way).
-            status, payload = await asyncio.shield(task)
-            if status != "ok":
-                unit_span.set_status("error")
-                raise _Failure(payload["code"], payload["message"])
-            return {"trace": unit.trace, "result": payload["result"],
-                    "from_cache": payload["from_cache"],
-                    "coalesced": coalesced}
-
-    def _derive_key(self, unit: WorkUnit) -> str:
-        """Blocking half of the keying (runs on the io executor)."""
-        spec, _ = derive_spec(unit.factory)
-        return SimulationCache.make_key(trace_digest(unit.trace), spec,
-                                        unit.config)
-
-    async def _compute(self, key: str, unit: WorkUnit,
-                       ctx: TraceContext | None = None,
-                       ) -> tuple[str, dict[str, Any]]:
-        """The single computation behind one coalesce key.
-
-        Never raises: resolves to ``("ok", {result, from_cache})`` or
-        ``("failure", {code, message})`` so every coalesced awaiter
-        sees the same outcome.  ``ctx`` is the pre-minted context of
-        this computation's ``serve_compute`` span (pre-minted so
-        coalesced followers can link to it while it is in flight).
-        """
-        loop = asyncio.get_running_loop()
-        trc = self.tracer
-        with trc.span("serve_compute", context=ctx) as comp_span:
-            try:
-                cached = await loop.run_in_executor(self._io,
-                                                    self.cache.get, key)
-                if cached is not None:
-                    self.telemetry.count("serve_cache_hits")
-                    comp_span.set_attribute("from_cache", True)
-                    cached.trace_name = unit.name
-                    return "ok", {"result": cached.to_json(),
-                                  "from_cache": True}
-                self.telemetry.count("serve_cache_misses")
-                comp_span.set_attribute("from_cache", False)
-                start = time.perf_counter()
-                try:
-                    async with self._dispatch_sem:
-                        with trc.span("serve_dispatch",
-                                      parent=comp_span.context) as disp:
-                            outcome = await self._dispatch(unit,
-                                                           disp.context)
-                finally:
-                    self.telemetry.add_phase(
-                        "serve_dispatch", time.perf_counter() - start)
-                from ..core.batch import TraceFailure
-
-                if isinstance(outcome, TraceFailure):
-                    comp_span.set_status("error")
-                    return "failure", {"code": "simulation_failed",
-                                       "message": outcome.error}
-                await loop.run_in_executor(self._io, self.cache.put, key,
-                                           outcome)
-                return "ok", {"result": outcome.to_json(),
-                              "from_cache": False}
-            except Exception as exc:  # noqa: BLE001 - coalesced fan-out
-                if (isinstance(exc, BrokenProcessPool)
-                        and self.engine is not None):
-                    self.engine.recover()
-                comp_span.set_status("error")
-                return "failure", {"code": "internal",
-                                   "message": f"{type(exc).__name__}: {exc}"}
-
-    async def _dispatch(self, unit: WorkUnit,
-                        ctx: TraceContext | None = None):
-        """Run one work unit on the configured backend.
-
-        With tracing on, the engine path ships ``ctx`` into the worker
-        on the chunk payload (its ``attach`` / ``simulate`` spans come
-        back parented under it); the thread path records one
-        ``simulate`` span in-process.
-        """
-        loop = asyncio.get_running_loop()
-        trc = self.tracer
-        if self.engine is not None:
-            # submit() publishes the trace (a decode on first touch)
-            # — blocking work, so it runs on the io executor too.
-            submit = functools.partial(
-                self.engine.submit, unit,
-                trace_wire=ctx.to_wire() if ctx is not None else None,
-                tracer=trc if trc.enabled else None)
-            future = await loop.run_in_executor(self._io, submit)
-            return await asyncio.wrap_future(future)
-        from ..core.batch import TraceFailure, _run_one
-
-        start_wall = time.time()
-        start = time.perf_counter()
-        outcome = await loop.run_in_executor(
-            self._thread_pool, functools.partial(
-                _run_one, unit.factory, unit.trace, unit.config, unit.name,
-                sim_engine=unit.sim_engine))
-        trc.add_span(
-            "simulate", time.perf_counter() - start, parent=ctx,
-            start=start_wall,
-            status=("error" if isinstance(outcome, TraceFailure)
-                    else "ok"),
-            attributes={"unit": unit.name, "backend": "thread",
-                        "sim_engine": unit.sim_engine})
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Operations.
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _entries(units: Sequence[WorkUnit], outcomes: Sequence[Any],
+                 ) -> tuple[list[dict], list[dict]]:
+        """Reply entries for the results and failure records (with
+        their protocol error codes) for the rest."""
+        results: list[dict] = []
+        failures: list[dict] = []
+        for unit, outcome in zip(units, outcomes):
+            if isinstance(outcome, SimulationResult):
+                results.append({"trace": unit.trace,
+                                "result": outcome.to_json(),
+                                "from_cache": outcome.from_cache,
+                                "coalesced": outcome.coalesced})
+                continue
+            code = _FAILURE_CODES[outcome.stage]
+            message = outcome.error
+            if code == "bad_request":
+                message = f"cannot configure predictor: {message}"
+            failures.append({"trace": unit.trace, "code": code,
+                             "error": message})
+        return results, failures
 
     @staticmethod
     def _sim_config(request: dict[str, Any]) -> SimulationConfig:
@@ -721,96 +607,17 @@ class MbpServer:
     async def _answer_simulate(self, request: dict[str, Any],
                                ctx: TraceContext | None = None,
                                ) -> dict[str, Any]:
-        factory = _predictor_factory(request["predictor"],
-                                     request["parameters"])
-        unit = WorkUnit(factory=factory, trace=request["trace"],
-                        name=str(request["trace"]),
-                        config=self._sim_config(request),
-                        sim_engine=self._sim_engine(request))
-        entry = await self._simulate_unit(unit, ctx)
+        plan = WorkPlan.for_suite(
+            _predictor_factory(request["predictor"], request["parameters"]),
+            [request["trace"]], self._sim_config(request),
+            sim_engine=self._sim_engine(request))
+        results, failures = self._entries(
+            plan.units, await self._run_plan(plan, ctx))
+        if failures:
+            raise _Failure(failures[0]["code"], failures[0]["error"])
+        entry = results[0]
         entry["predictor"] = request["predictor"]
         return entry
-
-    async def _prewarm_batch(self, units: Sequence[WorkUnit],
-                             ctx: TraceContext | None = None) -> None:
-        """Warm the cache with one batched pass over a multi-unit request.
-
-        Best-effort fast path for ``suite``/``sweep`` requests: the
-        request's units go through :func:`execute_plan` with batching
-        on, so cache-missed units sharing a trace are evaluated in one
-        stacked pass per predictor family instead of one dispatch per
-        unit.  Results land in the shared cache; the per-unit funnel
-        that follows — coalescing, error frames, reply shapes — then
-        answers from warm entries.  Any failure here is swallowed: the
-        per-unit path re-runs (and properly reports) whatever the
-        prewarm did not cover.  Prewarms are serialized so at most one
-        ``engine.run_plan`` generator is live at a time.
-        """
-        if self.config.batch != "auto" or self.cache is None:
-            return
-        if len(units) < 2:
-            return
-        plan = WorkPlan(units=tuple(units))
-        groups, _ = _batch_groups(plan, range(len(plan)))
-        if not groups:
-            return
-        if self._batch_lock is None:
-            self._batch_lock = asyncio.Lock()
-        loop = asyncio.get_running_loop()
-        trc = self.tracer
-        timers = PhaseTimers()
-
-        def _run(parent: TraceContext | None) -> None:
-            execute_plan(plan, engine=self.engine, cache=self.cache,
-                         instrumentation=timers,
-                         tracer=trc if trc.enabled else None,
-                         trace_parent=parent)
-
-        async with self._batch_lock:
-            with trc.span("serve_batch_prewarm", parent=ctx,
-                          attributes={"units": len(plan),
-                                      "groups": len(groups)}) as span:
-                start = time.perf_counter()
-                try:
-                    await loop.run_in_executor(
-                        self._io, _run,
-                        span.context if trc.enabled else None)
-                except Exception:  # noqa: BLE001 - best-effort fast path
-                    span.set_status("error")
-                    self.telemetry.count("serve_batch_errors")
-                    return
-                finally:
-                    self.telemetry.add_phase(
-                        "serve_batch_prewarm", time.perf_counter() - start)
-        counters = timers.counters
-        if counters.get("batch_groups"):
-            self.telemetry.count("serve_batch_groups",
-                                 counters["batch_groups"])
-            self.telemetry.count("serve_batch_units",
-                                 counters.get("batch_units", 0))
-        if counters.get("context_reuse"):
-            self.telemetry.count("serve_context_reuse",
-                                 counters["context_reuse"])
-
-    async def _gather_units(self, units: Sequence[WorkUnit],
-                            ctx: TraceContext | None = None,
-                            ) -> tuple[list[dict], list[dict]]:
-        """Every unit through :meth:`_simulate_unit`, failures collected."""
-        outcomes = await asyncio.gather(
-            *(self._simulate_unit(unit, ctx) for unit in units),
-            return_exceptions=True)
-        results: list[dict] = []
-        failures: list[dict] = []
-        for unit, outcome in zip(units, outcomes):
-            if isinstance(outcome, dict):
-                results.append(outcome)
-            elif isinstance(outcome, (_Failure, ProtocolError)):
-                failures.append({"trace": unit.trace, "code": outcome.code,
-                                 "error": outcome.message})
-            else:  # pragma: no cover - unexpected exception type
-                failures.append({"trace": unit.trace, "code": "internal",
-                                 "error": repr(outcome)})
-        return results, failures
 
     @staticmethod
     def _aggregate(results: list[dict]) -> dict[str, Any]:
@@ -833,21 +640,17 @@ class MbpServer:
                             ) -> dict[str, Any]:
         factory = _predictor_factory(request["predictor"],
                                      request["parameters"])
-        # Lower the request into the shared WorkPlan IR; the per-unit
-        # funnel keeps coalescing and caching request-granular.
         plan = WorkPlan.for_suite(factory, request["traces"],
                                   self._sim_config(request),
                                   sim_engine=self._sim_engine(request))
-        await self._prewarm_batch(plan.units, ctx)
-        results, failures = await self._gather_units(plan.units, ctx)
+        results, failures = self._entries(
+            plan.units, await self._run_plan(plan, ctx))
         return {"predictor": request["predictor"], "results": results,
                 "failures": failures, "aggregate": self._aggregate(results)}
 
     async def _answer_sweep(self, request: dict[str, Any],
                             ctx: TraceContext | None = None,
                             ) -> dict[str, Any]:
-        config = self._sim_config(request)
-        sim_engine = self._sim_engine(request)
         all_parameters: list[dict[str, Any]] = []
         factories: list[tuple[int, Callable[[], Any]]] = []
         for tag, value in enumerate(request["values"]):
@@ -856,20 +659,17 @@ class MbpServer:
             all_parameters.append(parameters)
             factories.append(
                 (tag, _predictor_factory(request["predictor"], parameters)))
-        plan = WorkPlan.for_points(factories, request["traces"], config,
-                                   sim_engine=sim_engine)
-        by_tag: dict[int, list[WorkUnit]] = {}
-        for unit in plan:
-            by_tag.setdefault(unit.tag, []).append(unit)
-        # One prewarm over the whole sweep: the config axis across
-        # points is exactly what the batched evaluator stacks.
-        await self._prewarm_batch(plan.units, ctx)
+        # One plan over the whole sweep: the config axis across points
+        # is exactly what the batched evaluator stacks.
+        plan = WorkPlan.for_points(factories, request["traces"],
+                                   self._sim_config(request),
+                                   sim_engine=self._sim_engine(request))
+        outcomes = plan.group_outcomes(await self._run_plan(plan, ctx))
+        units = plan.group_outcomes(plan.units)
         points: list[dict[str, Any]] = []
-        # Points stay sequential (each one's traces fan out) so a sweep
-        # request cannot monopolize the dispatch slots in one burst.
         for tag, parameters in enumerate(all_parameters):
-            results, failures = await self._gather_units(
-                by_tag.get(tag, []), ctx)
+            results, failures = self._entries(units.get(tag, []),
+                                              outcomes.get(tag, []))
             point = {"parameters": parameters}
             point.update(self._aggregate(results))
             point["failures"] = failures
@@ -889,14 +689,13 @@ class MbpServer:
         }
 
     async def _stats_payload(self) -> dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        cache_stats = await loop.run_in_executor(self._io, self.cache.stats)
+        cache_stats = await asyncio.to_thread(self.cache.stats)
         return {
             "counters": dict(self.telemetry.counters),
             "phases": dict(self.telemetry.phases),
             "queue": {"depth": self._queued, "peak": self._queued_peak,
                       "limit_per_client": self.config.max_queue},
-            "inflight": len(self._inflight),
+            "inflight": len(self._plan_futures),
             "clients": len(self._clients),
             "engine": (self.engine.stats.to_json()
                        if self.engine is not None else None),

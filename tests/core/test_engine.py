@@ -14,6 +14,7 @@ Covers the ISSUE-5 acceptance criteria:
 
 import gc
 import json
+import threading
 from multiprocessing import shared_memory
 
 import pytest
@@ -22,7 +23,7 @@ from repro.cache import SimulationCache
 from repro.core.batch import TraceFailure, run_suite
 from repro.core.engine import ExecutionEngine
 from repro.core.errors import SimulationError
-from repro.core.plan import WorkUnit
+from repro.core.plan import WorkPlan, WorkUnit, execute_plan
 from repro.core.predictor import derive_spec
 from repro.core.simulator import SimulationConfig
 from repro.predictors import Bimodal, GShare
@@ -278,14 +279,6 @@ class TestAccounting:
         assert ([r.mispredictions for r in cached.results]
                 == [r.mispredictions for r in baseline.results])
 
-    def test_submit_single_task(self, traces):
-        with ExecutionEngine(workers=1) as engine:
-            future = engine.submit(WorkUnit(
-                bimodal_factory, traces[0], "solo", SimulationConfig()))
-            outcome = future.result()
-        assert outcome.trace_name == "solo"
-        assert outcome.mispredictions > 0
-
 
 class TestDeriveSpec:
     def test_class_factory_ignores_unbound_spec(self):
@@ -430,12 +423,24 @@ class TestMidChunkRecovery:
         plan = self._mixed_plan(_make_traces(count=4), crash_at=1)
         with ExecutionEngine(workers=1) as engine:
             dict(engine.run_plan(plan, chunk=4))
-            # recover() is the public pool-replacement hook; calling it
-            # again after the automatic restart must be harmless.
-            engine.recover()
             batch = run_suite(bimodal_factory, traces, engine=engine)
             assert len(batch.results) == len(traces)
             assert not batch.failures
+
+    def test_pool_broken_before_submit_is_replaced(self, traces):
+        """A pool another plan's crash broke between this plan fetching
+        it and submitting to it is replaced, not raised."""
+        import os
+        from concurrent.futures.process import BrokenProcessPool
+
+        plan = self._mixed_plan(_make_traces(count=2), crash_at=None)
+        with ExecutionEngine(workers=1) as engine:
+            with pytest.raises(BrokenProcessPool):
+                engine._ensure_pool().submit(os._exit, 13).result(30)
+            outcomes = dict(engine.run_plan(plan))
+            assert engine.stats.pool_restarts == 1
+        assert [outcomes[i].trace_name for i in range(2)] == \
+            ["unit-0", "unit-1"]
 
     def test_stats_json_carries_chunk_counters(self, traces):
         plan = self._mixed_plan(_make_traces(count=4), crash_at=2)
@@ -446,3 +451,56 @@ class TestMidChunkRecovery:
         assert document["units_retried"] == 1
         assert document["chunks_dispatched"] == 2
         assert "chunk_dispatch" in document["phases"]
+
+
+class TestConcurrentRunPlan:
+    """Several threads may drive ``run_plan`` generators on one engine
+    at once (the serve daemon's plan threads do): they must share one
+    pool, never collide on spool ids, and leak nothing."""
+
+    def test_four_threads_on_one_fresh_engine(self, monkeypatch):
+        import repro.core.engine as engine_module
+
+        constructed = []
+
+        class CountingPool(engine_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor",
+                            CountingPool)
+        local = _make_traces(count=4)
+        plans = [WorkPlan.for_suite(factory, local,
+                                    names=[f"p{k}-t{i}"
+                                           for i in range(len(local))])
+                 for k, factory in enumerate((bimodal_factory,
+                                              gshare_factory) * 2)]
+        inline = [[_comparable(o) for o in execute_plan(plan)]
+                  for plan in plans]
+        barrier = threading.Barrier(len(plans))
+        outcomes: list[dict | None] = [None] * len(plans)
+        errors: list[Exception] = []
+
+        def drive(k):
+            try:
+                barrier.wait(timeout=30)
+                outcomes[k] = dict(engine.run_plan(plans[k], chunk=2))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        with ExecutionEngine(workers=2) as engine:
+            threads = [threading.Thread(target=drive, args=(k,))
+                       for k in range(len(plans))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            names = engine.segment_names()
+        assert not errors, errors
+        assert len(constructed) == 1
+        for k, plan in enumerate(plans):
+            assert [_comparable(outcomes[k][i])
+                    for i in range(len(plan))] == inline[k]
+        assert names
+        assert _segments_alive(names) == []

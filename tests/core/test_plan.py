@@ -6,7 +6,10 @@ funnel, and chunked engine dispatch is byte-identical to the serial
 path.
 """
 
+import dataclasses
+import functools
 import json
+import threading
 from collections import Counter
 
 import pytest
@@ -33,6 +36,15 @@ def bimodal_factory():
 
 def gshare_factory():
     return GShare(history_length=8, log_table_size=10)
+
+
+class _RaisingBimodal(Bimodal):
+    def predict(self, ip):
+        raise RuntimeError("predictor bug")
+
+
+def _raising_factory():
+    return _RaisingBimodal(log_table_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +226,32 @@ class TestExecutePlan:
         assert isinstance(outcomes[1], TraceFailure)
         assert isinstance(outcomes[2], SimulationResult)
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_bad_predictor_configuration_is_a_per_unit_failure(
+            self, traces, tmp_path, cached):
+        bad = functools.partial(GShare, history_length=-3)
+        plan = WorkPlan.for_points([(0, GShare), (1, bad)], traces[:1])
+        cache = SimulationCache(tmp_path / "cache") if cached else None
+        good, failed = execute_plan(plan, cache=cache)
+        assert isinstance(good, SimulationResult)
+        assert isinstance(failed, TraceFailure)
+        assert failed.trace_name == plan[1].name
+        assert failed.error == "ValueError: history_length must be >= 1"
+        assert failed.stage == "predictor"
+
+    def test_failure_stages(self, traces, tmp_path):
+        missing = tmp_path / "missing.sbbt"
+        plan = WorkPlan.for_suite(bimodal_factory, [missing])
+        cache = SimulationCache(tmp_path / "cache")
+        (failed,) = execute_plan(plan, cache=cache)
+        assert failed.stage == "trace"
+        with ExecutionEngine(workers=1) as engine:
+            (published,) = execute_plan(plan, engine=engine)
+        assert published.stage == "trace"
+        (crashed,) = execute_plan(
+            WorkPlan.for_suite(_raising_factory, traces[:1]))
+        assert crashed.stage == "simulate"
+
     def test_bad_workers_rejected(self, traces):
         plan = WorkPlan.for_suite(bimodal_factory, traces)
         with pytest.raises(ValueError):
@@ -223,6 +261,135 @@ class TestExecutePlan:
         plan = WorkPlan.for_suite(bimodal_factory, traces)
         with pytest.raises(ValueError):
             execute_plan(plan, chunk=0)
+
+
+class TestCoalescing:
+    """Calls sharing a cache handle compute each key once: the scan
+    claims keys, and a unit whose key is claimed elsewhere follows."""
+
+    def test_duplicate_units_in_one_plan_compute_once(self, traces,
+                                                      tmp_path):
+        plan = WorkPlan.for_suite(bimodal_factory,
+                                  [traces[0], traces[0], traces[1]])
+        cache = SimulationCache(tmp_path / "cache")
+        timers = PhaseTimers()
+        first, copy, other = execute_plan(plan, cache=cache,
+                                          instrumentation=timers)
+        assert cache.stores == 2
+        assert timers.counters["cache_miss"] == 2
+        assert timers.counters["coalesced"] == 1
+        assert (first.coalesced, copy.coalesced, other.coalesced) == \
+            (False, True, False)
+        assert copy.trace_name == plan[1].name
+        assert copy.mispredictions == first.mispredictions
+        assert copy == dataclasses.replace(first, trace_name=copy.trace_name)
+
+    def _follow(self, traces, tmp_path):
+        """A plan started while its only key is claimed elsewhere."""
+        plan = WorkPlan.for_suite(bimodal_factory, traces[:1])
+        cache = SimulationCache(tmp_path / "cache")
+        key = cache.key_for(traces[0], bimodal_factory().spec())
+        assert cache.claim(key, leader="elsewhere") is None
+        outcomes = []
+        follower = threading.Thread(
+            target=lambda: outcomes.extend(execute_plan(plan, cache=cache)))
+        follower.start()
+        # The follower creates its waiter lazily once it starts waiting.
+        for _ in range(1000):
+            if cache._claims[key].waiter is not None:
+                break
+            follower.join(0.01)
+        assert cache._claims[key].waiter is not None
+        assert cache.misses == 0  # a follower never reads the cache
+        return plan, cache, key, follower, outcomes
+
+    def test_follower_copies_the_leader_outcome(self, traces, tmp_path):
+        plan, cache, key, follower, outcomes = self._follow(traces, tmp_path)
+        (leader,) = execute_plan(plan)
+        cache.release(key, leader)
+        follower.join(30)
+        (outcome,) = outcomes
+        assert outcome.coalesced and not leader.coalesced
+        assert outcome.trace_name == plan[0].name
+        assert _comparable(outcome) == _comparable(leader)
+        assert cache.stores == 0 and cache.misses == 0
+
+    def test_follower_computes_when_the_leader_shares_nothing(
+            self, traces, tmp_path):
+        plan, cache, key, follower, outcomes = self._follow(traces, tmp_path)
+        cache.release(key)
+        follower.join(30)
+        (outcome,) = outcomes
+        assert isinstance(outcome, SimulationResult)
+        assert not outcome.coalesced
+        assert cache.misses == 1 and cache.stores == 1
+        assert cache._claims == {}
+
+    def test_concurrent_plans_store_each_key_once(self, traces, tmp_path):
+        """Eight threads (more than cores) run overlapping plans, each in
+        its own unit order, on one cache handle: every key is simulated
+        once, nobody deadlocks, and every outcome is right."""
+        import random
+        import sys
+
+        units = [(factory, trace) for factory in (bimodal_factory,
+                                                  gshare_factory)
+                 for trace in traces]
+        reference = {id(trace): {} for trace in traces}
+        for factory, trace in units:
+            (outcome,) = execute_plan(WorkPlan.for_suite(factory, [trace]))
+            reference[id(trace)][factory] = _comparable(
+                dataclasses.replace(outcome, trace_name=""))
+        plans = []
+        for seed in range(8):
+            order = list(units)
+            random.Random(seed).shuffle(order)
+            plans.append(WorkPlan(units=tuple(
+                WorkUnit(factory=factory, trace=trace, name=f"{seed}-{i}",
+                         config=SimulationConfig())
+                for i, (factory, trace) in enumerate(order))))
+        cache = SimulationCache(tmp_path / "cache")
+        results: list[list | None] = [None] * len(plans)
+        counts: list[dict] = [{} for _ in plans]
+
+        def run(k):
+            timers = PhaseTimers()
+            results[k] = execute_plan(plans[k], cache=cache,
+                                      instrumentation=timers)
+            counts[k] = timers.counters
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(len(plans))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stores == cache.misses == len(units)
+        assert cache._claims == {}
+        for plan, outcomes, counters in zip(plans, results, counts):
+            assert (counters.get("cache_hit", 0) + counters["cache_miss"]
+                    + counters.get("coalesced", 0)) == len(plan)
+            for unit, outcome in zip(plan, outcomes):
+                assert outcome.trace_name == unit.name
+                assert _comparable(dataclasses.replace(
+                    outcome, trace_name="")) == \
+                    reference[id(unit.trace)][unit.factory]
+
+    def test_claims_are_released_when_the_plan_raises(self, traces,
+                                                      tmp_path):
+        plan = WorkPlan.for_suite(bimodal_factory, traces[:2])
+        cache = SimulationCache(tmp_path / "cache")
+        engine = ExecutionEngine(workers=1)
+        engine.close()
+        with pytest.raises(Exception):
+            execute_plan(plan, cache=cache, engine=engine)
+        assert cache._claims == {}
 
 
 def _sweep_factories(points=16):

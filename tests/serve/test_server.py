@@ -2,8 +2,9 @@
 
 Every test starts a real server (on a background thread, via
 ``start_in_thread``) and talks to it over a real socket.  Most use
-``workers=0`` (in-process thread backend — no multiprocessing) for
-speed; the shared-memory hygiene tests use a real engine.
+``workers=0`` (plans run inline on the server's threads — no
+multiprocessing) for speed; the shared-memory hygiene tests use a
+real engine.
 """
 
 from __future__ import annotations
@@ -100,18 +101,18 @@ class TestRoundTrip:
         best = min(reply["points"], key=lambda point: point["mean_mpki"])
         assert reply["best"]["parameters"] == best["parameters"]
 
-    def test_sweep_prewarms_batched(self, serve, trace_files):
+    def test_sweep_runs_one_batched_group(self, serve, trace_files):
         handle = serve()
         with MbpClient(socket_path=handle.socket_path) as client:
             reply = client.sweep([trace_files[0]], "gshare",
                                  "history_length", [2, 4, 8])
             stats = client.stats()
-        # The prewarm evaluated all three points in one stacked pass
-        # and the per-unit fan-out answered from the warm cache.
+        # The sweep's one plan evaluated all three points in one
+        # stacked pass, and this request computed every entry.
         assert stats["counters"]["serve_batch_groups"] == 1
         assert stats["counters"]["serve_batch_units"] == 3
         assert stats["server"]["batch"] == "auto"
-        assert all(point["cache_hits"] == 1 for point in reply["points"])
+        assert all(point["cache_hits"] == 0 for point in reply["points"])
 
     def test_batch_off_disables_prewarm(self, serve, trace_files):
         handle = serve(batch="off")
@@ -152,6 +153,41 @@ class TestRoundTrip:
         spec_narrow = narrow["result"]["metadata"]["predictor"]
         spec_default = default["result"]["metadata"]["predictor"]
         assert spec_narrow != spec_default
+
+
+# ----------------------------------------------------------------------
+# One pass through the funnel: one digest, one cache read per unit.
+# ----------------------------------------------------------------------
+
+
+class TestOnePassFunnel:
+    def test_sweep_digests_once_and_reads_each_unit_once(
+            self, serve, trace_files, tmp_path, monkeypatch):
+        import repro.sbbt.digest as sbbt_digest
+
+        calls = []
+        original = sbbt_digest.trace_digest
+
+        def counting(trace):
+            calls.append(str(trace))
+            return original(trace)
+
+        monkeypatch.setattr(sbbt_digest, "trace_digest", counting)
+        handle = serve(cache_dir=str(tmp_path / "cache"))
+        with MbpClient(socket_path=handle.socket_path) as client:
+            first = client.sweep([trace_files[0]], "gshare",
+                                 "history_length", [2, 4, 8])
+            stats = client.stats()
+            assert calls == [trace_files[0]]
+            repeat = client.sweep([trace_files[0]], "gshare",
+                                  "history_length", [2, 4, 8])
+        units = stats["counters"]["serve_units"]
+        assert units == 3
+        assert stats["cache"]["hits"] + stats["cache"]["misses"] == units
+        assert all(point["cache_hits"] == 0 for point in first["points"])
+        assert all(point["cache_hits"] == 1 for point in repeat["points"])
+        assert [point["mean_mpki"] for point in repeat["points"]] == \
+            [point["mean_mpki"] for point in first["points"]]
 
 
 # ----------------------------------------------------------------------
@@ -266,11 +302,26 @@ class TestCoalescing:
         assert (counters.get("serve_coalesced", 0)
                 + counters.get("serve_cache_hits", 0)) == 3
 
+    def test_suite_naming_a_trace_twice_simulates_it_once(self, serve,
+                                                          trace_files):
+        handle = serve()
+        with MbpClient(socket_path=handle.socket_path) as client:
+            reply = client.suite([trace_files[0], trace_files[0]], "gshare")
+            stats = client.stats()
+        first, second = reply["results"]
+        assert first["result"] == second["result"]
+        assert (first["coalesced"], second["coalesced"]) == (False, True)
+        assert reply["aggregate"]["coalesced"] == 1
+        assert stats["counters"]["serve_coalesced"] == 1
+        assert stats["counters"]["serve_cache_misses"] == 1
+        assert stats["cache"]["stores"] == 1
+        assert stats["cache"]["entries"] == 1
+
     def test_stats_report_engine_and_cache_sections(self, serve):
         handle = serve()
         with MbpClient(socket_path=handle.socket_path) as client:
             stats = client.stats()
-        assert stats["engine"] is None  # workers=0: thread backend
+        assert stats["engine"] is None  # workers=0: inline plans
         assert stats["cache"]["entries"] == 0
         assert stats["queue"]["limit_per_client"] == 64
         assert stats["server"]["workers"] == 0
@@ -326,6 +377,36 @@ class TestErrorReplies:
             with pytest.raises(ServeError) as excinfo:
                 client.simulate(str(tmp_path / "missing.sbbt"), "gshare")
         assert excinfo.value.code == "bad_trace"
+
+    @pytest.mark.parametrize("parameters", [{"history_length": -3},
+                                            {"no_such_argument": 1}])
+    def test_bad_predictor_configuration_is_bad_request(
+            self, serve, trace_files, parameters):
+        handle = serve()
+        with MbpClient(socket_path=handle.socket_path) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.simulate(trace_files[0], "gshare",
+                                parameters=parameters)
+            assert excinfo.value.code == "bad_request"
+            assert "cannot configure predictor" in str(excinfo.value)
+            # In a suite the bad configuration fails every unit alone.
+            reply = client.suite(trace_files[:2], "gshare",
+                                 parameters=parameters)
+        assert reply["results"] == []
+        assert [failure["code"] for failure in reply["failures"]] == \
+            ["bad_request", "bad_request"]
+
+    def test_suite_reports_a_bad_trace_per_unit(self, serve, trace_files,
+                                                tmp_path):
+        handle = serve()
+        missing = str(tmp_path / "missing.sbbt")
+        with MbpClient(socket_path=handle.socket_path) as client:
+            reply = client.suite([trace_files[0], missing], "bimodal")
+        assert [entry["trace"] for entry in reply["results"]] == \
+            [trace_files[0]]
+        (failure,) = reply["failures"]
+        assert failure["trace"] == missing
+        assert failure["code"] == "bad_trace"
 
     def test_timeout_reply_then_retry_hits_cache(self, serve, trace_files):
         # 20ms covers a cache hit but never a fresh ~30k-branch scalar
@@ -463,7 +544,7 @@ class TestShutdown:
 
     def test_engine_round_trip_matches_thread_backend(self, serve,
                                                       trace_files, tmp_path):
-        """workers=1 (engine) and workers=0 (threads) serve identical
+        """workers=1 (engine) and workers=0 (inline) serve identical
         result JSON, wall clock aside."""
         thread_handle = serve()
         engine_handle = serve(

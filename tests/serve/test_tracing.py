@@ -64,25 +64,24 @@ class TestRequestSpans:
         assert request.parent_id is None
         assert request.attributes["op"] == "simulate"
         (queue,) = spans["serve_queue"]
-        (unit,) = spans["serve_unit"]
         assert queue.parent_id == request.span_id
-        assert unit.parent_id == request.span_id
-        (lookup,) = spans["serve_cache_lookup"]
-        (compute,) = spans["serve_compute"]
-        assert lookup.parent_id == unit.span_id
-        assert compute.parent_id == unit.span_id
+        # The request ran as one plan through execute_plan.
+        (plan,) = spans["execute_plan"]
+        assert plan.parent_id == request.span_id
+        assert plan.attributes["units"] == 1
+        (lookup,) = spans["cache_lookup"]
+        assert lookup.parent_id == plan.span_id
+        assert lookup.attributes["cache_miss"] == 1
+        (sim,) = spans["simulate"]
+        assert sim.parent_id == plan.span_id
+        # workers=0 runs the plan inline: one unit span per simulation.
+        (unit,) = spans["unit"]
+        assert unit.parent_id == sim.span_id
+        assert unit.attributes["unit"] == trace_files[0]
         (reply_span,) = spans["serve_reply"]
         assert reply_span.parent_id == request.span_id
-        # The thread backend records the actual simulation under the
-        # dispatch span.
-        (dispatch,) = spans["serve_dispatch"]
-        assert dispatch.parent_id == compute.span_id
-        (sim,) = spans["simulate"]
-        assert sim.parent_id == dispatch.span_id
-        assert sim.attributes["backend"] == "thread"
         # One trace id covers the whole request.
-        all_spans = [request, queue, unit, lookup, compute, dispatch,
-                     sim, reply_span]
+        all_spans = [request, queue, plan, lookup, sim, unit, reply_span]
         assert len({s.trace_id for s in all_spans}) == 1
 
     def test_client_trace_id_adopted_and_echoed(self, serve, trace_files,
@@ -140,33 +139,27 @@ class TestCoalescedLinkage:
         assert all(reply["ok"] for reply in replies)
         handle.stop()
         spans = _by_name(_load(tmp_path))
-        units = spans["serve_unit"]
-        assert len(units) == 4
-        # Exactly one request actually simulated; late arrivals may be
+        plans = {p.span_id: p for p in spans["execute_plan"]}
+        assert len(plans) == 4
+        # Exactly one plan actually simulated; late arrivals may be
         # answered by the cache, but racing ones coalesce.
-        fresh = [c for c in spans["serve_compute"]
-                 if c.attributes.get("from_cache") is False]
-        assert len(fresh) == 1
-        (compute,) = fresh
-        leaders = [u for u in units
-                   if u.span_id == compute.parent_id]
-        assert len(leaders) == 1
-        assert compute.trace_id == leaders[0].trace_id
-        followers = [u for u in units if u.attributes.get("coalesced")]
+        (sim,) = spans["simulate"]
+        assert sim.parent_id in plans
+        followers = spans.get("coalesced", [])
         # The medium trace simulates slowly enough that the pipelined
         # requests overlap the leader's computation.
         assert followers
-        # Followers carry a link to the span (and trace) of the
-        # computation they piggybacked on, so the shared work is
-        # findable from any request's trace.  (A late request may lead
-        # a fresh cache-hit compute that others coalesce onto, so the
-        # link targets *a* compute span, not necessarily the fresh one.)
-        computes = {c.span_id: c for c in spans["serve_compute"]}
+        # A follower's coalesced span sits in its own request's plan and
+        # links to the execute_plan span (and trace) of the plan whose
+        # claim it waited on, so the shared work is findable from any
+        # request's trace.  (A late plan may claim a cache hit that
+        # others coalesce onto, so the link targets *a* plan, not
+        # necessarily the one that simulated.)
         for follower in followers:
-            leader_span = follower.attributes["leader_span"]
-            assert leader_span in computes
-            assert follower.attributes["leader_trace"] \
-                == computes[leader_span].trace_id
+            own = plans[follower.parent_id]
+            assert own.trace_id == follower.trace_id
+            leader = plans[follower.attributes["leader_span"]]
+            assert follower.attributes["leader_trace"] == leader.trace_id
             assert follower.attributes["leader_trace"] \
                 != follower.trace_id
 
