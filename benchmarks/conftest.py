@@ -8,20 +8,27 @@ benchmark writes its rendered paper-style table both to stdout and to
 
 Alongside the human-readable tables, the harness records one
 machine-readable ``benchmarks/results/BENCH_<module>.json`` per
-benchmark module: per-test wall time (the ``call`` phase of every
-passing test) plus any metrics a test registered through the
-``bench_metrics`` fixture — when a test records an ``instructions``
-count, the derived ``instructions_per_second`` throughput is stamped in
-as well.  CI uploads these files so throughput regressions are
-diffable across runs without scraping the text tables.
+benchmark module: an ``env`` block (cores, Python, numpy), then per
+test the wall time of the ``call`` phase of every passing test, the
+``setup_time_s`` of its fixtures (a report test whose work runs in a
+fixture spends it there; a module- or session-scoped fixture is
+charged to the first test that uses it) plus any metrics a test
+registered through the ``bench_metrics`` fixture — when a test records
+an ``instructions`` count, the derived ``instructions_per_second``
+throughput is stamped in as well.  CI uploads these files so
+throughput regressions are diffable across runs without scraping the
+text tables.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.baselines.champsim import (
@@ -38,8 +45,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Layout version of the ``BENCH_<module>.json`` artifacts.
 BENCH_SCHEMA = 1
 
-# nodeid -> wall time of the passed ``call`` phase / extra metrics.
+# nodeid -> wall time of the ``call`` / ``setup`` phase, extra metrics.
 _bench_times: dict[str, float] = {}
+_bench_setup: dict[str, float] = {}
 _bench_extra: dict[str, dict[str, float]] = {}
 
 
@@ -55,7 +63,9 @@ def bench_metrics(request):
 
 
 def pytest_runtest_logreport(report):
-    if report.when == "call" and report.passed:
+    if report.when == "setup":
+        _bench_setup[report.nodeid] = report.duration
+    elif report.when == "call" and report.passed:
         _bench_times[report.nodeid] = report.duration
 
 
@@ -72,6 +82,7 @@ def pytest_sessionfinish(session):
         entry: dict = {
             "test": nodeid.split("::", 1)[1],
             "wall_time_s": wall_time,
+            "setup_time_s": _bench_setup.get(nodeid, 0.0),
         }
         extra = _bench_extra.get(nodeid)
         if extra:
@@ -80,12 +91,15 @@ def pytest_sessionfinish(session):
             if instructions and wall_time > 0:
                 entry["instructions_per_second"] = instructions / wall_time
         by_module[_bench_module(nodeid)].append(entry)
+    env = {"cores": os.cpu_count(), "python": platform.python_version(),
+           "numpy": np.__version__}
     RESULTS_DIR.mkdir(exist_ok=True)
     for module, tests in by_module.items():
         document = {
             "schema": BENCH_SCHEMA,
             "kind": "repro-bench",
             "module": module,
+            "env": env,
             "tests": tests,
         }
         path = RESULTS_DIR / f"BENCH_{module}.json"

@@ -33,6 +33,7 @@ from repro.analysis.sweep import sweep_parameter
 from repro.predictors import Bimodal, GShare
 from repro.sbbt.writer import write_trace
 from repro.telemetry.instrumentation import PhaseTimers
+from repro.tracing import SpanRecorder
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
 
@@ -80,12 +81,12 @@ def _best_of_sweep(factory, parameter, values, path, fixed):
     sides equally; every round asserts the batched points are identical
     to the per-unit ones before its timing is kept.
     """
-    timers = PhaseTimers()
+    recorder = SpanRecorder()
 
-    def run(batch, instrumentation=None):
+    def run(batch, tracer=None):
         return sweep_parameter(factory, parameter, values, [path],
                                fixed=fixed, sim_engine="vectorized",
-                               batch=batch, instrumentation=instrumentation)
+                               batch=batch, tracer=tracer)
 
     run("off")  # warm the page cache and the numpy code paths
     run("auto")
@@ -94,11 +95,12 @@ def _best_of_sweep(factory, parameter, values, path, fixed):
         off, wall, cpu = _timed(lambda: run("off"))
         off_wall.append(wall)
         off_cpu.append(cpu)
-        auto, wall, cpu = _timed(lambda: run("auto", timers))
+        auto, wall, cpu = _timed(lambda: run("auto", recorder))
         auto_wall.append(wall)
         auto_cpu.append(cpu)
         assert ([p.mean_mpki for p in auto.points]
                 == [p.mean_mpki for p in off.points])
+    timers = PhaseTimers.from_spans(recorder.spans)
     return {
         "off_s": min(off_wall),
         "auto_s": min(auto_wall),

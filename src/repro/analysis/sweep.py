@@ -105,7 +105,6 @@ def evaluate_param_sets(factory: Callable[..., Predictor],
                         batch: str | bool = "auto",
                         sim_engine: str = "scalar",
                         on_error: str = "raise",
-                        instrumentation: Any = None,
                         tracer: Any = None,
                         trace_parent: Any = None,
                         ) -> list[BatchResult]:
@@ -143,8 +142,7 @@ def evaluate_param_sets(factory: Callable[..., Predictor],
          for tag, parameters in enumerate(param_sets)],
         traces, config, sim_engine=sim_engine)
     outcomes = execute_plan(plan, engine=engine, cache=cache, chunk=chunk,
-                            batch=batch, instrumentation=instrumentation,
-                            tracer=tracer, trace_parent=trace_parent)
+                            batch=batch, tracer=tracer, trace_parent=trace_parent)
     grouped = plan.group_outcomes(outcomes)
     batches: list[BatchResult] = []
     for tag in range(len(param_sets)):
@@ -171,7 +169,6 @@ def _evaluate_points(factory: Callable[..., Predictor],
                      batch: str | bool = "auto",
                      sim_engine: str = "scalar",
                      on_error: str = "raise",
-                     instrumentation: Any = None,
                      tracer: Any = None,
                      trace_parent: Any = None) -> list[SweepPoint]:
     """Lower a whole sweep into one plan; one :class:`SweepPoint` per
@@ -180,7 +177,6 @@ def _evaluate_points(factory: Callable[..., Predictor],
                                   cache=cache, engine=engine, chunk=chunk,
                                   batch=batch, sim_engine=sim_engine,
                                   on_error=on_error,
-                                  instrumentation=instrumentation,
                                   tracer=tracer, trace_parent=trace_parent)
     return [
         SweepPoint(
@@ -207,7 +203,6 @@ def sweep_parameter(factory: Callable[..., Predictor], parameter: str,
                     batch: str | bool = "auto",
                     sim_engine: str = "scalar",
                     on_error: str = "raise",
-                    instrumentation: Any = None,
                     tracer: Any = None,
                     trace_parent: Any = None) -> SweepResult:
     """Sweep one constructor parameter of a predictor over a trace set.
@@ -243,7 +238,6 @@ ExecutionEngine` (one worker pool, one shared-memory trace shipment and
                                   cache, scoped, chunk,
                                   batch=batch, sim_engine=sim_engine,
                                   on_error=on_error,
-                                  instrumentation=instrumentation,
                                   tracer=tracer, trace_parent=trace_parent)
     return SweepResult(points=points)
 
@@ -259,7 +253,6 @@ def sweep_grid(factory: Callable[..., Predictor],
                batch: str | bool = "auto",
                sim_engine: str = "scalar",
                on_error: str = "raise",
-               instrumentation: Any = None,
                tracer: Any = None,
                trace_parent: Any = None) -> SweepResult:
     """Full-factorial sweep over a small parameter grid.
@@ -283,6 +276,5 @@ def sweep_grid(factory: Callable[..., Predictor],
                                   cache, scoped, chunk,
                                   batch=batch, sim_engine=sim_engine,
                                   on_error=on_error,
-                                  instrumentation=instrumentation,
                                   tracer=tracer, trace_parent=trace_parent)
     return SweepResult(points=points)

@@ -737,14 +737,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from .analysis.sweep import sweep_parameter
     from .telemetry import PhaseTimers
+    from .tracing import SpanRecorder
 
     config = SimulationConfig(warmup_instructions=args.warmup)
     factory = PREDICTOR_CHOICES[args.predictor]
     values = _parse_values(args.values)
     fixed = _parse_fixed(args.fixed)
     engine = _make_engine(args, len(values) * len(args.traces))
-    timers = PhaseTimers()
     with _tracing(args, "sweep") as (tracer, root_context):
+        # The footer's batch_groups is folded from the sweep's spans.
+        recorder = tracer if tracer.enabled else SpanRecorder()
         with engine if engine is not None else nullcontext():
             sweep = sweep_parameter(factory, args.parameter, values,
                                     args.traces, config, fixed,
@@ -754,9 +756,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                     batch=args.batch,
                                     sim_engine=args.engine,
                                     on_error="collect",
-                                    instrumentation=timers,
-                                    tracer=tracer, trace_parent=root_context)
+                                    tracer=recorder,
+                                    trace_parent=root_context)
             _emit_engine_stats(args, engine)
+        timers = PhaseTimers.from_spans(recorder.spans)
     scored = [p for p in sweep.points if not math.isnan(p.mean_mpki)]
     failed = [p for p in sweep.points if math.isnan(p.mean_mpki)]
     best = sweep.best() if scored else None

@@ -23,11 +23,11 @@ Two robustness/scale features beyond the paper:
   carrying the partial results; ``on_error="collect"`` returns them in
   :attr:`BatchResult.failures` instead.
 
-Observability: ``instrumentation=`` accepts :mod:`repro.telemetry`
-phase timers, which then report where a suite's wall-clock went
-(cache lookups vs. simulation) and how many traces hit the cache; a
-finished :class:`BatchResult` can be turned into a provenance document
-with :func:`repro.telemetry.suite_manifest`.
+Observability: ``tracer=`` records where a suite's wall-clock went
+(cache lookups vs. simulation) and how many traces hit the cache as
+spans, which :meth:`repro.telemetry.PhaseTimers.from_spans` folds into
+phases and counters; a finished :class:`BatchResult` can be turned into
+a provenance document with :func:`repro.telemetry.suite_manifest`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .simulator import SimulationConfig, simulate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..cache import SimulationCache
-    from ..telemetry.instrumentation import Instrumentation
     from .engine import ExecutionEngine
 
 __all__ = [
@@ -261,7 +260,6 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
               engine: "ExecutionEngine | None" = None,
               cache: CacheLike = None,
               on_error: str = "raise",
-              instrumentation: "Instrumentation | None" = None,
               probe: bool = False,
               sim_engine: str = "scalar",
               chunk: int | str = "auto",
@@ -303,13 +301,6 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         raise :class:`SuiteError` naming the failures and carrying the
         partial :class:`BatchResult`.  ``"collect"``: return normally
         with the failures recorded in :attr:`BatchResult.failures`.
-    instrumentation:
-        Optional :mod:`repro.telemetry` phase timers: records a
-        "cache_lookup" phase around the cache scan, a "simulate" phase
-        around the actual simulations, and "cache_hit" / "cache_miss" /
-        "trace_failure" counters.  Suite-level only — per-trace phase
-        detail would distort the Table III timing methodology when
-        workers contend for cores.
     probe:
         ``True`` attaches a fresh :class:`repro.probe.PredictionProbe`
         to every *simulated* trace (cache hits carry no probe data) and
@@ -342,7 +333,11 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
         Optional :mod:`repro.tracing` tracer (with ``trace_parent``, the
         context to nest under), forwarded to
         :func:`~repro.core.plan.execute_plan` — the suite's cache scan,
-        simulations and engine dispatch become one span tree.
+        simulations and engine dispatch become one span tree, with the
+        "cache_hit" / "cache_miss" / "trace_failure" counts as span
+        attributes.  Suite-level only — per-trace phase detail would
+        distort the Table III timing methodology when workers contend
+        for cores.
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f"on_error must be 'raise' or 'collect', got {on_error!r}")
@@ -355,7 +350,7 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
     plan = WorkPlan.for_suite(factory, traces, config, names=names,
                               probe=probe, sim_engine=sim_engine)
     outcomes = execute_plan(plan, workers=workers, engine=engine,
-                            cache=cache, instrumentation=instrumentation,
+                            cache=cache,
                             chunk=chunk, batch=batch, tracer=tracer,
                             trace_parent=trace_parent)
 

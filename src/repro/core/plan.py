@@ -49,7 +49,6 @@ from .simulator import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import InflightClaim
-    from ..telemetry.instrumentation import Instrumentation
     from .batch import CacheLike, TraceFailure
     from .engine import ExecutionEngine
 
@@ -265,7 +264,6 @@ def execute_plan(plan: WorkPlan, *,
                  workers: int = 1,
                  engine: "ExecutionEngine | None" = None,
                  cache: "CacheLike" = None,
-                 instrumentation: "Instrumentation | None" = None,
                  chunk: int | str = "auto",
                  batch: str | bool = "auto",
                  tracer: "Any" = None,
@@ -296,10 +294,6 @@ def execute_plan(plan: WorkPlan, *,
     backend here and is forwarded to the engine backend (whose workers
     batch within each chunk).  ``batch="off"`` forces the per-unit path
     everywhere.
-    ``instrumentation`` gains a ``batch_eval`` phase plus
-    ``batch_groups`` / ``batch_units`` / ``context_reuse`` counters
-    when groups actually form, and the tracer emits one
-    ``batch_group`` span per group.
 
     With ``cache=`` (a :class:`repro.cache.SimulationCache` or directory
     path) cached units are answered without simulating and fresh results
@@ -324,22 +318,21 @@ def execute_plan(plan: WorkPlan, *,
     follower whose leader released without a result claims the key
     again and computes it itself.
 
-    ``instrumentation`` receives the suite-level phases and counters the
-    batch layer has always reported: a ``cache_lookup`` phase with
-    ``cache_hit`` / ``cache_miss`` counts, a ``simulate`` phase, and a
-    ``trace_failure`` count — plus a ``coalesced`` count of followers
-    and whatever the engine backend records.
-
     ``tracer`` (a :mod:`repro.tracing` object; the default is the
-    zero-overhead null tracer) receives the same structure as spans: an
-    ``execute_plan`` root (nested under ``trace_parent`` when given), a
-    ``cache_lookup`` child carrying the hit/miss counts as attributes,
-    and a ``simulate`` child under which the inline backend emits one
-    ``unit`` span per simulation and the engine backend emits its
+    zero-overhead null tracer) is the call's one record of what it did:
+    an ``execute_plan`` root (nested under ``trace_parent`` when given)
+    carrying ``coalesced`` / ``trace_failure`` counts, a
+    ``cache_lookup`` child carrying ``cache_hit`` / ``cache_miss``, and
+    a ``simulate`` child.  Under ``simulate`` the inline backend emits a
+    ``batch_eval`` span carrying ``batch_groups`` / ``batch_units`` /
+    ``context_reuse`` with one ``batch_group`` span per group, and one
+    ``unit`` span per loose simulation; the engine backend emits its
     dispatch/worker span tree (contexts cross the process boundary on
     the chunk payloads).  Each follower records a ``coalesced`` span
     whose ``leader_span`` / ``leader_trace`` attributes name the
-    ``execute_plan`` span of the call that did the work.
+    ``execute_plan`` span of the call that did the work.  Callers that
+    need the numbers trace into a :class:`~repro.tracing.SpanRecorder`
+    and fold it with :meth:`repro.telemetry.PhaseTimers.from_spans`.
     """
     from .batch import TraceFailure, _resolve_cache, _run_one
 
@@ -347,7 +340,6 @@ def execute_plan(plan: WorkPlan, *,
     use_batch = normalize_batch(batch)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    instr = instrumentation
     trc = tracer if tracer is not None else NULL_TRACER
     store = _resolve_cache(cache)
 
@@ -399,7 +391,6 @@ def execute_plan(plan: WorkPlan, *,
         """Key, claim and read every unit of ``todo``: hits fill their
         slots, claimed misses go to ``pending`` (released by the
         caller), keys claimed elsewhere go to ``waiting``."""
-        lookup_start = time.perf_counter() if instr is not None else 0.0
         hits = 0
         with trc.span("cache_lookup", parent=parent) as lookup_span:
             for i in todo:
@@ -430,16 +421,10 @@ def execute_plan(plan: WorkPlan, *,
                     slots[i] = hit
                     store.release(key, hit)
                     hits += 1
-            if instr is not None or trc.enabled:
-                lookup_span.set_attribute("cache_hit", hits)
-                lookup_span.set_attribute("cache_miss", len(pending))
-                if waiting:
-                    lookup_span.set_attribute("waiting", len(waiting))
-                if instr is not None:
-                    instr.add_phase("cache_lookup",
-                                    time.perf_counter() - lookup_start)
-                    instr.count("cache_hit", hits)
-                    instr.count("cache_miss", len(pending))
+            lookup_span.set_attribute("cache_hit", hits)
+            lookup_span.set_attribute("cache_miss", len(pending))
+            if waiting:
+                lookup_span.set_attribute("waiting", len(waiting))
 
     def _simulate(pending: list[int], parent: Any) -> None:
         with trc.span("simulate", parent=parent,
@@ -450,27 +435,25 @@ def execute_plan(plan: WorkPlan, *,
                 with engine_scope(engine, workers) as scoped:
                     for position, outcome in scoped.run_plan(
                             plan.subset(pending), chunk=chunk, batch=batch,
-                            instrumentation=instr, tracer=trc,
-                            trace_parent=sim.context):
+                            tracer=trc, trace_parent=sim.context):
                         slots[pending[position]] = outcome
                 return
             groups, loose = (_batch_groups(plan, pending)
                              if use_batch else ([], list(pending)))
             if groups:
-                batch_start = time.perf_counter() if instr is not None \
-                    else 0.0
-                context_reuse = 0
-                for members in groups:
-                    context_reuse += _run_group_inline(
-                        plan, members, slots, _take_prebuilt, trc,
-                        sim.context)
-                if instr is not None:
-                    instr.add_phase("batch_eval",
-                                    time.perf_counter() - batch_start)
-                    instr.count("batch_groups", len(groups))
-                    instr.count("batch_units", sum(len(m) for m in groups))
+                with trc.span("batch_eval", parent=sim.context,
+                              attributes={
+                                  "batch_groups": len(groups),
+                                  "batch_units": sum(map(len, groups)),
+                              }) as batch_span:
+                    context_reuse = sum(
+                        _run_group_inline(plan, members, slots,
+                                          _take_prebuilt, trc,
+                                          batch_span.context)
+                        for members in groups)
                     if context_reuse:
-                        instr.count("context_reuse", context_reuse)
+                        batch_span.set_attribute("context_reuse",
+                                                 context_reuse)
             for i in loose:
                 unit = plan[i]
                 with trc.span("unit", parent=sim.context,
@@ -488,7 +471,6 @@ def execute_plan(plan: WorkPlan, *,
         """Fill follower slots from their leaders' outcomes; return the
         units whose leader had nothing to share (they go round again)."""
         again: list[int] = []
-        joined = 0
         for i, claim in waiting:
             wall = time.time()
             start = time.perf_counter()
@@ -498,7 +480,6 @@ def execute_plan(plan: WorkPlan, *,
                 continue
             unit = plan[i]
             slots[i] = replace(outcome, trace_name=unit.name, coalesced=True)
-            joined += 1
             if trc.enabled:
                 attributes = {"unit": unit.name}
                 if claim.leader is not None:
@@ -507,8 +488,6 @@ def execute_plan(plan: WorkPlan, *,
                 trc.add_span("coalesced", time.perf_counter() - start,
                              parent=parent, start=wall,
                              attributes=attributes)
-        if joined and instr is not None:
-            instr.count("coalesced", joined)
         return again
 
     with trc.span("execute_plan", parent=trace_parent,
@@ -523,8 +502,6 @@ def execute_plan(plan: WorkPlan, *,
                     pending = todo
                 else:
                     _scan(todo, pending, waiting, plan_span.context)
-                simulate_start = (time.perf_counter()
-                                  if instr is not None else 0.0)
                 if pending:
                     _simulate(pending, plan_span.context)
                     if store is not None:
@@ -532,9 +509,6 @@ def execute_plan(plan: WorkPlan, *,
                             outcome = slots[i]
                             if isinstance(outcome, SimulationResult):
                                 store.put(keys[i], outcome)
-                if instr is not None:
-                    instr.add_phase("simulate",
-                                    time.perf_counter() - simulate_start)
             finally:
                 if store is not None:
                     for i in pending:
@@ -543,13 +517,15 @@ def execute_plan(plan: WorkPlan, *,
                             outcome, SimulationResult) else None)
             # Followers wait only now, holding no claims of their own.
             todo = _join(waiting, plan_span.context) if waiting else []
-        if instr is not None or trc.enabled:
+        if trc.enabled:
+            coalesced = sum(1 for s in slots if isinstance(
+                s, SimulationResult) and s.coalesced)
             failed = sum(1 for s in slots
                          if not isinstance(s, SimulationResult))
+            if coalesced:
+                plan_span.set_attribute("coalesced", coalesced)
             if failed:
                 plan_span.set_attribute("trace_failure", failed)
-                if instr is not None:
-                    instr.count("trace_failure", failed)
     return list(slots)
 
 
@@ -557,7 +533,7 @@ def _run_group_inline(plan: WorkPlan, members: Sequence[int],
                       slots: list[Outcome | None],
                       take_prebuilt: Callable[[PredictorFactory],
                                               Predictor | None],
-                      trc: Any, sim_context: Any) -> int:
+                      trc: Any, parent: Any) -> int:
     """Run one batch group inline; fill ``slots`` for every member.
 
     The trace is resolved once; a resolve failure becomes a
@@ -570,7 +546,7 @@ def _run_group_inline(plan: WorkPlan, members: Sequence[int],
     from .vectorized import run_unit_group
 
     first = plan[members[0]]
-    with trc.span("batch_group", parent=sim_context,
+    with trc.span("batch_group", parent=parent,
                   attributes={"units": len(members),
                               "trace": first.name}) as group_span:
         try:

@@ -31,9 +31,26 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-__all__ = ["Instrumentation", "NULL_INSTRUMENTATION", "PhaseTimers"]
+__all__ = ["FUNNEL_SPANS", "Instrumentation", "NULL_INSTRUMENTATION",
+           "PhaseTimers"]
+
+#: The plan funnel's own spans (:func:`repro.core.plan.execute_plan`
+#: and :meth:`repro.core.engine.ExecutionEngine.run_plan`), each with
+#: the integer attributes it carries as counters.
+#: :meth:`PhaseTimers.from_spans` folds the durations of these spans
+#: into phases of the same name and these attributes into counters.
+FUNNEL_SPANS: dict[str, tuple[str, ...]] = {
+    "execute_plan": ("coalesced", "trace_failure"),
+    "cache_lookup": ("cache_hit", "cache_miss"),
+    "simulate": (),
+    "batch_eval": ("batch_groups", "batch_units", "context_reuse"),
+    "engine_dispatch": ("task_dispatch", "task_chunk", "chunk_size",
+                        "batch_groups", "batch_units", "context_reuse",
+                        "trace_ship", "trace_attach", "trace_reuse"),
+    "chunk_dispatch": (),
+}
 
 
 class _NullPhase:
@@ -117,9 +134,8 @@ class PhaseTimers(Instrumentation):
     ``clock`` is injectable for deterministic tests and defaults to the
     monotonic ``time.perf_counter``.
 
-    Thread-safe: the serve daemon's workers=0 thread backend (and the
-    engine's future callbacks) bump one shared instance from several
-    threads at once, and a read-modify-write on a plain dict drops
+    Thread-safe: the serve daemon's plan threads tally into one shared
+    instance at once, and a read-modify-write on a plain dict drops
     updates under that race — so every accumulate and every snapshot
     holds an internal lock.
 
@@ -140,6 +156,29 @@ class PhaseTimers(Instrumentation):
         self.phases: dict[str, float] = {}
         #: Event counts per counter name.
         self.counters: dict[str, int] = {}
+
+    @classmethod
+    def from_spans(cls, spans: Iterable[Any]) -> "PhaseTimers":
+        """Fold recorded :class:`~repro.tracing.Span` objects into timers.
+
+        Every span named in :data:`FUNNEL_SPANS` adds its duration to
+        the phase of its name and its listed integer attributes to the
+        counters (an attribute recorded as 0 still creates its counter).
+        Worker-side spans under a ``unit`` span are unit detail, not
+        funnel phases, even where they share a name (``simulate``).
+        """
+        spans = list(spans)
+        units = {span.span_id for span in spans if span.name == "unit"}
+        timers = cls()
+        for span in spans:
+            counters = FUNNEL_SPANS.get(span.name)
+            if counters is None or span.parent_id in units:
+                continue
+            timers.add_phase(span.name, span.duration)
+            for name in counters:
+                if name in span.attributes:
+                    timers.count(name, int(span.attributes[name]))
+        return timers
 
     def phase(self, name: str) -> _TimedPhase:
         """Context manager adding its elapsed time to phase ``name``."""

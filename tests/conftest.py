@@ -17,9 +17,21 @@ from repro.core.branch import (
     OPCODE_JUMP,
     OPCODE_RET,
 )
+from repro.core.plan import execute_plan
 from repro.sbbt.trace import TraceData
+from repro.telemetry import PhaseTimers
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
+
+
+def execute_folded(plan, **kwargs):
+    """Run :func:`execute_plan` traced into a fresh recorder; return the
+    outcomes and the phases/counters folded from its spans."""
+    from repro.tracing import SpanRecorder
+
+    recorder = SpanRecorder()
+    outcomes = execute_plan(plan, tracer=recorder, **kwargs)
+    return outcomes, PhaseTimers.from_spans(recorder.spans)
 
 
 def make_branch(ip: int = 0x40_0000, target: int = 0x40_0100,

@@ -9,6 +9,7 @@ path.
 import dataclasses
 import functools
 import json
+import sys
 import threading
 from collections import Counter
 
@@ -28,6 +29,8 @@ from repro.sbbt.writer import write_trace
 from repro.telemetry import PhaseTimers
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
+from repro.tracing import SpanRecorder
+from tests.conftest import execute_folded
 
 
 def bimodal_factory():
@@ -182,12 +185,10 @@ class TestExecutePlan:
     def test_cache_round_trip(self, traces, tmp_path):
         cache = SimulationCache(tmp_path / "cache")
         plan = WorkPlan.for_suite(bimodal_factory, traces)
-        timers = PhaseTimers()
-        first = execute_plan(plan, cache=cache, instrumentation=timers)
+        first, timers = execute_folded(plan, cache=cache)
         assert timers.counters["cache_miss"] == len(traces)
         assert "cache_lookup" in timers.phases
-        warm = PhaseTimers()
-        second = execute_plan(plan, cache=cache, instrumentation=warm)
+        second, warm = execute_folded(plan, cache=cache)
         assert warm.counters["cache_hit"] == len(traces)
         assert warm.counters.get("cache_miss", 0) == 0
         assert [_comparable(o) for o in second] == \
@@ -195,10 +196,8 @@ class TestExecutePlan:
 
     def test_chunk_telemetry_counters(self, traces):
         plan = WorkPlan.for_suite(bimodal_factory, traces)
-        timers = PhaseTimers()
         with ExecutionEngine(workers=2) as engine:
-            execute_plan(plan, engine=engine, chunk=2,
-                         instrumentation=timers)
+            _, timers = execute_folded(plan, engine=engine, chunk=2)
         assert timers.counters["task_chunk"] == 2
         assert timers.counters["chunk_size"] == len(traces)
         assert "chunk_dispatch" in timers.phases
@@ -272,9 +271,7 @@ class TestCoalescing:
         plan = WorkPlan.for_suite(bimodal_factory,
                                   [traces[0], traces[0], traces[1]])
         cache = SimulationCache(tmp_path / "cache")
-        timers = PhaseTimers()
-        first, copy, other = execute_plan(plan, cache=cache,
-                                          instrumentation=timers)
+        (first, copy, other), timers = execute_folded(plan, cache=cache)
         assert cache.stores == 2
         assert timers.counters["cache_miss"] == 2
         assert timers.counters["coalesced"] == 1
@@ -353,9 +350,7 @@ class TestCoalescing:
         counts: list[dict] = [{} for _ in plans]
 
         def run(k):
-            timers = PhaseTimers()
-            results[k] = execute_plan(plans[k], cache=cache,
-                                      instrumentation=timers)
+            results[k], timers = execute_folded(plans[k], cache=cache)
             counts[k] = timers.counters
 
         interval = sys.getswitchinterval()
@@ -422,6 +417,80 @@ def _record_keys(monkeypatch, cache):
 
     monkeypatch.setattr(cache, "get", get)
     return keys
+
+
+class TestEventStreamAccounting:
+    """Every number comes from the plan's own spans, folded per call."""
+
+    def test_concurrent_plans_count_only_their_own_chunks(self, traces):
+        suite = (traces + traces)[:6]
+        plans = [WorkPlan.for_suite(bimodal_factory, suite)
+                 for _ in range(4)]
+        folded: list[PhaseTimers | None] = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+        with ExecutionEngine(workers=2) as engine:
+            chunks_before = engine.stats.chunks_dispatched
+
+            def run(k):
+                recorder = SpanRecorder()
+                start.wait()
+                execute_plan(plans[k], engine=engine, chunk=1,
+                             batch="off", tracer=recorder)
+                folded[k] = PhaseTimers.from_spans(recorder.spans)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=run, args=(k,))
+                           for k in range(len(plans))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            growth = engine.stats.chunks_dispatched - chunks_before
+        for timers in folded:
+            assert timers.counters["task_chunk"] == 6
+            assert timers.counters["task_dispatch"] == 6
+        assert sum(t.counters["task_chunk"] for t in folded) == growth
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("backend", ["inline", "engine"])
+    def test_every_unit_is_counted_once(self, traces, tmp_path, backend,
+                                        warm):
+        bad = functools.partial(GShare, history_length=-3)
+        plan = WorkPlan(units=tuple(
+            WorkUnit(factory=factory, trace=trace, name=f"u{i}",
+                     config=SimulationConfig())
+            for i, (factory, trace) in enumerate([
+                (gshare_factory, traces[0]),
+                (bimodal_factory, traces[1]),
+                (gshare_factory, traces[0]),  # duplicate of u0
+                (bad, traces[0]),
+                (bimodal_factory, tmp_path / "missing.sbbt"),
+            ])))
+        cache = SimulationCache(tmp_path / "cache")
+        with ExecutionEngine(workers=2) as engine:
+            run_engine = engine if backend == "engine" else None
+            if warm:
+                execute_plan(plan, cache=cache, engine=run_engine)
+            outcomes, timers = execute_folded(plan, cache=cache,
+                                              engine=run_engine)
+        counters = timers.counters
+        results = [o for o in outcomes if isinstance(o, SimulationResult)]
+        computed = [r for r in results
+                    if not r.from_cache and not r.coalesced]
+        hits = counters.get("cache_hit", 0)
+        coalesced = counters.get("coalesced", 0)
+        failed = counters.get("trace_failure", 0)
+        assert hits == sum(r.from_cache for r in results)
+        assert coalesced == sum(r.coalesced for r in results)
+        assert failed == len(outcomes) - len(results) == 2
+        assert hits + coalesced + failed + len(computed) == len(plan)
+        assert (hits, coalesced, len(computed)) == \
+            ((3, 0, 0) if warm else (0, 1, 2))
 
 
 class TestDigestOncePerPlan:
@@ -491,9 +560,7 @@ class TestDigestOncePerPlan:
         cache = SimulationCache(tmp_path / "cache")
         for pass_name in ("cold", "warm"):
             digest_calls.clear()
-            timers = PhaseTimers()
-            outcomes = execute_plan(plan, cache=cache, batch=batch,
-                                    instrumentation=timers)
+            outcomes, timers = execute_folded(plan, cache=cache, batch=batch)
             counters = timers.counters
             assert (counters.get("cache_hit", 0)
                     + counters.get("cache_miss", 0)

@@ -41,6 +41,7 @@ from repro.telemetry import (
     write_telemetry,
 )
 from repro.telemetry.interval import CSV_COLUMNS
+from repro.tracing import SpanRecorder
 
 
 class RaisingSink:
@@ -308,25 +309,27 @@ class TestManifest:
 class TestSuiteTelemetry:
     def test_run_suite_instrumentation_with_cache(self, small_trace,
                                                   server_trace, tmp_path):
-        timers = PhaseTimers()
+        recorder = SpanRecorder()
         traces = [small_trace, server_trace]
         cache = SimulationCache(tmp_path / "cache")
-        batch = run_suite(Bimodal, traces, cache=cache,
-                          instrumentation=timers)
+        batch = run_suite(Bimodal, traces, cache=cache, tracer=recorder)
+        timers = PhaseTimers.from_spans(recorder.spans)
         assert timers.counters == {"cache_hit": 0, "cache_miss": 2}
         assert "cache_lookup" in timers.phases
         assert "simulate" in timers.phases
-        rerun_timers = PhaseTimers()
+        rerun_recorder = SpanRecorder()
         rerun = run_suite(Bimodal, traces, cache=cache,
-                          instrumentation=rerun_timers)
+                          tracer=rerun_recorder)
+        rerun_timers = PhaseTimers.from_spans(rerun_recorder.spans)
         assert rerun_timers.counters == {"cache_hit": 2, "cache_miss": 0}
         assert rerun.cache_hits == 2
         assert batch.total_mispredictions == rerun.total_mispredictions
 
     def test_run_suite_counts_failures(self, small_trace, tmp_path):
-        timers = PhaseTimers()
+        recorder = SpanRecorder()
         batch = run_suite(Bimodal, [small_trace, tmp_path / "missing.sbbt"],
-                          on_error="collect", instrumentation=timers)
+                          on_error="collect", tracer=recorder)
+        timers = PhaseTimers.from_spans(recorder.spans)
         assert timers.counters.get("trace_failure") == 1
         assert len(batch.failures) == 1
 
