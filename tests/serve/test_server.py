@@ -327,6 +327,47 @@ class TestCoalescing:
         assert stats["server"]["workers"] == 0
 
 
+class TestSpanLog:
+    def test_blocked_plan_has_its_lookup_span_on_disk(
+            self, serve, trace_files, tmp_path, monkeypatch):
+        """Spans reach the daemon's log as they close, not when the
+        plan returns: a plan stuck in its simulation has already
+        written its ``cache_lookup`` span."""
+        from repro.core import batch as core_batch
+        from repro.tracing import read_spans
+
+        entered, release = threading.Event(), threading.Event()
+        run_one = core_batch._run_one
+
+        def blocking(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return run_one(*args, **kwargs)
+
+        monkeypatch.setattr(core_batch, "_run_one", blocking)
+        handle = serve(trace_dir=str(tmp_path / "spans"))
+        replies = []
+
+        def request():
+            with MbpClient(socket_path=handle.socket_path) as client:
+                replies.append(client.simulate(trace_files[0], "bimodal"))
+
+        thread = threading.Thread(target=request)
+        thread.start()
+        try:
+            assert entered.wait(timeout=30)
+            names = [span.name for span in read_spans([tmp_path / "spans"])]
+            assert "cache_lookup" in names
+            assert "execute_plan" not in names
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert replies and replies[0]["ok"]
+        handle.stop()
+        spans = read_spans([tmp_path / "spans"])
+        assert [s.name for s in spans].count("execute_plan") == 1
+
+
 # ----------------------------------------------------------------------
 # Error replies: every failure is a frame, not a dropped connection.
 # ----------------------------------------------------------------------
