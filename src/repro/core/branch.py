@@ -17,7 +17,7 @@ CALL and RET respectively; everything else is a JUMP.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["BranchType", "Opcode", "Branch"]
 
@@ -127,8 +127,7 @@ __all__ += [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Branch:
+class Branch(NamedTuple):
     """One executed branch: the unit the predictor interface consumes.
 
     This mirrors ``mbp::Branch``: the simulator hands it to
@@ -136,6 +135,19 @@ class Branch:
     predictors are free to construct synthetic ``Branch`` values (the
     generalized tournament in Listing 4 trains its chooser with a branch
     whose *outcome* encodes which sub-predictor was right).
+
+    A ``Branch`` is an immutable tuple subclass (a ``NamedTuple``), so
+    the trace reader builds one per record in C and its field getters
+    are C-level.  It behaves as the 4-tuple ``(ip, target, opcode,
+    taken)``: ``len(branch) == 4``, it unpacks as
+    ``ip, target, opcode, taken = branch``, and it equals (and hashes
+    like) the plain tuple of its fields.  Assigning a field raises
+    :class:`AttributeError`.
+
+    >>> branch = Branch(0x4000, 0x5000, OPCODE_COND_JUMP, True)
+    >>> ip, target, opcode, taken = branch
+    >>> branch == (0x4000, 0x5000, OPCODE_COND_JUMP, True), len(branch)
+    (True, 4)
 
     Attributes
     ----------

@@ -208,23 +208,24 @@ def simulate(predictor: Predictor, trace: TraceLike,
             predictor.on_warmup_end()
             if probe is not None:
                 probe.arm()
-        if branch.opcode & 1:  # conditional (opcode bit 0)
-            prediction = predict(branch.ip)
-            mispredicted = prediction != branch.taken
+        ip, _target, opcode, taken = branch
+        if opcode & 1:  # conditional (opcode bit 0)
+            prediction = predict(ip)
+            mispredicted = prediction != taken
             if instructions > warmup:
                 conditional_branches += 1
                 if mispredicted:
                     mispredictions += 1
                 if collect:
-                    cell = per_branch_get(branch.ip)
+                    cell = per_branch_get(ip)
                     if cell is None:
-                        per_branch[branch.ip] = [1, 1 if mispredicted else 0]
+                        per_branch[ip] = [1, 1 if mispredicted else 0]
                     else:
                         cell[0] += 1
                         if mispredicted:
                             cell[1] += 1
                 if probe_branch is not None:
-                    probe_branch(branch.ip, branch.taken, mispredicted)
+                    probe_branch(ip, taken, mispredicted)
             train(branch)
             track(branch)
         elif track_all:

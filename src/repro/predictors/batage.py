@@ -22,10 +22,10 @@ from typing import Any, Sequence
 from ..core.branch import Branch
 from ..core.predictor import Predictor
 from ..utils.bits import mask
-from ..utils.folded import FoldedHistory, HistoryWindow
+from ..utils.folded import FoldedHistory, push_history
 from ..utils.hashing import xor_fold
 from ..utils.lfsr import Lfsr
-from .tage import geometric_history_lengths
+from .tage import IpFolds, geometric_history_lengths
 
 __all__ = ["Batage", "dual_counter_confidence"]
 
@@ -180,7 +180,8 @@ class Batage(Predictor):
             _DualCounterTable(log_tagged_size, self.tag_widths[i], counter_max)
             for i in range(num_tables)
         ]
-        self._window = HistoryWindow(max(self.history_lengths))
+        self._history = 0  # bit i = outcome i branches ago
+        self._history_mask = mask(max(self.history_lengths))
         self._folded_index = [
             FoldedHistory(length, log_tagged_size)
             for length in self.history_lengths
@@ -193,17 +194,16 @@ class Batage(Predictor):
             FoldedHistory(length, max(1, self.tag_widths[i] - 1))
             for i, length in enumerate(self.history_lengths)
         ]
-        # Per-table lookup lanes and history registers, zipped once so
-        # the hot path iterates tuples instead of indexing five lists.
+        # Per-table lookup lanes, zipped once so the hot path iterates
+        # tuples instead of indexing five lists.
         self._index_mask = mask(log_tagged_size)
         self._lanes = tuple(zip(
             range(num_tables), [3 * t for t in range(num_tables)],
             self._tables, self._folded_index, self._folded_tag0,
-            self._folded_tag1, self.tag_widths,
-            [mask(w) for w in self.tag_widths]))
-        self._registers = tuple(zip(
-            self.history_lengths, self._folded_index, self._folded_tag0,
-            self._folded_tag1))
+            self._folded_tag1, [mask(w) for w in self.tag_widths]))
+        self._registers = (self._folded_index + self._folded_tag0
+                           + self._folded_tag1)
+        self._ip_folds = IpFolds(log_tagged_size, self.tag_widths)
         self._path = 0
         self._rng = Lfsr(width=32, seed=lfsr_seed)
         self._cat = 0  # Controlled Allocation Throttling state
@@ -221,19 +221,19 @@ class Batage(Predictor):
         return ip & self._base_mask
 
     def _lookup(self, ip: int) -> dict[str, Any]:
-        # As in TAGE, the table-independent ip/path fold is computed once
-        # per prediction; only the salt (3 * t) differs from TAGE's.
-        w = self.log_tagged_size
-        shared = (xor_fold(ip, w) ^ xor_fold(ip >> w, w)
-                  ^ xor_fold(self._path, w))
+        # As in TAGE, the table-independent path fold is computed once per
+        # prediction and the ip folds once per static branch; only the
+        # salt (3 * t) differs from TAGE's.
+        ip_index, ip_tags = self._ip_folds[ip]
+        shared = ip_index ^ xor_fold(self._path, self.log_tagged_size)
         index_mask = self._index_mask
         indices = []
         tags = []
         hits = []
-        for t, salt, table, fi, f0, f1, tag_width, tag_mask in self._lanes:
+        for (t, salt, table, fi, f0, f1, tag_mask), ip_tag in zip(
+                self._lanes, ip_tags):
             index = (shared ^ fi.value ^ salt) & index_mask
-            tag = (xor_fold(ip, tag_width) ^ f0.value
-                   ^ (f1.value << 1)) & tag_mask
+            tag = (ip_tag ^ f0.value ^ (f1.value << 1)) & tag_mask
             indices.append(index)
             tags.append(tag)
             if table.tags[index] == tag:
@@ -364,15 +364,9 @@ class Batage(Predictor):
     # ------------------------------------------------------------------
 
     def track(self, branch: Branch) -> None:
-        """Push the outcome through the window and folded registers."""
-        new_bit = branch.taken
-        window = self._window
-        for length, fi, f0, f1 in self._registers:
-            evicted = window[length - 1]
-            fi.update(new_bit, evicted)
-            f0.update(new_bit, evicted)
-            f1.update(new_bit, evicted)
-        window.push(new_bit)
+        """Push the outcome through the global history and folded registers."""
+        self._history = push_history(self._registers, self._history,
+                                     branch.taken, self._history_mask)
         self._path = ((self._path << 1) ^ (branch.ip & 0xFFFF)) & 0xFFFF
         self._cached_ip = None
 

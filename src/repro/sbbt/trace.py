@@ -11,6 +11,7 @@ and iterated without per-record parsing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -20,6 +21,13 @@ from ..core.errors import TraceValidationError
 from .packet import MAX_GAP, SbbtPacket
 
 __all__ = ["TraceData"]
+
+#: Rows per block that :meth:`TraceData.iter_branches` converts to lists.
+ITER_BLOCK_ROWS = 1 << 16
+
+# Opcodes 12-15 use the reserved base type 0b11; the rest are cached.
+_RESERVED_OPCODES = 0b1100
+_OPCODES = tuple(Opcode(value) for value in range(_RESERVED_OPCODES))
 
 
 @dataclass(slots=True)
@@ -128,22 +136,25 @@ class TraceData:
     def iter_branches(self) -> Iterator[tuple[Branch, int]]:
         """Yield ``(branch, gap)`` pairs without building a packet list.
 
-        The scalar simulator's hot loop.  Columns are converted to plain
-        Python lists in one C-level pass (``tolist``) so the per-branch
-        work is a tuple unpack and one ``Branch`` construction — the
-        Python analogue of SBBT's "stream format, no hashed metadata
-        lookups" property.
+        The scalar simulator's hot loop.  The columns are converted to
+        plain Python lists (``tolist``) one block of
+        :data:`ITER_BLOCK_ROWS` rows at a time, so the lists never hold
+        the whole trace.  Within a block, ``map`` and ``zip`` build every
+        :class:`Branch` in C (``tuple.__new__``) and pair it with its
+        gap, so no Python code runs per branch — the Python analogue of
+        SBBT's "stream format, no hashed metadata lookups" property.
         """
-        opcode_cache = [Opcode(v) if (v >> 2) != 0b11 else None for v in range(16)]
-        make = Branch
-        for ip, target, opcode_value, taken, gap in zip(
-                self.ips.tolist(), self.targets.tolist(),
-                self.opcodes.tolist(), self.taken.tolist(),
-                self.gaps.tolist()):
-            opcode = opcode_cache[opcode_value]
-            if opcode is None:  # pragma: no cover - prevented by decoding
-                raise TraceValidationError("reserved opcode in trace data")
-            yield make(ip, target, opcode, taken), gap
+        if len(self) and int(self.opcodes.max()) >= _RESERVED_OPCODES:
+            raise TraceValidationError("reserved opcode in trace data")
+        new_branch = partial(tuple.__new__, Branch)
+        opcode_of = _OPCODES.__getitem__
+        for start in range(0, len(self), ITER_BLOCK_ROWS):
+            rows = slice(start, start + ITER_BLOCK_ROWS)
+            branches = map(new_branch, zip(
+                self.ips[rows].tolist(), self.targets[rows].tolist(),
+                map(opcode_of, self.opcodes[rows].tolist()),
+                self.taken[rows].tolist()))
+            yield from zip(branches, self.gaps[rows].tolist())
 
     # ------------------------------------------------------------------
     # Derived columns.

@@ -9,14 +9,20 @@ cyclic shift register so each update is O(1):
     folded' = rotate(folded) ^ inserted_bit ^ evicted_bit_at_its_folded_position
 
 :class:`FoldedHistory` implements exactly that and is property-tested
-against the direct ``xor_fold`` computation.
+against the direct ``xor_fold`` computation.  Predictors with many
+registers over one global history (TAGE keeps three per table) call
+:func:`push_history` instead: it applies the same update to every
+register in one pass, taking each evicted bit straight from the
+history held as one integer.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .bits import mask
 
-__all__ = ["FoldedHistory", "HistoryWindow"]
+__all__ = ["FoldedHistory", "HistoryWindow", "push_history"]
 
 
 class HistoryWindow:
@@ -79,6 +85,7 @@ class FoldedHistory:
         folded.value == xor_fold(window.value(history_length), folded_width)
 
     after any sequence of synchronized ``update`` / ``push`` calls.
+    ``value`` is a plain attribute, so hot paths read it at slot speed.
 
     Parameters
     ----------
@@ -89,8 +96,8 @@ class FoldedHistory:
         size, or a tag width).
     """
 
-    __slots__ = ("_history_length", "_folded_width", "_mask", "_evict_pos",
-                 "_value")
+    __slots__ = ("_history_length", "_folded_width", "_mask", "_evict_flip",
+                 "_oldest_bit", "value")
 
     def __init__(self, history_length: int, folded_width: int):
         if history_length < 1:
@@ -100,9 +107,12 @@ class FoldedHistory:
         self._history_length = history_length
         self._folded_width = folded_width
         self._mask = mask(folded_width)
-        # Folded bit position where the outgoing (oldest) bit currently sits.
-        self._evict_pos = history_length % folded_width
-        self._value = 0
+        # The folded bit where the outgoing (oldest) history bit sits after
+        # the rotation, and that bit's place in an integer history.
+        self._evict_flip = 1 << (history_length % folded_width)
+        self._oldest_bit = 1 << (history_length - 1)
+        #: The folded history, equal to ``xor_fold(raw_history, width)``.
+        self.value = 0
 
     @property
     def history_length(self) -> int:
@@ -114,11 +124,6 @@ class FoldedHistory:
         """Width of the folded value in bits."""
         return self._folded_width
 
-    @property
-    def value(self) -> int:
-        """The folded history, equal to ``xor_fold(raw_history, width)``."""
-        return self._value
-
     def update(self, new_bit: bool, evicted_bit: int) -> None:
         """Shift in ``new_bit`` and remove ``evicted_bit``.
 
@@ -127,21 +132,45 @@ class FoldedHistory:
         *before* the window itself is pushed).
         """
         # Rotate left by 1 within the folded width, inserting the new bit.
-        value = (self._value << 1) | (1 if new_bit else 0)
+        value = (self.value << 1) | (1 if new_bit else 0)
         # Fold the carried-out MSB back into bit 0.
         value = (value ^ (value >> self._folded_width)) & self._mask
-        # The evicted history bit, after this rotation, sits at _evict_pos.
-        self._value = value ^ ((evicted_bit & 1) << self._evict_pos)
+        # The evicted history bit, after this rotation, sits at the bit
+        # _evict_flip selects.
+        self.value = value ^ (self._evict_flip if evicted_bit & 1 else 0)
 
     def reset(self) -> None:
         """Clear the folded register (consistent with an all-zero window)."""
-        self._value = 0
+        self.value = 0
 
     def __int__(self) -> int:
-        return self._value
+        return self.value
 
     def __repr__(self) -> str:
         return (
             f"FoldedHistory(history_length={self._history_length}, "
-            f"folded_width={self._folded_width}, value={self._value:#x})"
+            f"folded_width={self._folded_width}, value={self.value:#x})"
         )
+
+
+def push_history(registers: Sequence[FoldedHistory], history: int,
+                 new_bit: bool, history_mask: int) -> int:
+    """Shift ``new_bit`` into ``history`` and every folded register.
+
+    ``history`` packs the newest outcomes as :meth:`HistoryWindow.value`
+    does (bit ``i`` = outcome ``i`` branches ago) and must cover every
+    register's ``history_length``.  Each register gets exactly
+    :meth:`FoldedHistory.update` with ``evicted_bit`` read from
+    ``history`` as ``(history >> (history_length - 1)) & 1``; the
+    registers are updated inline, in one loop, rather than through one
+    method call each.  Returns the new history, masked with
+    ``history_mask``.
+    """
+    bit = 1 if new_bit else 0
+    for register in registers:
+        value = (register.value << 1) | bit
+        value = (value ^ (value >> register._folded_width)) & register._mask
+        if history & register._oldest_bit:
+            value ^= register._evict_flip
+        register.value = value
+    return ((history << 1) | bit) & history_mask

@@ -2,8 +2,9 @@
 
 Table-based predictors share a handful of storage idioms: direct-mapped
 counter tables indexed by hashed bits, and *tagged* tables whose entries
-are claimed and recycled (TAGE/BATAGE).  This module provides both as
-numpy-backed structures so that large tables stay cheap.
+are claimed and recycled (TAGE/BATAGE).  This module provides both:
+the direct-mapped table keeps a numpy column, the tagged table plain
+Python lists, because TAGE reads and writes it one entry at a time.
 
 For the probe layer (:mod:`repro.probe`), :func:`distribution_stats`
 summarizes any clamped counter array — occupancy, saturation, mean and
@@ -162,9 +163,10 @@ class TaggedTable:
 
     Every entry carries a partial ``tag``, a signed prediction ``counter``,
     a ``useful`` counter driving replacement, and one free auxiliary field
-    (``aux``) that BATAGE uses for its second dual counter.  All fields are
-    numpy columns, so a 2^12-entry table costs four small arrays rather
-    than thousands of Python objects.
+    (``aux``) that BATAGE uses for its second dual counter.  Each field
+    is a plain Python list of ints: the TAGE hot path reads and writes
+    single entries, which a list serves without the boxing of a numpy
+    scalar.  numpy is used only by :meth:`structural_stats`.
     """
 
     __slots__ = ("_log_size", "_tag_width", "_index_mask", "_tag_mask",
@@ -189,10 +191,10 @@ class TaggedTable:
         self._ctr_min = -(1 << (counter_width - 1))
         self._ctr_max = (1 << (counter_width - 1)) - 1
         self._useful_max = (1 << useful_width) - 1
-        self.tags = np.zeros(size, dtype=np.int64)
-        self.counters = np.zeros(size, dtype=np.int32)
-        self.useful = np.zeros(size, dtype=np.int32)
-        self.aux = np.zeros(size, dtype=np.int32)
+        self.tags = [0] * size
+        self.counters = [0] * size
+        self.useful = [0] * size
+        self.aux = [0] * size
 
     @property
     def log_size(self) -> int:
@@ -234,37 +236,33 @@ class TaggedTable:
 
     def matches(self, index: int, tag: int) -> bool:
         """Whether the entry at ``index`` currently holds ``tag``."""
-        return int(self.tags[index & self.index_mask]) == (tag & self.tag_mask)
+        return self.tags[index & self._index_mask] == (tag & self._tag_mask)
 
     def read(self, index: int) -> TaggedEntryView:
         """Copy out the entry at ``index``."""
-        i = index & self.index_mask
-        return TaggedEntryView(
-            tag=int(self.tags[i]),
-            counter=int(self.counters[i]),
-            useful=int(self.useful[i]),
-            aux=int(self.aux[i]),
-        )
+        i = index & self._index_mask
+        return TaggedEntryView(tag=self.tags[i], counter=self.counters[i],
+                               useful=self.useful[i], aux=self.aux[i])
 
     def update_counter(self, index: int, taken: bool) -> int:
         """Saturating ±1 update of the prediction counter."""
-        i = index & self.index_mask
-        v = int(self.counters[i]) + (1 if taken else -1)
+        i = index & self._index_mask
+        v = self.counters[i] + (1 if taken else -1)
         v = min(self._ctr_max, max(self._ctr_min, v))
         self.counters[i] = v
         return v
 
     def update_useful(self, index: int, delta: int) -> int:
         """Clamped update of the useful counter."""
-        i = index & self.index_mask
-        v = min(self._useful_max, max(0, int(self.useful[i]) + delta))
+        i = index & self._index_mask
+        v = min(self._useful_max, max(0, self.useful[i] + delta))
         self.useful[i] = v
         return v
 
     def allocate(self, index: int, tag: int, taken: bool, aux: int = 0) -> None:
         """Claim the entry at ``index`` for ``tag`` with a weak counter."""
-        i = index & self.index_mask
-        self.tags[i] = tag & self.tag_mask
+        i = index & self._index_mask
+        self.tags[i] = tag & self._tag_mask
         self.counters[i] = 0 if taken else -1
         self.useful[i] = 0
         self.aux[i] = aux
@@ -276,14 +274,13 @@ class TaggedTable:
         their high and low bits; callers pass the mask for the current
         phase.
         """
-        np.bitwise_and(self.useful, ~bit_mask, out=self.useful)
+        keep = ~bit_mask
+        self.useful[:] = [u & keep for u in self.useful]
 
     def reset(self) -> None:
         """Clear every entry."""
-        self.tags.fill(0)
-        self.counters.fill(0)
-        self.useful.fill(0)
-        self.aux.fill(0)
+        for column in (self.tags, self.counters, self.useful, self.aux):
+            column[:] = [0] * len(column)
 
     def structural_stats(self) -> dict[str, Any]:
         """Occupancy/saturation/entropy snapshot (:mod:`repro.probe`).
@@ -294,15 +291,16 @@ class TaggedTable:
         ``distinct_tag_fraction`` estimates aliasing pressure — a low
         value means many allocations share partial tags.
         """
-        stats = distribution_stats(self.counters, self._ctr_min,
-                                   self._ctr_max)
-        allocated = (self.tags != 0) | (self.counters != 0) | \
-                    (self.useful != 0) | (self.aux != 0)
+        tags, counters, useful, aux = (
+            np.asarray(column, dtype=np.int64)
+            for column in (self.tags, self.counters, self.useful, self.aux))
+        stats = distribution_stats(counters, self._ctr_min, self._ctr_max)
+        allocated = (tags != 0) | (counters != 0) | (useful != 0) | (aux != 0)
         live = int(allocated.sum())
-        stats["live_fraction"] = live / len(self.tags)
-        distinct = int(np.unique(self.tags[allocated]).size) if live else 0
+        stats["live_fraction"] = live / len(tags)
+        distinct = int(np.unique(tags[allocated]).size) if live else 0
         stats["distinct_tag_fraction"] = distinct / live if live else 0.0
-        stats["useful_mean"] = float(self.useful.mean())
+        stats["useful_mean"] = float(useful.mean())
         return stats
 
     def __repr__(self) -> str:

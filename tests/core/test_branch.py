@@ -101,3 +101,44 @@ class TestBranch:
         a = Branch(1, 2, OPCODE_COND_JUMP, True)
         b = Branch(1, 2, OPCODE_COND_JUMP, True)
         assert a == b
+
+
+class TestBranchIsATuple:
+    """``Branch`` is an immutable 4-tuple ``(ip, target, opcode, taken)``."""
+
+    def test_len(self):
+        assert len(Branch(0x4000, 0x5000, OPCODE_COND_JUMP, True)) == 4
+
+    def test_unpacks_in_field_order(self):
+        ip, target, opcode, taken = Branch(0x4000, 0x5000, OPCODE_CALL,
+                                           False)
+        assert (ip, target, opcode, taken) == (0x4000, 0x5000, OPCODE_CALL,
+                                               False)
+        assert opcode is OPCODE_CALL
+
+    def test_equal_and_hash_as_plain_tuple(self):
+        branch = Branch(0x4000, 0x5000, OPCODE_COND_JUMP, True)
+        plain = (0x4000, 0x5000, OPCODE_COND_JUMP, True)
+        assert branch == plain and plain == branch
+        assert hash(branch) == hash(plain)
+        assert branch != (0x4000, 0x5000, OPCODE_COND_JUMP, False)
+        assert {plain: "found"}[branch] == "found"
+
+    @pytest.mark.parametrize("field", ["ip", "target", "opcode", "taken"])
+    def test_field_assignment_raises(self, field):
+        branch = Branch(0, 0, OPCODE_COND_JUMP, True)
+        with pytest.raises(AttributeError):
+            setattr(branch, field, 1)
+        assert branch == (0, 0, OPCODE_COND_JUMP, True)
+
+    def test_new_attribute_raises(self):
+        branch = Branch(0, 0, OPCODE_COND_JUMP, True)
+        with pytest.raises(AttributeError):
+            branch.gap = 3
+
+    def test_built_from_a_tuple_in_c(self):
+        # The trace reader's construction: tuple.__new__, no Python code.
+        branch = tuple.__new__(Branch, (0x4000, 0x5000, OPCODE_JUMP, True))
+        assert type(branch) is Branch
+        assert branch == Branch(0x4000, 0x5000, OPCODE_JUMP, True)
+        assert branch.target == 0x5000 and not branch.is_conditional

@@ -1,16 +1,18 @@
 """Differential harness: the TAGE/BATAGE hot path against per-table formulas.
 
 ``Tage._lookup`` and ``Batage._lookup`` fold the table-independent
-``ip``/``path`` terms once per prediction and zip their per-table
-registers.  The reference subclasses below keep the straightforward
-per-table formulas instead: one ``_tagged_index``/``_tag`` call per
-table, tags re-derived at allocation time, and an index-by-index
-``track``.  Both must agree on every per-branch prediction, on the
-result JSON (minus ``simulation_time``), on ``execution_stats()`` and
-on the probe report, across table counts, table sizes, tag widths
-(including the 1- and 2-bit tags whose second tag register is clamped
-to one bit), history lengths around the folded widths and ``u`` reset
-periods.
+``path`` term once per prediction, take the ``ip`` terms from a memo
+filled once per static branch, and zip their per-table registers;
+``track`` updates every register in one pass over an integer history.
+The reference subclasses below keep the straightforward per-table
+formulas instead: one ``_tagged_index``/``_tag`` call per table, tags
+re-derived at allocation time, and an index-by-index ``track`` over
+their own :class:`HistoryWindow`.  Both must agree on every per-branch
+prediction, on the result JSON (minus ``simulation_time``), on
+``execution_stats()`` and on the probe report, across table counts,
+table sizes, tag widths (including the 1- and 2-bit tags whose second
+tag register is clamped to one bit), history lengths around the folded
+widths and ``u`` reset periods.
 
 Uses `hypothesis` when the environment provides it; otherwise the same
 properties run against draws from a seeded ``random.Random``.
@@ -29,8 +31,10 @@ from repro.core.branch import OPCODE_COND_JUMP, OPCODE_JUMP
 from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import Batage, Tage
 from repro.predictors.batage import HIGH, dual_counter_confidence
+from repro.predictors.tage import IpFolds
 from repro.probe import PredictionProbe
 from repro.utils.bits import mask
+from repro.utils.folded import HistoryWindow
 from repro.utils.hashing import xor_fold
 from tests.conftest import make_trace, scalar_predictions
 
@@ -66,6 +70,12 @@ class _ReferenceTage(Tage):
 
     track = _reference_track
     _tag = _reference_tag
+
+    def __init__(self, **kwargs) -> None:
+        # Tage keeps its history as an integer; the reference reads the
+        # evicted bits from its own window.
+        super().__init__(**kwargs)
+        self._window = HistoryWindow(max(self.history_lengths))
 
     def _tagged_index(self, table: int, ip: int) -> int:
         w = self.log_tagged_size
@@ -147,6 +157,10 @@ class _ReferenceBatage(Batage):
 
     track = _reference_track
     _tag = _reference_tag
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._window = HistoryWindow(max(self.history_lengths))
 
     def _tagged_index(self, table: int, ip: int) -> int:
         w = self.log_tagged_size
@@ -321,3 +335,31 @@ def test_default_configurations_match_reference(small_trace):
     assert_hot_path_matches_reference(Tage, _ReferenceTage, {}, small_trace)
     assert_hot_path_matches_reference(Batage, _ReferenceBatage, {},
                                       small_trace)
+
+
+class _MemoWatchingTage(Tage):
+    """TAGE that records the largest size its ``ip`` memo reached."""
+
+    memo_peak = 0
+
+    def _lookup(self, ip: int) -> dict[str, Any]:
+        state = super()._lookup(ip)
+        self.memo_peak = max(self.memo_peak, len(self._ip_folds))
+        return state
+
+
+def test_ip_memo_stays_bounded_and_matches_reference():
+    """More distinct ips than the memo holds: it is cleared, never grows
+    past its bound, and the results equal the per-table reference's."""
+    bound = IpFolds.MAX_ENTRIES
+    rng = random.Random(bound)
+    pool = [0x5555_5540_0000 + 4 * i for i in range(bound + 512)]
+    ips = pool + rng.sample(pool, 1024) + pool[:256]
+    trace = make_trace(ips, [rng.random() < 0.6 for _ in ips])
+    config = SimulationConfig(warmup_instructions=len(ips) // 4)
+    watched = _MemoWatchingTage()
+    documents = [comparable_document(simulate(predictor, trace, config))
+                 for predictor in (watched, _ReferenceTage())]
+    assert watched.memo_peak == bound
+    assert len(watched._ip_folds) < bound  # cleared at least once
+    assert documents[0] == documents[1]

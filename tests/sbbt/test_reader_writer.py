@@ -10,7 +10,7 @@ from repro.core.errors import TraceFormatError, TraceValidationError
 from repro.sbbt.header import HEADER_SIZE, SbbtHeader
 from repro.sbbt.packet import PACKET_SIZE, SbbtPacket
 from repro.sbbt.reader import SbbtReader, decode_payload, read_trace
-from repro.sbbt.trace import TraceData
+from repro.sbbt.trace import ITER_BLOCK_ROWS, TraceData
 from repro.sbbt.writer import SbbtWriter, encode_payload, write_trace
 from tests.conftest import OPCODE_COND_JUMP, OPCODE_JUMP, make_branch, make_trace
 
@@ -254,3 +254,32 @@ class TestTraceData:
         assert len(trace) == 5
         assert trace.num_instructions == 5 + sum(range(5))
         assert trace.packet(3) == packets[3]
+
+    def test_iter_branches_crosses_block_boundaries(self):
+        # More than two blocks of ITER_BLOCK_ROWS, the last one partial.
+        n = 2 * ITER_BLOCK_ROWS + 1000
+        rng = np.random.default_rng(18)
+        ips = rng.integers(0x1000, 1 << 48, n, dtype=np.uint64)
+        targets = rng.integers(0, 1 << 48, n, dtype=np.uint64)
+        opcodes = rng.integers(0, 12, n, dtype=np.uint8)  # no reserved
+        taken = rng.random(n) < 0.6
+        gaps = rng.integers(0, 4096, n, dtype=np.uint16)
+        trace = TraceData(ips, targets, opcodes, taken, gaps,
+                          n + int(gaps.sum(dtype=np.int64)))
+        expected = [
+            (Branch(ip, target, Opcode(op), bool(t)), gap)
+            for ip, target, op, t, gap in zip(
+                ips.tolist(), targets.tolist(), opcodes.tolist(),
+                taken.tolist(), gaps.tolist())
+        ]
+        got = list(trace.iter_branches())
+        assert got == expected
+        assert all(type(branch) is Branch and type(branch.opcode) is Opcode
+                   and type(branch.taken) is bool and type(gap) is int
+                   for branch, gap in got)
+
+    def test_iter_branches_rejects_reserved_opcode(self):
+        trace = make_trace([0x4000, 0x4010], [True, True],
+                           opcodes=[int(OPCODE_COND_JUMP), 0b1100])
+        with pytest.raises(TraceValidationError, match="reserved"):
+            next(trace.iter_branches())

@@ -9,6 +9,7 @@ import doctest
 import pytest
 
 import repro.analysis.sweep
+import repro.core.branch
 import repro.sbbt.header
 import repro.telemetry.instrumentation
 import repro.telemetry.interval
@@ -24,6 +25,7 @@ import repro.utils.history
 import repro.utils.lfsr
 
 MODULES = [
+    repro.core.branch,
     repro.utils.bits,
     repro.utils.counters,
     repro.utils.hashing,

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.folded import FoldedHistory, HistoryWindow
+from repro.utils.bits import mask
+from repro.utils.folded import FoldedHistory, HistoryWindow, push_history
 from repro.utils.hashing import xor_fold
 
 
@@ -127,3 +128,56 @@ class TestFoldedHistoryInvariant:
         folded = FoldedHistory(8, 4)
         folded.update(True, 0)
         assert int(folded) == folded.value
+
+
+class TestPushHistory:
+    """The one-pass update of many registers over an integer history."""
+
+    # Width above length, width dividing length, 1-bit widths and a
+    # length-1 register, beside TAGE-like shapes.
+    FIXED_SHAPES = [(5, 11), (24, 8), (9, 1), (1, 1), (1, 4), (16, 16),
+                    (130, 10), (130, 13), (130, 12)]
+
+    def _run(self, shapes, outcomes):
+        longest = max(length for length, _ in shapes)
+        window = HistoryWindow(longest)
+        registers = [FoldedHistory(length, width) for length, width in shapes]
+        independent = [FoldedHistory(length, width)
+                       for length, width in shapes]
+        history = 0
+        for taken in outcomes:
+            for folded in independent:
+                folded.update(taken, window[folded.history_length - 1])
+            window.push(taken)
+            history = push_history(registers, history, taken, mask(longest))
+            assert history == window.value(longest)
+            for register, folded in zip(registers, independent):
+                expected = xor_fold(window.value(register.history_length),
+                                    register.folded_width)
+                assert register.value == expected == folded.value
+
+    @given(st.lists(st.booleans(), max_size=300))
+    def test_fixed_shapes_match_xor_fold_and_update(self, outcomes):
+        self._run(self.FIXED_SHAPES, outcomes)
+
+    @settings(max_examples=50)
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=64),
+                              st.integers(min_value=1, max_value=16)),
+                    min_size=1, max_size=8),
+           st.lists(st.booleans(), min_size=70, max_size=160))
+    def test_random_shapes_match_xor_fold_and_update(self, shapes, outcomes):
+        self._run(shapes, outcomes)
+
+    def test_truthy_outcomes_shift_in_a_one(self):
+        import numpy as np
+
+        plain = [FoldedHistory(5, 3)]
+        mixed = [FoldedHistory(5, 3)]
+        history_plain = history_mixed = 0
+        for taken, raw in [(True, np.bool_(True)), (False, 0),
+                           (True, 2), (True, np.int64(1))]:
+            history_plain = push_history(plain, history_plain, taken,
+                                         mask(5))
+            history_mixed = push_history(mixed, history_mixed, raw, mask(5))
+            assert history_mixed == history_plain
+            assert mixed[0].value == plain[0].value
