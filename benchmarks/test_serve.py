@@ -3,7 +3,10 @@
 A zipfian request mix (a few hot (trace, predictor, parameters) units,
 a long cold tail — the shape a shared simulation service actually
 sees) is fired at one ``mbp serve`` daemon from 1, 4 and 16 concurrent
-clients.  Each run records into ``BENCH_serve.json``:
+clients.  The daemon computes on its plan threads (``workers=0``) and,
+for 4 and 16 clients, also on a one-worker engine that the concurrent
+plans share (``workers=1``).  Each run records into
+``BENCH_serve.json``:
 
 * ``requests_per_second`` and client-observed ``p50_ms`` / ``p99_ms``
   latency,
@@ -31,7 +34,8 @@ from repro.traces.workloads import PROFILES
 
 from conftest import emit_report
 
-CLIENT_COUNTS = (1, 4, 16)
+#: (concurrent clients, daemon engine workers) per run.
+RUNS = ((1, 0), (4, 0), (16, 0), (4, 1), (16, 1))
 TOTAL_REQUESTS = 96          # split evenly across the clients of a run
 ZIPF_EXPONENT = 1.2
 BRANCHES_PER_TRACE = 4_000
@@ -85,13 +89,13 @@ def _percentile(samples: list[float], fraction: float) -> float:
     return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
-@pytest.mark.parametrize("clients", CLIENT_COUNTS)
-def test_zipfian_load(tmp_path, units, bench_metrics, clients):
+@pytest.mark.parametrize("clients, workers", RUNS)
+def test_zipfian_load(tmp_path, units, bench_metrics, clients, workers):
     weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT
                for rank in range(len(units))]
     per_client = TOTAL_REQUESTS // clients
     handle = start_in_thread(ServeConfig(
-        socket_path=str(tmp_path / "bench.sock"), workers=0))
+        socket_path=str(tmp_path / "bench.sock"), workers=workers))
     latencies: list[float] = []
     errors: list[Exception] = []
     barrier = threading.Barrier(clients + 1)
@@ -128,6 +132,7 @@ def test_zipfian_load(tmp_path, units, bench_metrics, clients):
     assert counters["serve_cache_misses"] <= len(units)
 
     bench_metrics["clients"] = clients
+    bench_metrics["workers"] = workers
     bench_metrics["requests"] = requests
     bench_metrics["requests_per_second"] = requests / wall
     bench_metrics["p50_ms"] = 1000 * _percentile(latencies, 0.50)
@@ -137,13 +142,14 @@ def test_zipfian_load(tmp_path, units, bench_metrics, clients):
     bench_metrics["hit_plus_coalesce_ratio"] = hit_ratio
 
     _report_rows.append([
-        str(clients), str(requests), f"{requests / wall:8.1f}",
+        str(clients), str(workers), str(requests),
+        f"{requests / wall:8.1f}",
         f"{1000 * _percentile(latencies, 0.50):7.2f}",
         f"{1000 * _percentile(latencies, 0.99):7.2f}",
         f"{hits / requests:5.2f}", f"{coalesced / requests:5.2f}",
         f"{hit_ratio:5.2f}",
     ])
-    header = ["clients", "requests", "req/s", "p50 ms", "p99 ms",
+    header = ["clients", "workers", "requests", "req/s", "p50 ms", "p99 ms",
               "cache", "coalesce", "combined"]
     lines = ["serve daemon under zipfian load "
              f"({len(units)} distinct units, zipf s={ZIPF_EXPONENT})",

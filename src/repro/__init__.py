@@ -28,42 +28,25 @@ Quickstart::
     print(result.to_json_string())
 """
 
-from .core import (
-    Branch,
-    BranchType,
-    ComparisonResult,
-    ExecutionEngine,
-    Opcode,
-    Predictor,
-    SimulationConfig,
-    SimulationResult,
-    WorkPlan,
-    WorkUnit,
-    compare,
-    execute_plan,
-    run_suite,
-    simulate,
-    simulate_file,
-)
-from .sbbt import (
-    SbbtReader,
-    SbbtWriter,
-    TraceData,
-    read_trace,
-    trace_digest,
-    write_trace,
-)
-from .cache import SimulationCache
-from .telemetry import (
-    IntervalRecorder,
-    IntervalSeries,
-    PhaseTimers,
-    RunManifest,
-    build_manifest,
-    suite_manifest,
-)
+from . import predictors
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".core": ("Branch", "BranchType", "ComparisonResult", "ExecutionEngine",
+              "Opcode", "Predictor", "SimulationConfig", "SimulationResult",
+              "WorkPlan", "WorkUnit", "compare", "execute_plan", "run_suite",
+              "simulate", "simulate_file"),
+    ".sbbt": ("SbbtReader", "SbbtWriter", "TraceData", "read_trace",
+              "trace_digest", "write_trace"),
+    ".cache": ("SimulationCache",),
+    ".telemetry": ("IntervalRecorder", "IntervalSeries", "PhaseTimers",
+                   "RunManifest", "build_manifest", "suite_manifest"),
+    # The examples library, also reachable from the package root
+    # (``from repro import GShare``) but not part of ``__all__``.
+    ".predictors": tuple(predictors.__all__),
+})
 
 __all__ = [
     "Branch", "BranchType", "ComparisonResult", "Opcode", "Predictor",
@@ -76,22 +59,3 @@ __all__ = [
     "RunManifest", "build_manifest", "suite_manifest",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    """Lazily re-export the examples library at the package root.
-
-    ``from repro import GShare`` works without importing every predictor
-    module at package-import time.
-    """
-    # import_module, not ``from . import predictors``: the from-import
-    # probes this module with hasattr, which re-enters this __getattr__
-    # and recurses forever.
-    from importlib import import_module
-
-    predictors = import_module(".predictors", __name__)
-    if name == "predictors":
-        return predictors
-    if name in predictors.__all__:
-        return getattr(predictors, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

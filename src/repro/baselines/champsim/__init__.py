@@ -1,17 +1,17 @@
 """ChampSim-style cycle-level baseline (per-instruction traces, O3 core)."""
 
-from .btb import Btb, ReturnAddressStack
-from .cache import Cache, MemoryHierarchy
-from .core import CoreConfig, CoreStats, O3Core
-from .indirect import GshareIndirect, IttageLite
-from .simulator import ChampsimResult, run_champsim
-from .trace import (
-    INSTRUCTION_RECORD_SIZE,
-    InstructionTrace,
-    instruction_trace_from_branches,
-    read_instruction_trace,
-    write_instruction_trace,
-)
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".btb": ("Btb", "ReturnAddressStack"),
+    ".cache": ("Cache", "MemoryHierarchy"),
+    ".core": ("CoreConfig", "CoreStats", "O3Core"),
+    ".indirect": ("GshareIndirect", "IttageLite"),
+    ".simulator": ("ChampsimResult", "run_champsim"),
+    ".trace": ("INSTRUCTION_RECORD_SIZE", "InstructionTrace",
+               "instruction_trace_from_branches", "read_instruction_trace",
+               "write_instruction_trace"),
+})
 
 __all__ = [
     "Btb", "ReturnAddressStack",

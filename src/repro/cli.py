@@ -46,8 +46,6 @@ import sys
 from contextlib import contextmanager
 from typing import Sequence
 
-from .cache import resolve_cache_dir
-from .core.comparison import compare
 from .core.errors import EngineNotSupportedError
 from .core.predictor import Predictor
 from .core.simulator import SimulationConfig, simulate
@@ -60,11 +58,6 @@ from .registry import (
     UnknownPredictorError,
     resolve_predictor,
 )
-from .sbbt.reader import read_trace
-from .sbbt.writer import write_trace
-from .traces.inspect import analyze_trace
-from .traces.synth import generate_trace
-from .traces.translate import bt9_to_sbbt, champsim_to_sbbt, sbbt_to_bt9
 from .traces.workloads import PROFILES
 
 __all__ = ["main", "build_parser", "make_predictor", "PREDICTOR_CHOICES"]
@@ -463,6 +456,8 @@ DEFAULT_TELEMETRY_INTERVAL = 100_000
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .cache import resolve_cache_dir
+
     config = SimulationConfig(warmup_instructions=args.warmup,
                               max_instructions=args.max_instructions)
     if args.interval is not None and args.telemetry is None:
@@ -665,6 +660,7 @@ def _emit_engine_stats(args: argparse.Namespace, engine) -> None:
 def _cmd_suite(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
+    from .cache import resolve_cache_dir
     from .core.batch import run_suite
 
     config = SimulationConfig(warmup_instructions=args.warmup,
@@ -736,6 +732,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from .analysis.sweep import sweep_parameter
+    from .cache import resolve_cache_dir
     from .telemetry import PhaseTimers
     from .tracing import SpanRecorder
 
@@ -849,6 +846,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .core.comparison import compare
+
     config = SimulationConfig(warmup_instructions=args.warmup)
     result = compare(make_predictor(args.predictor_a),
                      make_predictor(args.predictor_b), args.trace, config)
@@ -857,6 +856,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .sbbt.reader import read_trace
+    from .traces.inspect import analyze_trace
+
     statistics = analyze_trace(read_trace(args.trace))
     if args.json:
         print(json.dumps(statistics.to_json(), indent=2))
@@ -866,6 +868,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .sbbt.writer import write_trace
+    from .traces.synth import generate_trace
+
     trace = generate_trace(PROFILES[args.category], args.seed, args.branches)
     size = write_trace(args.output, trace)
     print(f"wrote {args.output}: {len(trace)} branches, "
@@ -874,6 +879,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from .traces.translate import bt9_to_sbbt, champsim_to_sbbt, sbbt_to_bt9
+
     translators = {
         "bt9-to-sbbt": bt9_to_sbbt,
         "sbbt-to-bt9": sbbt_to_bt9,
@@ -905,7 +912,7 @@ def _cmd_championship(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .cache import SimulationCache
+    from .cache import SimulationCache, resolve_cache_dir
 
     cache_dir = resolve_cache_dir(args.cache_dir)
     if cache_dir is None:
@@ -1029,6 +1036,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from .cache import resolve_cache_dir
     from .serve import MbpServer, ServeConfig
 
     if args.socket is not None and args.host is not None:

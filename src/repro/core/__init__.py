@@ -6,42 +6,28 @@ trace and obtain a JSON result object: the branch model, the
 comparison simulators, batch running, and the metrics/output machinery.
 """
 
-from .branch import (
-    OPCODE_CALL,
-    OPCODE_COND_JUMP,
-    OPCODE_IND_CALL,
-    OPCODE_IND_JUMP,
-    OPCODE_JUMP,
-    OPCODE_RET,
-    Branch,
-    BranchType,
-    Opcode,
-)
-from .batch import BatchResult, SuiteError, TraceFailure, TraceSimulationError, run_suite
-from .batch import TimingSummary
-from .engine import EngineStats, ExecutionEngine, SharedTrace
-from .comparison import (
-    ComparisonEntry,
-    ComparisonResult,
-    MultiComparisonResult,
-    compare,
-    compare_many,
-)
-from .errors import (
-    CacheError,
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-    TelemetryError,
-    TraceError,
-    TraceFormatError,
-    TraceValidationError,
-)
-from .metrics import BranchStats, MostFailedEntry, accuracy, most_failed_branches, mpki
-from .output import SIMULATOR_NAME, SIMULATOR_VERSION, SimulationResult
-from .plan import WorkPlan, WorkUnit, execute_plan
-from .predictor import MetadataMixin, Predictor, canonical_spec, derive_spec
-from .simulator import SimulationConfig, simulate, simulate_file
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".branch": ("OPCODE_CALL", "OPCODE_COND_JUMP", "OPCODE_IND_CALL",
+                "OPCODE_IND_JUMP", "OPCODE_JUMP", "OPCODE_RET",
+                "Branch", "BranchType", "Opcode"),
+    ".batch": ("BatchResult", "SuiteError", "TimingSummary", "TraceFailure",
+               "TraceSimulationError", "run_suite"),
+    ".engine": ("EngineStats", "ExecutionEngine", "SharedTrace"),
+    ".comparison": ("ComparisonEntry", "ComparisonResult",
+                    "MultiComparisonResult", "compare", "compare_many"),
+    ".errors": ("CacheError", "ConfigurationError", "ReproError",
+                "SimulationError", "TelemetryError", "TraceError",
+                "TraceFormatError", "TraceValidationError"),
+    ".metrics": ("BranchStats", "MostFailedEntry", "accuracy",
+                 "most_failed_branches", "mpki"),
+    ".output": ("SIMULATOR_NAME", "SIMULATOR_VERSION", "SimulationResult"),
+    ".plan": ("WorkPlan", "WorkUnit", "execute_plan"),
+    ".predictor": ("MetadataMixin", "Predictor", "canonical_spec",
+                   "derive_spec"),
+    ".simulator": ("SimulationConfig", "simulate", "simulate_file"),
+})
 
 __all__ = [
     "Branch", "BranchType", "Opcode",

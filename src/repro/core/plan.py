@@ -39,8 +39,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
-# Called as sbbt_digest.trace_digest so a patched trace_digest is seen.
-from ..sbbt import digest as sbbt_digest
 from ..sbbt.trace import TraceData
 from ..tracing import NULL_TRACER
 from .output import SimulationResult
@@ -367,6 +365,10 @@ def execute_plan(plan: WorkPlan, *,
         identity = _trace_identity(trace)
         digest = digests.get(identity)
         if digest is None:
+            # Imported here, on the cache path only; called through the
+            # module so a patched trace_digest is seen.
+            from ..sbbt import digest as sbbt_digest
+
             digest = sbbt_digest.trace_digest(trace)
             digests[identity] = digest
         return digest

@@ -6,7 +6,9 @@ gshare``), the serve daemon (``{"op": "simulate", "predictor":
 "gshare"}``) and the championship driver all resolve names here, so a
 new predictor registers **once** and is immediately reachable from every
 interface — previously the CLI and serve each kept their own copy and
-could drift.
+could drift.  The same table backs the paper's Table II collection
+(:data:`repro.predictors.TABLE2_PREDICTORS`).  A name's predictor
+module is imported on its first lookup, not when this module loads.
 
 Factories must be picklable (module-level classes or
 ``functools.partial`` over them): they travel to worker processes
@@ -16,10 +18,12 @@ through the execution engine and through work plans.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable
+from collections.abc import Iterator, Mapping
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable
 
-from .core.predictor import Predictor
-from .predictors import LocalPredictor, TABLE2_PREDICTORS, Yags
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core.predictor import Predictor
 
 __all__ = [
     "PREDICTOR_CHOICES",
@@ -30,20 +34,69 @@ __all__ = [
     "make_predictor",
 ]
 
-#: Public name -> zero-argument predictor factory.  Paper Table II
-#: defaults, plus the extra catalog members grown since.
-PREDICTOR_CHOICES: dict[str, Callable[[], Predictor]] = {
-    "bimodal": TABLE2_PREDICTORS["Bimodal"],
-    "two-level": TABLE2_PREDICTORS["Two-Level"],
-    "gshare": TABLE2_PREDICTORS["GShare"],
-    "tournament": TABLE2_PREDICTORS["Tournament"],
-    "gskew": TABLE2_PREDICTORS["2bc-gskew"],
-    "local": LocalPredictor,
-    "yags": Yags,
-    "perceptron": TABLE2_PREDICTORS["Hashed Perc."],
-    "tage": TABLE2_PREDICTORS["TAGE"],
-    "batage": TABLE2_PREDICTORS["BATAGE"],
+#: Public name -> ``"module:attr"`` of its zero-argument factory: paper
+#: Table II defaults, plus the extra catalog members grown since.
+_FACTORIES = {
+    "bimodal": "repro.predictors.bimodal:Bimodal",
+    "two-level": "repro.predictors.twolevel:GAs",
+    "gshare": "repro.predictors.gshare:GShare",
+    "tournament": "repro.predictors.tournament:mcfarling_tournament",
+    "gskew": "repro.predictors.gskew:TwoBcGskew",
+    "local": "repro.predictors.local:LocalPredictor",
+    "yags": "repro.predictors.yags:Yags",
+    "perceptron": "repro.predictors.perceptron:HashedPerceptron",
+    "tage": "repro.predictors.tage:Tage",
+    "batage": "repro.predictors.batage:Batage",
 }
+
+#: Paper Table II name -> public name, in the paper's order.
+_TABLE2 = {
+    "Bimodal": "bimodal",
+    "Two-Level": "two-level",
+    "GShare": "gshare",
+    "Tournament": "tournament",
+    "2bc-gskew": "gskew",
+    "Hashed Perc.": "perceptron",
+    "TAGE": "tage",
+    "BATAGE": "batage",
+}
+
+
+class FactoryTable(Mapping):
+    """A read-only ``name -> factory`` mapping over ``"module:attr"``
+    targets.  A factory's module is imported on the first lookup of its
+    name, so naming one predictor never imports the others."""
+
+    def __init__(self, targets: dict[str, str]):
+        self._targets = targets
+        self._resolved: dict[str, Callable[[], Predictor]] = {}
+
+    def __getitem__(self, name: str) -> Callable[[], Predictor]:
+        factory = self._resolved.get(name)
+        if factory is None:
+            module, attr = self._targets[name].split(":")
+            factory = self._resolved[name] = getattr(import_module(module),
+                                                     attr)
+        return factory
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._targets)
+
+    def __len__(self) -> int:
+        return len(self._targets)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._targets!r})"
+
+
+#: Public name -> zero-argument predictor factory.
+PREDICTOR_CHOICES = FactoryTable(_FACTORIES)
+
+#: The Table II collection keyed by the names used in the paper's
+#: evaluation tables, each mapped to a zero-argument factory producing
+#: the default configuration.  The Table III benchmarks iterate this.
+TABLE2_PREDICTORS = FactoryTable(
+    {label: _FACTORIES[name] for label, name in _TABLE2.items()})
 
 #: Simulation-engine choices accepted by ``--engine`` / ``sim_engine``.
 ENGINE_CHOICES = ("scalar", "vectorized", "auto")

@@ -11,29 +11,21 @@ Reader and writer are deliberately independent subcomponents, so tools
 that inspect or translate traces can depend on just this package.
 """
 
-from .compression import (
-    BEST_CODEC_SUFFIX,
-    CODEC_SUFFIXES,
-    available_codecs,
-    codec_for_path,
-    open_compressed,
-    read_all,
-    write_all,
-)
-from .digest import DIGEST_ALGORITHM, payload_digest, trace_digest
-from .header import FORMAT_VERSION, HEADER_SIZE, SIGNATURE, SbbtHeader
-from .packet import (
-    MAX_GAP,
-    PACKET_SIZE,
-    SbbtPacket,
-    decode_address,
-    encode_address,
-    is_encodable_address,
-)
-from .reader import SbbtReader, decode_payload, read_trace
-from .trace import TraceData
-from .validate import branch_violations, validate_branch
-from .writer import SbbtWriter, encode_payload, write_trace
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".compression": ("BEST_CODEC_SUFFIX", "CODEC_SUFFIXES",
+                     "available_codecs", "codec_for_path", "open_compressed",
+                     "read_all", "write_all"),
+    ".digest": ("DIGEST_ALGORITHM", "payload_digest", "trace_digest"),
+    ".header": ("FORMAT_VERSION", "HEADER_SIZE", "SIGNATURE", "SbbtHeader"),
+    ".packet": ("MAX_GAP", "PACKET_SIZE", "SbbtPacket", "decode_address",
+                "encode_address", "is_encodable_address"),
+    ".reader": ("SbbtReader", "decode_payload", "read_trace"),
+    ".trace": ("TraceData",),
+    ".validate": ("branch_violations", "validate_branch"),
+    ".writer": ("SbbtWriter", "encode_payload", "write_trace"),
+})
 
 __all__ = [
     "BEST_CODEC_SUFFIX", "CODEC_SUFFIXES", "available_codecs",

@@ -17,14 +17,15 @@ Start a daemon with ``mbp serve --socket mbp.sock``, or embed one with
 guide live in ``docs/serve.md``.
 """
 
-from .client import MbpClient, ServeError
-from .protocol import (
-    ERROR_CODES,
-    OPERATIONS,
-    PROTOCOL_VERSION,
-    ProtocolError,
-)
-from .server import MbpServer, ServeConfig, ServerHandle, start_in_thread
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".client": ("MbpClient", "ServeError"),
+    ".protocol": ("ERROR_CODES", "OPERATIONS", "PROTOCOL_VERSION",
+                  "ProtocolError"),
+    ".server": ("MbpServer", "ServeConfig", "ServerHandle",
+                "start_in_thread"),
+})
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -22,32 +22,19 @@ being measured:
 See ``docs/telemetry.md`` for the document schemas and overhead notes.
 """
 
-from .instrumentation import NULL_INSTRUMENTATION, Instrumentation, PhaseTimers
-from .interval import (
-    CSV_COLUMNS,
-    INTERVAL_SCHEMA,
-    IntervalRecord,
-    IntervalRecorder,
-    IntervalSeries,
-)
-from .manifest import (
-    MANIFEST_KIND,
-    MANIFEST_SCHEMA,
-    RunManifest,
-    build_manifest,
-    collect_environment,
-    suite_manifest,
-)
-from .sinks import (
-    TELEMETRY_KIND,
-    TELEMETRY_SCHEMA,
-    CsvFileSink,
-    JsonFileSink,
-    MemorySink,
-    TelemetrySink,
-    read_telemetry,
-    write_telemetry,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".instrumentation": ("NULL_INSTRUMENTATION", "Instrumentation",
+                         "PhaseTimers"),
+    ".interval": ("CSV_COLUMNS", "INTERVAL_SCHEMA", "IntervalRecord",
+                  "IntervalRecorder", "IntervalSeries"),
+    ".manifest": ("MANIFEST_KIND", "MANIFEST_SCHEMA", "RunManifest",
+                  "build_manifest", "collect_environment", "suite_manifest"),
+    ".sinks": ("TELEMETRY_KIND", "TELEMETRY_SCHEMA", "CsvFileSink",
+               "JsonFileSink", "MemorySink", "TelemetrySink",
+               "read_telemetry", "write_telemetry"),
+})
 
 __all__ = [
     "Instrumentation", "NULL_INSTRUMENTATION", "PhaseTimers",

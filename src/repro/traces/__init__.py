@@ -5,26 +5,18 @@ Stands in for the paper's curated CBP5/DPC3 trace sets (no longer
 distributed) and reimplements its BT9/champsimtrace translators.
 """
 
-from .inspect import TraceStatistics, analyze_trace
-from .synth import SyntheticProgram, WorkloadProfile, generate_trace
-from .tracer import PythonTracer, trace_python_function
-from .translate import (
-    TranslationReport,
-    bt9_to_sbbt,
-    champsim_to_sbbt,
-    champsim_trace_to_branches,
-    sbbt_to_bt9,
-)
-from .workloads import (
-    CBP5_EVALUATION_SUITE,
-    CBP5_TRAINING_SUITE,
-    DPC3_SUITE,
-    PROFILES,
-    SuiteSpec,
-    generate_suite,
-    generate_workload,
-    write_suite,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".inspect": ("TraceStatistics", "analyze_trace"),
+    ".synth": ("SyntheticProgram", "WorkloadProfile", "generate_trace"),
+    ".tracer": ("PythonTracer", "trace_python_function"),
+    ".translate": ("TranslationReport", "bt9_to_sbbt", "champsim_to_sbbt",
+                   "champsim_trace_to_branches", "sbbt_to_bt9"),
+    ".workloads": ("CBP5_EVALUATION_SUITE", "CBP5_TRAINING_SUITE",
+                   "DPC3_SUITE", "PROFILES", "SuiteSpec", "generate_suite",
+                   "generate_workload", "write_suite"),
+})
 
 __all__ = [
     "TraceStatistics", "analyze_trace",

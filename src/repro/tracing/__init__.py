@@ -14,26 +14,16 @@ shared null object and results are byte-identical with or without it
 (guarded by ``benchmarks/test_tracing.py``).  See ``docs/tracing.md``.
 """
 
-from .context import TraceContext, new_span_id, new_trace_id
-from .export import (
-    TRACE_DIR_ENV,
-    chrome_trace_events,
-    critical_path,
-    critical_path_table,
-    read_spans,
-    resolve_trace_dir,
-    summary,
-    summary_table,
-    trace_ids,
-)
-from .span import (
-    NULL_TRACER,
-    JsonlSpanSink,
-    Span,
-    SpanRecorder,
-    Tracer,
-    wire_child_span,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".context": ("TraceContext", "new_span_id", "new_trace_id"),
+    ".export": ("TRACE_DIR_ENV", "chrome_trace_events", "critical_path",
+                "critical_path_table", "read_spans", "resolve_trace_dir",
+                "summary", "summary_table", "trace_ids"),
+    ".span": ("NULL_TRACER", "JsonlSpanSink", "Span", "SpanRecorder",
+              "Tracer", "wire_child_span"),
+})
 
 __all__ = [
     "TraceContext",

@@ -10,40 +10,21 @@ MBPlib's ``mbp_utils``, they can be used to build predictors for the
 baseline simulators in :mod:`repro.baselines` too.
 """
 
-from .bits import (
-    bit,
-    ceil_log2,
-    floor_log2,
-    get_bits,
-    is_power_of_two,
-    mask,
-    popcount,
-    reverse_bits,
-    rotate_left,
-    rotate_right,
-    set_bits,
-    sign_extend,
-)
-from .counters import (
-    CounterArray,
-    SignedSaturatingCounter,
-    UnsignedSaturatingCounter,
-    i2,
-    u2,
-)
-from .folded import FoldedHistory, HistoryWindow
-from .hashing import (
-    gshare_index,
-    mix64,
-    path_hash_step,
-    skew_h,
-    skew_h_inverse,
-    skew_hash,
-    xor_fold,
-)
-from .history import GlobalHistory, LocalHistoryTable, PathHistory
-from .lfsr import Lfsr
-from .tables import DirectMappedTable, TaggedEntryView, TaggedTable
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".bits": ("bit", "ceil_log2", "floor_log2", "get_bits",
+              "is_power_of_two", "mask", "popcount", "reverse_bits",
+              "rotate_left", "rotate_right", "set_bits", "sign_extend"),
+    ".counters": ("CounterArray", "SignedSaturatingCounter",
+                  "UnsignedSaturatingCounter", "i2", "u2"),
+    ".folded": ("FoldedHistory", "HistoryWindow"),
+    ".hashing": ("gshare_index", "mix64", "path_hash_step", "skew_h",
+                 "skew_h_inverse", "skew_hash", "xor_fold"),
+    ".history": ("GlobalHistory", "LocalHistoryTable", "PathHistory"),
+    ".lfsr": ("Lfsr",),
+    ".tables": ("DirectMappedTable", "TaggedEntryView", "TaggedTable"),
+})
 
 __all__ = [
     # bits
