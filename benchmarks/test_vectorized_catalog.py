@@ -10,9 +10,10 @@ artifact and gates on the fully-scanned predictors staying >= 5x.
 
 The five predictors whose whole update loop is a segmented clamped-walk
 scan (bimodal, gshare, two-level, local, tournament) get the full numpy
-speedup; 2bc-gskew and YAGS vectorize history/index derivation but keep
-an exact scalar update loop (their inter-table control flow is not a
-prefix scan), so they are measured but not gated.
+speedup; 2bc-gskew, YAGS and the hashed perceptron vectorize
+history/index derivation but keep an exact scalar update loop (their
+inter-table control flow and the perceptron's weight sum are not prefix
+scans), so they are measured but not gated.
 """
 
 import time
@@ -24,6 +25,7 @@ from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import (
     Bimodal,
     GShare,
+    HashedPerceptron,
     LocalPredictor,
     TwoBcGskew,
     Yags,
@@ -46,6 +48,7 @@ CATALOG = {
     "tournament": lambda: mcfarling_tournament(),
     "gskew": lambda: TwoBcGskew(),
     "yags": lambda: Yags(),
+    "perceptron": lambda: HashedPerceptron(),
 }
 
 #: Predictors whose entire update loop runs as a clamped-walk scan;

@@ -58,7 +58,7 @@ from .registry import (
     UnknownPredictorError,
     resolve_predictor,
 )
-from .traces.workloads import PROFILES
+from .traces import WORKLOAD_CATEGORIES
 
 __all__ = ["main", "build_parser", "make_predictor", "PREDICTOR_CHOICES"]
 
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", help="synthesize a workload trace")
     generate_parser.add_argument("output", help="output path (.sbbt[.xz|.gz])")
     generate_parser.add_argument("--category", default="short_server",
-                                 choices=sorted(PROFILES))
+                                 choices=WORKLOAD_CATEGORIES)
     generate_parser.add_argument("--branches", type=int, default=100_000)
     generate_parser.add_argument("--seed", type=int, default=0)
 
@@ -870,6 +870,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .sbbt.writer import write_trace
     from .traces.synth import generate_trace
+    from .traces.workloads import PROFILES
 
     trace = generate_trace(PROFILES[args.category], args.seed, args.branches)
     size = write_trace(args.output, trace)

@@ -32,17 +32,18 @@ Those reusable passes — history/index derivation
 clamped-walk scan (:func:`clamped_walk_states`), per-table finish/count,
 and a two-stream chooser combinator (:class:`TournamentKernel`) —
 compose into *kernels* covering the whole table-indexed catalog:
-bimodal, GShare, two-level, local, tournament, 2bc-gskew and YAGS.
+bimodal, GShare, two-level, local, tournament, 2bc-gskew, YAGS and the
+hashed perceptron.
 Predictors advertise their kernel through
 ``Predictor.vector_kernel()``; :func:`simulate_vectorized` (or
 ``simulate(..., engine="vectorized")``) drives the kernel and produces
 a :class:`~repro.core.output.SimulationResult` byte-identical to the
 scalar engine's.  Predictors whose update rules read *other* tables'
-current state (gskew's partial-update vote, YAGS's tag caches) use
-hybrid kernels: every index/hash/history stream is precomputed with
-array passes and only the irreducible cross-table update loop stays
-scalar — over plain machine integers, far from the full per-branch
-protocol cost.
+current state (gskew's partial-update vote, YAGS's tag caches, the
+perceptron's weight sum) use hybrid kernels: every index/hash/history
+stream is precomputed with array passes and only the irreducible
+cross-table update loop stays scalar — over plain machine integers,
+far from the full per-branch protocol cost.
 
 This is the reproduction's analogue of MBPlib's C++-level speed work and
 the subject of the ``benchmarks/test_vectorized_catalog.py`` benchmark.
@@ -66,11 +67,11 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..sbbt.trace import TraceData
+from ..sbbt.trace import ITER_BLOCK_ROWS, TraceData
 from .errors import EngineNotSupportedError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -93,6 +94,7 @@ __all__ = [
     "TournamentKernel",
     "GskewKernel",
     "YagsKernel",
+    "PerceptronKernel",
     "simulate_vectorized",
     "run_unit_group",
 ]
@@ -527,12 +529,18 @@ class KernelRun:
     measured-region ``probe.record`` accounting through the bulk hooks
     (``probe_like`` is the root probe or a scoped view).
     ``structure()`` rebuilds the end-of-run ``probe_stats()`` snapshot
-    from the kernel's final table states.
+    from the kernel's final table states.  ``stats(counted)``, for
+    kernels of predictors whose ``metadata_stats()`` or
+    ``execution_stats()`` change during a run, returns both as the
+    scalar run would leave them, with event counters taken over the
+    ``counted`` branches; ``None`` reads both from the predictor.
     """
 
     predictions: np.ndarray
     fill_attribution: Callable[[Any, np.ndarray], None]
     structure: Callable[[], dict[str, Any]]
+    stats: Callable[[np.ndarray], tuple[dict[str, Any],
+                                        dict[str, Any]]] | None = None
 
 
 def _fill_component(probe_like: Any, ctx: _VectorContext, component: str,
@@ -859,15 +867,21 @@ class TournamentKernel:
     the chooser is a :class:`SaturatingTableKernel` scanned with steps
     only on disagreement branches toward the synthetic outcome
     "predictor 1 was correct" — the partial-update policy of
-    :class:`repro.predictors.Tournament`.
+    :class:`repro.predictors.Tournament`.  ``metadata`` and
+    ``execution`` are the tournament's ``metadata_stats()`` and
+    ``execution_stats()`` before the run; a component whose run reports
+    :attr:`KernelRun.stats` has its role's entries replaced by them.
     """
 
-    __slots__ = ("meta", "bp0", "bp1")
+    __slots__ = ("meta", "bp0", "bp1", "metadata", "execution")
 
-    def __init__(self, meta: SaturatingTableKernel, bp0: Any, bp1: Any):
+    def __init__(self, meta: SaturatingTableKernel, bp0: Any, bp1: Any,
+                 metadata: dict[str, Any], execution: dict[str, Any]):
         self.meta = meta
         self.bp0 = bp0
         self.bp1 = bp1
+        self.metadata = metadata
+        self.execution = execution
 
     def run(self, ctx: _VectorContext) -> KernelRun:
         run0 = self.bp0.run(ctx)
@@ -906,7 +920,26 @@ class TournamentKernel:
                     stats[role] = sub_stats
             return stats
 
-        return KernelRun(final, fill_attribution, structure)
+        roles = (("metapredictor", meta_run), ("predictor_0", run0),
+                 ("predictor_1", run1))
+        if all(sub.stats is None for _, sub in roles):
+            return KernelRun(final, fill_attribution, structure)
+
+        def stats(counted: np.ndarray) -> tuple[dict[str, Any],
+                                                 dict[str, Any]]:
+            # Nested as Tournament.metadata_stats/execution_stats nest.
+            metadata = dict(self.metadata)
+            execution: dict[str, Any] = {}
+            for role, sub in roles:
+                if sub.stats is None:
+                    sub_execution = self.execution.get(role)
+                else:
+                    metadata[role], sub_execution = sub.stats(counted)
+                if sub_execution:
+                    execution[role] = sub_execution
+            return metadata, execution
+
+        return KernelRun(final, fill_attribution, structure, stats)
 
 
 class GskewKernel:
@@ -1140,6 +1173,209 @@ class YagsKernel:
         return KernelRun(predictions, fill_attribution, structure)
 
 
+class PerceptronKernel:
+    """Hybrid kernel for :class:`repro.predictors.HashedPerceptron`.
+
+    Every table index of every conditional branch comes from array
+    passes — the address fold, the masked global-history window and the
+    pre-folded table salts of :func:`repro.utils.hashing.vote_lanes` —
+    converted to Python ints a block of rows at a time.  The weight
+    sum, the clamped ±1 update on a misprediction or a low-confidence
+    sum, and the adaptive-threshold controller read the weights the
+    previous branches wrote, so they run as one scalar loop over a
+    compact weight list: a weight gets its slot the first time a branch
+    reads it.  Training causes are counted per branch, so
+    :attr:`KernelRun.stats` reports them over the measured region.
+    """
+
+    __slots__ = ("log_table_size", "weight_width", "history_lengths",
+                 "theta", "adaptive_theta", "metadata")
+
+    def __init__(self, log_table_size: int, weight_width: int,
+                 history_lengths: Sequence[int], theta: int,
+                 adaptive_theta: bool, metadata: dict[str, Any]):
+        if max(history_lengths) > 63:
+            raise SimulationError("history lengths must be <= 63")
+        self.log_table_size = log_table_size
+        self.weight_width = weight_width
+        self.history_lengths = tuple(history_lengths)
+        self.theta = theta
+        self.adaptive_theta = adaptive_theta
+        #: The predictor's ``metadata_stats()``; its ``theta`` is
+        #: replaced by the run's final threshold.
+        self.metadata = metadata
+
+    def index_blocks(self, ctx: _VectorContext) -> Iterator[np.ndarray]:
+        """Flat weight indices per conditional branch, a block at a time.
+
+        Yields ``int64`` arrays with one row per branch; row ``i`` holds,
+        for every table ``t``, ``t << log_table_size`` plus the index
+        :func:`repro.utils.hashing.vote_indices` gives branch ``i``.  A
+        block holds :data:`~repro.sbbt.trace.ITER_BLOCK_ROWS` indices in
+        all (as many as ``TraceData.iter_branches`` converts per block),
+        and its history tables are folded together, as one 2-D array.
+        """
+        from ..utils.hashing import vote_lanes
+
+        width = self.log_table_size
+        lanes = vote_lanes(self.history_lengths, width)
+        block_rows = max(1, ITER_BLOCK_ROWS // len(lanes))
+        tables = [t for t, (history_mask, _) in enumerate(lanes)
+                  if history_mask is not None]
+        masks = np.array([lanes[t][0] for t in tables], dtype=np.uint64)
+        salts = np.array([lanes[t][1] for t in tables], dtype=np.uint64)
+        offsets = np.arange(len(lanes), dtype=np.int64) << width
+        folded_ips = ctx.folded_ips(width)
+        if tables:
+            ghist = ctx.global_history(max(self.history_lengths))
+        # Bit 62 of a 63-bit window lands on bit 64 of ``window << 2``,
+        # past the uint64; it is folded in at its chunk position.
+        overflow = bool(tables) and max(self.history_lengths) > 62
+        for start in range(0, ctx.n, block_rows):
+            rows = slice(start, start + block_rows)
+            base = folded_ips[rows]
+            block = np.empty((len(base), len(lanes)), dtype=np.uint64)
+            block[:] = base[:, None]
+            if tables:
+                windows = ghist[rows, None] & masks
+                folded = xor_fold_array(windows << np.uint64(2),
+                                        width) ^ salts
+                if overflow:
+                    folded ^= (windows >> np.uint64(62)) \
+                        << np.uint64(64 % width)
+                block[:, tables] ^= folded
+            yield block.view(np.int64) + offsets
+
+    def _walk(self, ctx: _VectorContext,
+              ) -> tuple[list[int], np.ndarray, list[int], int]:
+        """The scalar weight loop.
+
+        Returns ``(weights, entries, codes, theta)``.  Weights are kept
+        compact: ``weights[k]`` is the final weight at flat index
+        ``entries[k]``, and indices no branch reads stay at 0.
+        ``codes[i]`` is branch ``i``'s prediction plus 2 when it trained
+        on a low-confidence sum.
+        """
+        space = len(self.history_lengths) << self.log_table_size
+        known = np.zeros(space, dtype=bool)
+        slots = np.empty(space, dtype=np.int64)  # read only where known
+        entries = [np.zeros(0, dtype=np.int64)]
+        weights: list[int] = []
+        weight = weights.__getitem__
+        w_max = (1 << (self.weight_width - 1)) - 1
+        w_min = -(1 << (self.weight_width - 1))
+        theta = self.theta
+        adaptive = self.adaptive_theta
+        tc = 0
+        codes: list[int] = []
+        code = codes.append
+        outcomes = iter(ctx.taken.tolist())
+        for block in self.index_blocks(ctx):
+            # First-seen indices get the next compact slots.
+            seen = np.zeros(space, dtype=bool)
+            seen[block] = True
+            fresh = np.flatnonzero(seen & ~known)
+            known[fresh] = True
+            slots[fresh] = np.arange(len(weights), len(weights) + len(fresh))
+            entries.append(fresh)
+            weights.extend([0] * len(fresh))
+            for row, taken in zip(zip(*slots[block.T].tolist()), outcomes):
+                total = sum(map(weight, row))
+                predicted = total >= 0
+                if predicted == taken:
+                    if total > theta or total < -theta:
+                        code(predicted)
+                        continue
+                    code(predicted + 2)
+                else:
+                    code(predicted)
+                if taken:
+                    for i in row:
+                        value = weights[i]
+                        if value != w_max:
+                            weights[i] = value + 1
+                else:
+                    for i in row:
+                        value = weights[i]
+                        if value != w_min:
+                            weights[i] = value - 1
+                if adaptive:
+                    # Seznec's controller, as HashedPerceptron._adapt_theta.
+                    if predicted != taken:
+                        tc += 1
+                        if tc >= 64:
+                            theta += 1
+                            tc = 0
+                    else:
+                        tc -= 1
+                        if tc <= -64:
+                            if theta > 1:
+                                theta -= 1
+                            tc = 0
+        return weights, np.concatenate(entries), codes, theta
+
+    def _dominant(self, ctx: _VectorContext,
+                  trained: np.ndarray) -> np.ndarray:
+        """The table of each branch's largest-magnitude weight.
+
+        The first such table on ties: the component the scalar
+        predictor's probe records.  The weights are replayed from zero over full-size
+        tables, with :meth:`_walk`'s update applied on every ``trained``
+        branch.
+        """
+        weights = [0] * (len(self.history_lengths) << self.log_table_size)
+        w_max = (1 << (self.weight_width - 1)) - 1
+        w_min = -(1 << (self.weight_width - 1))
+        dominant: list[int] = []
+        steps = zip(ctx.taken.tolist(), trained.tolist())
+        for block in self.index_blocks(ctx):
+            for row, (taken, train) in zip(block.tolist(), steps):
+                values = [weights[i] for i in row]
+                dominant.append(values.index(max(values, key=abs)))
+                if not train:
+                    continue
+                bound, delta = (w_max, 1) if taken else (w_min, -1)
+                for i in row:
+                    if weights[i] != bound:
+                        weights[i] += delta
+        return np.array(dominant, dtype=np.int64)
+
+    def run(self, ctx: _VectorContext) -> KernelRun:
+        weights, entries, codes, theta = self._walk(ctx)
+        code_array = np.array(codes, dtype=np.int8)
+        predictions = (code_array & 1).astype(bool)
+        mispredicted = predictions != ctx.taken
+        threshold_trained = code_array >= 2
+
+        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
+            dominant = self._dominant(ctx, mispredicted | threshold_trained)
+            correct = ~mispredicted
+            for table in range(len(self.history_lengths)):
+                _fill_component(probe_like, ctx, f"T{table}",
+                                measured & (dominant == table), correct)
+
+        def structure() -> dict[str, Any]:
+            from ..utils.tables import distribution_stats
+
+            tables = np.zeros((len(self.history_lengths),
+                               1 << self.log_table_size), dtype=np.int64)
+            tables.ravel()[entries] = weights
+            w_max = (1 << (self.weight_width - 1)) - 1
+            return {f"T{t}": distribution_stats(table, -w_max - 1, w_max)
+                    for t, table in enumerate(tables)}
+
+        def stats(counted: np.ndarray) -> tuple[dict[str, Any],
+                                                 dict[str, Any]]:
+            return dict(self.metadata, theta=theta), {
+                "threshold_trainings": int((threshold_trained
+                                            & counted).sum()),
+                "mispredict_trainings": int((mispredicted & counted).sum()),
+                "final_theta": theta,
+            }
+
+        return KernelRun(predictions, fill_attribution, structure, stats)
+
+
 def _plan_accounting(data: TraceData, limit: int | None,
                      ) -> tuple[TraceData, np.ndarray, int, int, bool]:
     """Replicate the scalar loop's instruction accounting.
@@ -1278,6 +1514,17 @@ def _finish_unit(predictor: "Predictor", name: str,
                 mpki=mpki(failed, measured_instructions),
                 accuracy=accuracy(failed, occ)))
 
+    if run.stats is None:
+        metadata = predictor.metadata_stats()
+        statistics = predictor.execution_stats()
+    else:
+        # The scalar loop resets statistics (``on_warmup_end``) at the
+        # first branch past the warmup; if none gets there, they cover
+        # the whole run.
+        warmed = included > 0 and int(numbers[-1]) > warmup
+        metadata, statistics = run.stats(
+            measured if warmed else np.ones_like(measured))
+
     phases_snapshot = None
     if instr is not None:
         instr.add_phase("simulate_loop", elapsed)
@@ -1294,8 +1541,8 @@ def _finish_unit(predictor: "Predictor", name: str,
         num_conditional_branches=conditional_branches,
         mispredictions=mispredictions,
         simulation_time=elapsed,
-        predictor_metadata=predictor.metadata_stats(),
-        predictor_statistics=predictor.execution_stats(),
+        predictor_metadata=metadata,
+        predictor_statistics=statistics,
         most_failed=most_failed,
         phases=phases_snapshot,
         probe_report=probe_report,

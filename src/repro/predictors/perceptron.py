@@ -220,3 +220,19 @@ class HashedPerceptron(Predictor):
         """Hardware budget of the configuration, in bits."""
         return (self.num_tables * (1 << self.log_table_size)
                 * self.weight_width + self._max_history)
+
+    def vector_kernel(self) -> Any:
+        """Hybrid kernel: vectorized table indices, scalar weight updates.
+
+        The kernel starts from the constructor-time threshold, like
+        :meth:`spec`.  Histories longer than 63 bits do not fit the
+        packed uint64 windows, and the kernel derives no path history,
+        so such configurations stay on the scalar engine.
+        """
+        if self._max_history > 63 or self.use_path_history:
+            return None
+        from ..core.vectorized import PerceptronKernel
+
+        return PerceptronKernel(
+            self.log_table_size, self.weight_width, self.history_lengths,
+            self._initial_theta, self.adaptive_theta, self.metadata_stats())

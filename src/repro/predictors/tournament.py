@@ -161,7 +161,9 @@ class Tournament(Predictor):
         bp1_kernel = self.bp1.vector_kernel()
         if bp0_kernel is None or bp1_kernel is None:
             return None
-        return TournamentKernel(meta_kernel, bp0_kernel, bp1_kernel)
+        return TournamentKernel(meta_kernel, bp0_kernel, bp1_kernel,
+                                self.metadata_stats(),
+                                self.execution_stats())
 
 
 def mcfarling_tournament(log_table_size: int = 14,

@@ -7,6 +7,12 @@ distributed) and reimplements its BT9/champsimtrace translators.
 
 from .._lazy import lazy_exports
 
+#: The workload category names (the keys of
+#: :data:`repro.traces.workloads.PROFILES`, sorted), listed here so that
+#: naming a category imports no trace generator.
+WORKLOAD_CATEGORIES = ("long_mobile", "long_server", "short_mobile",
+                       "short_server", "spec17_like")
+
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".inspect": ("TraceStatistics", "analyze_trace"),
     ".synth": ("SyntheticProgram", "WorkloadProfile", "generate_trace"),

@@ -26,6 +26,7 @@ from repro.core.vectorized import simulate_vectorized
 from repro.predictors import (
     Bimodal,
     GShare,
+    HashedPerceptron,
     LocalPredictor,
     Tournament,
     TwoBcGskew,
@@ -37,7 +38,7 @@ from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
 from tests.conftest import assert_kernel_matches_scalar
 
-#: The seven catalog predictors that provide a vector kernel, sized
+#: The eight catalog predictors that provide a vector kernel, sized
 #: small so the traces below drive every table into aliasing.
 KERNEL_CATALOG = {
     "bimodal": lambda: Bimodal(log_table_size=7, instruction_shift=2),
@@ -52,6 +53,9 @@ KERNEL_CATALOG = {
                                 history_length_g1=11),
     "yags": lambda: Yags(log_choice_size=7, log_cache_size=5,
                          tag_width=6, history_length=8),
+    "perceptron": lambda: HashedPerceptron(
+        log_table_size=7, weight_width=6,
+        history_lengths=(0, 2, 5, 11, 23, 47)),
 }
 
 

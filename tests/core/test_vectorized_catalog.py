@@ -2,14 +2,15 @@
 
 Every table-indexed predictor in the catalog — bimodal, gshare, gskew,
 two-level (all four scope combinations), local, tournament (McFarling
-and Alpha 21264 shapes) and YAGS — must produce a **byte-identical**
+and Alpha 21264 shapes, and one over a perceptron), YAGS and the hashed
+perceptron — must produce a **byte-identical**
 :class:`~repro.core.output.SimulationResult` JSON document and an
 identical probe report under the vectorized engine, for arbitrary
-traces, table sizes, history lengths and counter widths.  Aggregate
-agreement can hide compensating errors, so the serialized document
-(which includes the most-failed branch profile) is compared verbatim;
-only ``simulation_time`` — wall-clock, meaningless to compare — is
-removed first.
+traces, table sizes, history lengths and counter widths.
+Aggregate agreement can hide compensating errors, so the serialized
+document (which includes the most-failed branch profile) is compared
+verbatim; only ``simulation_time`` — wall-clock, meaningless to compare
+— is removed first.
 
 Uses `hypothesis` when the environment provides it; otherwise the same
 properties run against draws from a seeded ``random.Random``, so the
@@ -29,7 +30,9 @@ from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import (
     Bimodal,
     GShare,
+    HashedPerceptron,
     LocalPredictor,
+    OGehl,
     Tournament,
     TwoBcGskew,
     Yags,
@@ -85,6 +88,26 @@ CATALOG = {
         log_cache_size=rng.randint(1, 5),
         tag_width=rng.randint(1, 8),
         history_length=rng.randint(1, 12)),
+    "perceptron": lambda rng: HashedPerceptron(
+        log_table_size=rng.randint(1, 6),
+        weight_width=rng.randint(2, 8),
+        history_lengths=[rng.choice([0, 0, 1, 3, 8, 17, 33, 63])
+                         for _ in range(rng.randint(1, 6))],
+        theta=rng.choice([None, 0, 1, 7]),
+        adaptive_theta=rng.random() < 0.5),
+    # A composition whose base reports trained statistics: the nested
+    # ``predictor_0`` threshold and training counters must come out of
+    # the perceptron kernel's run, not the untrained instance.
+    "perceptron-tournament": lambda rng: Tournament(
+        meta=Bimodal(rng.randint(1, 4), rng.randint(1, 3)),
+        bp0=HashedPerceptron(
+            log_table_size=rng.randint(1, 5),
+            weight_width=rng.randint(2, 6),
+            history_lengths=[rng.choice([0, 3, 8, 17])
+                             for _ in range(rng.randint(1, 4))],
+            theta=rng.choice([None, 0, 3])),
+        bp1=GShare(rng.randint(1, 10), rng.randint(1, 5),
+                   rng.randint(1, 3))),
 }
 
 
@@ -205,18 +228,15 @@ class TestCatalogEdges:
 
     def test_auto_engine_falls_back_for_scalar_only_predictor(
             self, small_trace):
-        from repro.predictors import HashedPerceptron
-
-        result = simulate(HashedPerceptron(), small_trace, engine="auto")
+        result = simulate(OGehl(), small_trace, engine="auto")
         assert result.num_conditional_branches > 0
 
     def test_vectorized_engine_rejects_scalar_only_predictor(
             self, small_trace):
         from repro.core.errors import EngineNotSupportedError
-        from repro.predictors import HashedPerceptron
 
         with pytest.raises(EngineNotSupportedError) as excinfo:
-            simulate(HashedPerceptron(), small_trace, engine="vectorized")
+            simulate(OGehl(), small_trace, engine="vectorized")
         assert "vector kernel" in str(excinfo.value)
 
     def test_unknown_engine_rejected(self, small_trace):
@@ -232,7 +252,70 @@ class TestCatalogEdges:
         # live instance's counter table must stay cold.
         assert all(counter == 0 for counter in predictor._table)
 
+    def test_vectorized_never_trains_the_perceptron(self, small_trace):
+        predictor = HashedPerceptron(log_table_size=8)
+        cold = (predictor.metadata_stats(), predictor.execution_stats())
+        result = simulate(predictor, small_trace, engine="vectorized")
+        assert result.predictor_statistics["threshold_trainings"] > 0
+        assert all(weight == 0 for table in predictor._tables
+                   for weight in table)
+        assert (predictor.metadata_stats(),
+                predictor.execution_stats()) == cold
+
 
 def test_catalog_covers_the_issue_list():
     assert set(CATALOG) == {"bimodal", "gshare", "gskew", "two-level",
-                            "local", "tournament", "yags"}
+                            "local", "tournament", "yags", "perceptron",
+                            "perceptron-tournament"}
+
+
+class TestPerceptronKernel:
+    """The hybrid kernel's array-derived inputs, checked on their own."""
+
+    @staticmethod
+    def scalar_indices(predictor, trace, track_all):
+        """Each conditional branch's ``vote_indices`` row, as the scalar
+        predictor computes it inside the simulator's loop."""
+        rows = []
+        for branch, _gap in trace.iter_branches():
+            if branch.is_conditional:
+                predictor.predict(branch.ip)
+                rows.append(list(predictor._cached_indices))
+                predictor.train(branch)
+                predictor.track(branch)
+            elif track_all:
+                predictor.track(branch)
+        return rows
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_index_rows_equal_vote_indices(self, seed, monkeypatch):
+        from repro.core import vectorized
+        from repro.core.vectorized import _VectorContext
+
+        rng = random.Random(seed)
+        predictor = CATALOG["perceptron"](rng)
+        trace = random_trace(rng, num_branches=rng.randint(150, 400),
+                             pool_size=rng.randint(1, 40),
+                             conditional_fraction=rng.choice([0.5, 1.0]))
+        track_all = rng.random() < 0.5
+        expected = self.scalar_indices(predictor, trace, track_all)
+        kernel = predictor.vector_kernel()
+        ctx = _VectorContext(trace, track_all=track_all)
+        # Blocks far smaller than the trace: rows cross block boundaries.
+        block_rows = rng.choice([1, 7, 64])
+        monkeypatch.setattr(vectorized, "ITER_BLOCK_ROWS",
+                            block_rows * predictor.num_tables)
+        blocks = list(kernel.index_blocks(ctx))
+        assert len(blocks) == -(-ctx.n // block_rows) > 1
+        assert all(len(block) <= block_rows for block in blocks)
+        offsets = np.arange(predictor.num_tables) << predictor.log_table_size
+        rows = (np.concatenate(blocks) - offsets).tolist()
+        assert rows == expected
+
+    def test_long_histories_and_path_history_stay_scalar(self):
+        assert HashedPerceptron(history_lengths=(0, 64)).vector_kernel() \
+            is None
+        assert HashedPerceptron(history_lengths=(0, 63)).vector_kernel() \
+            is not None
+        assert HashedPerceptron(
+            use_path_history=True).vector_kernel() is None

@@ -76,7 +76,7 @@ class TestSimulateCommand:
     def test_engine_vectorized_unsupported_with_cache_clean_error(
             self, trace_file, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", str(trace_file), "--predictor", "perceptron",
+            main(["simulate", str(trace_file), "--predictor", "batage",
                   "--engine", "vectorized",
                   "--cache-dir", str(tmp_path / "cache")])
         assert "vector kernel" in str(excinfo.value)

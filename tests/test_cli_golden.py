@@ -133,13 +133,25 @@ class TestEngineGolden:
                 == normalize(scalar, trace_file.parent))
 
     def test_simulate_auto_scalar_fallback(self, trace_file, capsys):
-        # No vector kernel for the perceptron: auto silently falls back.
+        # The perceptron runs auto through its hybrid kernel; the output
+        # still matches the scalar engine's.
         out = run(["simulate", str(trace_file), "--predictor", "perceptron",
                    "--engine", "auto"], capsys)
         scalar = run(["simulate", str(trace_file),
                       "--predictor", "perceptron"], capsys)
         assert (normalize(out, trace_file.parent)
                 == normalize(scalar, trace_file.parent))
+
+    def test_simulate_auto_falls_back_without_kernel(self, trace_file):
+        # O-GEHL has no vector kernel: auto silently runs the scalar loop.
+        from repro.core.simulator import simulate
+        from repro.predictors import OGehl
+
+        assert OGehl().vector_kernel() is None
+        auto = simulate(OGehl(), trace_file, engine="auto")
+        scalar = simulate(OGehl(), trace_file)
+        assert (normalize(auto.to_json_string(), trace_file.parent)
+                == normalize(scalar.to_json_string(), trace_file.parent))
 
 
 class TestInfoGolden:

@@ -78,10 +78,19 @@ class TestImportFootprint:
 
     def test_cli_import_loads_no_engine_or_serve(self):
         modules = modules_after("import repro.cli")
+        # ``generate --category`` lists WORKLOAD_CATEGORIES, so no trace
+        # generator loads either.
         for idle in ("repro.core.engine", "repro.serve", "repro.cache",
-                     "repro.baselines", "multiprocessing",
+                     "repro.baselines", "repro.traces.workloads",
+                     "repro.traces.synth", "multiprocessing",
                      "concurrent.futures"):
             assert not loaded(modules, idle), idle
+
+    def test_workload_categories_name_the_profiles(self):
+        from repro.traces import WORKLOAD_CATEGORIES
+        from repro.traces.workloads import PROFILES
+
+        assert list(WORKLOAD_CATEGORIES) == sorted(PROFILES)
 
 
 class TestLazyNamespaces:
