@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from ...core.metrics import accuracy, mpki
 from .bt9 import iter_bt9, read_bt9_header
@@ -73,23 +73,15 @@ class Cbp5Framework:
     def __init__(self, trace_path: str | Path):
         self.trace_path = Path(trace_path)
 
-    def run(self, predictor: Cbp5Predictor,
-            instrumentation: Any = None) -> Cbp5Result:
+    def run(self, predictor: Cbp5Predictor) -> Cbp5Result:
         """Drive ``predictor`` over the whole trace (framework-style).
 
-        ``instrumentation`` accepts :mod:`repro.telemetry` phase timers
-        and records "header_read" and "simulate_loop" phases; because
-        BT9 is a plain-text format parsed line by line, the loop phase
-        here includes the parsing cost the paper's Section V attributes
-        to the framework baseline.
+        BT9 is a plain-text format parsed line by line, so the measured
+        ``simulation_time`` includes the parsing cost the paper's
+        Section V attributes to the framework baseline.
         """
-        instr = instrumentation
         start = time.perf_counter()
         header = read_bt9_header(self.trace_path)
-        loop_start = 0.0
-        if instr is not None:
-            loop_start = time.perf_counter()
-            instr.add_phase("header_read", loop_start - start)
         instructions = 0
         branches = 0
         conditional = 0
@@ -112,9 +104,6 @@ class Cbp5Framework:
         # Trailing non-branch instructions recorded in the header.
         instructions = max(instructions, header.num_instructions)
         elapsed = time.perf_counter() - start
-        if instr is not None:
-            instr.add_phase("simulate_loop",
-                            time.perf_counter() - loop_start)
         return Cbp5Result(
             trace=str(self.trace_path),
             num_instructions=instructions,

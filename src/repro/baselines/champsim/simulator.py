@@ -69,33 +69,23 @@ class ChampsimResult:
 def run_champsim(predictor: Predictor, trace: TraceLike,
                  config: CoreConfig | None = None,
                  max_instructions: int | None = None,
-                 trace_name: str | None = None,
-                 instrumentation: Any = None) -> ChampsimResult:
+                 trace_name: str | None = None) -> ChampsimResult:
     """Simulate ``trace`` on the cycle-level core with ``predictor``.
 
     The paper's methodology runs "only the first 100 million
     instructions from each trace" because ChampSim is so much slower;
-    ``max_instructions`` is that knob.
-
-    ``instrumentation`` accepts :mod:`repro.telemetry` phase timers and
-    records "trace_read" and "core_run" phases — the split that shows
-    how much of the Table III gap is the cycle model rather than I/O.
+    ``max_instructions`` is that knob.  ``simulation_time`` covers the
+    cycle model only, not reading the trace.
     """
-    instr = instrumentation
-    read_start = time.perf_counter() if instr is not None else 0.0
     if isinstance(trace, InstructionTrace):
         data, name = trace, trace_name or "<memory>"
     else:
         data = read_instruction_trace(trace)
         name = trace_name or str(trace)
-    if instr is not None:
-        instr.add_phase("trace_read", time.perf_counter() - read_start)
     start = time.perf_counter()
     core = O3Core(predictor, config)
     stats = core.run(data, max_instructions=max_instructions)
     elapsed = time.perf_counter() - start
-    if instr is not None:
-        instr.add_phase("core_run", elapsed)
     return ChampsimResult(
         trace_name=name,
         stats=stats,

@@ -339,7 +339,7 @@ class SimulationCache:
                         trace: TraceLike,
                         config: SimulationConfig | None = None, *,
                         trace_name: str | None = None,
-                        instrumentation: Any = None,
+                        tracer: Any = None,
                         telemetry: Any = None,
                         probe: Any = None,
                         engine: str = "scalar") -> SimulationResult:
@@ -354,11 +354,12 @@ class SimulationCache:
         display-only and deliberately not part of the key, so a hit is
         renamed to the caller's current spelling.
 
-        ``instrumentation`` / ``telemetry`` are the standard simulator's
-        observability hooks (:mod:`repro.telemetry`): the key derivation
-        and lookup are timed as a "cache_lookup" phase and counted as
-        "cache_hit" / "cache_miss"; on a miss both hooks are forwarded
-        to :func:`~repro.core.simulator.simulate`.  A hit emits no
+        ``tracer`` / ``telemetry`` are the standard simulator's
+        observability hooks (:mod:`repro.tracing`,
+        :mod:`repro.telemetry`): the key derivation and lookup are
+        recorded as a "cache_lookup" span carrying ``cache_hit`` or
+        ``cache_miss``; on a miss both hooks are forwarded to
+        :func:`~repro.core.simulator.simulate`.  A hit emits no
         interval telemetry — the stored result has no timeseries — which
         the run manifest makes visible via its ``cache`` section.
 
@@ -373,15 +374,15 @@ class SimulationCache:
         so runs with different engines share entries.
         """
         config = config or SimulationConfig()
-        instr = instrumentation
-        lookup_start = time.perf_counter() if instr is not None else 0.0
+        lookup_start = time.perf_counter() if tracer is not None else 0.0
         spec, prebuilt = derive_spec(factory)
         key = self.make_key(trace_digest(trace), spec, config)
         cached = self.get(key)
-        if instr is not None:
-            instr.add_phase("cache_lookup",
-                            time.perf_counter() - lookup_start)
-            instr.count("cache_hit" if cached is not None else "cache_miss")
+        if tracer is not None:
+            outcome = "cache_hit" if cached is not None else "cache_miss"
+            tracer.add_span("cache_lookup",
+                            time.perf_counter() - lookup_start,
+                            attributes={outcome: 1})
         if cached is not None:
             if trace_name is not None:
                 cached.trace_name = trace_name
@@ -390,8 +391,8 @@ class SimulationCache:
             return cached
         predictor = prebuilt if prebuilt is not None else factory()
         result = simulate(predictor, trace, config, trace_name=trace_name,
-                          instrumentation=instrumentation,
-                          telemetry=telemetry, probe=probe, engine=engine)
+                          tracer=tracer, telemetry=telemetry, probe=probe,
+                          engine=engine)
         self.put(key, result)
         return result
 

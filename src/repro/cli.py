@@ -464,11 +464,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SystemExit("--interval requires --telemetry")
     if args.probe and args.telemetry is None:
         raise SystemExit("--probe requires --telemetry")
-    instrumentation = recorder = probe = None
+    recorder = probe = spans = None
     if args.telemetry is not None:
-        from .telemetry import IntervalRecorder, PhaseTimers
+        from .telemetry import IntervalRecorder
 
-        instrumentation = PhaseTimers()
         recorder = IntervalRecorder(
             args.interval if args.interval is not None
             else DEFAULT_TELEMETRY_INTERVAL)
@@ -482,6 +481,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with tracer.span("simulate", parent=root_context,
                          attributes={"unit": args.trace,
                                      "predictor": args.predictor}) as span:
+            if args.telemetry is not None or tracer.enabled:
+                from .tracing import SpanRecorder
+
+                spans = SpanRecorder(root=span.context,
+                                     sink=getattr(tracer, "sink", None))
             try:
                 if cache_used:
                     from .cache import SimulationCache
@@ -489,21 +493,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     cache = SimulationCache(cache_dir)
                     result = cache.get_or_simulate(
                         lambda: make_predictor(args.predictor), args.trace,
-                        config, engine=args.engine,
-                        instrumentation=instrumentation,
+                        config, engine=args.engine, tracer=spans,
                         telemetry=recorder, probe=probe)
                 else:
                     result = simulate(make_predictor(args.predictor),
                                       args.trace, config, engine=args.engine,
-                                      instrumentation=instrumentation,
-                                      telemetry=recorder, probe=probe)
+                                      tracer=spans, telemetry=recorder,
+                                      probe=probe)
             except EngineNotSupportedError as exc:
                 raise SystemExit(str(exc)) from None
             if tracer.enabled:
                 span.set_attribute("from_cache", bool(result.from_cache))
     if args.telemetry is not None:
-        from .telemetry import build_manifest, write_telemetry
+        from .telemetry import PhaseTimers, build_manifest, write_telemetry
 
+        timers = PhaseTimers.from_spans(spans.spans)
         series = recorder.series  # None on a cache hit (nothing simulated)
         if series is None and args.telemetry.lower().endswith(".csv"):
             raise SystemExit(
@@ -513,12 +517,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         manifest = build_manifest(
             result, trace=args.trace,
             predictor=make_predictor(args.predictor), config=config,
-            phases=instrumentation.phases,
-            counters=instrumentation.counters or None,
+            phases=timers.phases, counters=timers.counters or None,
             cache_used=cache_used)
         write_telemetry(args.telemetry, manifest=manifest,
-                        phases=instrumentation.phases,
-                        counters=instrumentation.counters or None,
+                        phases=timers.phases,
+                        counters=timers.counters or None,
                         intervals=series,
                         probe=result.probe_report)
     if args.compact:

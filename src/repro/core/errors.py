@@ -72,7 +72,7 @@ class TelemetryError(ReproError):
     """The observability layer (:mod:`repro.telemetry`) was misused.
 
     Only raised for *caller* mistakes (non-positive interval, malformed
-    manifest/telemetry documents).  The instrumentation hooks themselves
+    manifest/telemetry documents).  The observability hooks themselves
     never raise from inside a simulation — a simulation that succeeds
     without telemetry also succeeds with it.
     """

@@ -57,19 +57,12 @@ class SimulationResult:
     #: (or read) under the same cache key while this unit waited on it
     #: (see :func:`repro.core.plan.execute_plan`).  Never serialized.
     coalesced: bool = field(default=False, compare=False)
-    #: Phase-timing snapshot (phase name -> seconds) attached by the
-    #: simulator when a :class:`repro.telemetry.PhaseTimers` was passed.
-    #: Like ``from_cache`` this is in-memory provenance, *not* part of
-    #: the Listing-1 JSON schema — results serialize identically with or
-    #: without instrumentation, so telemetry can never split the
-    #: content-addressed cache.  Run manifests
-    #: (:func:`repro.telemetry.build_manifest`) pick it up by default.
-    phases: dict[str, float] | None = field(default=None, compare=False)
     #: Component-attribution report attached by the simulator when a
-    #: :class:`repro.probe.PredictionProbe` was passed.  Same rule as
-    #: ``phases``: in-memory provenance only, never serialized into the
-    #: Listing-1 JSON, so enabling probes cannot perturb cache keys or
-    #: golden outputs.  Run manifests pick it up by default.
+    #: :class:`repro.probe.PredictionProbe` was passed.  Like
+    #: ``from_cache`` this is in-memory provenance only, never
+    #: serialized into the Listing-1 JSON, so enabling probes cannot
+    #: perturb cache keys or golden outputs.  Run manifests
+    #: (:func:`repro.telemetry.build_manifest`) pick it up by default.
     probe_report: dict[str, Any] | None = field(default=None, compare=False)
 
     @property

@@ -12,23 +12,24 @@ Driving rules (Section IV-B):
   ``track_only_conditional``), after ``train``;
 * mispredictions inside the warm-up instruction window are not counted.
 
-Observability (:mod:`repro.telemetry`, :mod:`repro.probe`): the
-simulator accepts an optional ``instrumentation`` object — phase timers
-bracketing trace decode ("trace_read"), the predict/train/track loop
-("simulate_loop") and result finalization ("finalize") — an optional
-``telemetry`` interval recorder sampling the running counters every N
-instructions, and an optional ``probe`` accumulating component
-attribution and per-branch profiles.  All default to off, and the off
-path adds **no hook calls**: phases are per-run brackets behind
-``is not None`` guards, interval sampling is a single integer
-comparison against an unreachable sentinel, and the probe's entire
-disabled cost is one ``is not None`` test of a local variable per
-measured conditional branch, so Table III-style timing measurements
-are unaffected.
+Observability (:mod:`repro.tracing`, :mod:`repro.telemetry`,
+:mod:`repro.probe`): the simulator accepts an optional ``tracer`` that
+records one span per phase — trace decode ("trace_read"), the
+predict/train/track loop ("simulate_loop") and result finalization
+("finalize") — an optional ``telemetry`` interval recorder sampling
+the running counters every N instructions, and an optional ``probe``
+accumulating component attribution and per-branch profiles.  All
+default to off, and the off path adds **no hook calls**: spans are
+per-run records behind ``is not None`` guards, interval sampling is a
+single integer comparison against an unreachable sentinel, and the
+probe's entire disabled cost is one ``is not None`` test of a local
+variable per measured conditional branch, so Table III-style timing
+measurements are unaffected.
 
 All durations are measured with the monotonic ``time.perf_counter``;
 wall-clock ``time.time`` (which can jump under NTP adjustment) is never
-used for timing.
+used for a duration, only for the start stamps that place spans on a
+timeline.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .predictor import Predictor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..probe import PredictionProbe
-    from ..telemetry.instrumentation import Instrumentation
     from ..telemetry.interval import IntervalRecorder
+    from ..tracing.span import Tracer
 
 __all__ = ["SimulationConfig", "simulate", "simulate_file"]
 
@@ -104,7 +105,7 @@ def simulate(predictor: Predictor, trace: TraceLike,
              config: SimulationConfig | None = None, *,
              trace_name: str | None = None,
              engine: str = "scalar",
-             instrumentation: "Instrumentation | None" = None,
+             tracer: "Tracer | None" = None,
              telemetry: "IntervalRecorder | None" = None,
              probe: "PredictionProbe | None" = None
              ) -> SimulationResult:
@@ -123,15 +124,15 @@ def simulate(predictor: Predictor, trace: TraceLike,
     ``predictor.vector_kernel()`` is ``None``); ``"auto"`` uses the
     vectorized engine when a kernel exists and this loop otherwise.
 
-    ``instrumentation`` (phase timers / counters), ``telemetry`` (an
+    ``tracer`` (a :class:`~repro.tracing.SpanRecorder`; the run's
+    "trace_read", "simulate_loop" and "finalize" spans nest under its
+    ``root``), ``telemetry`` (an
     :class:`~repro.telemetry.interval.IntervalRecorder`) and ``probe``
     (a :class:`~repro.probe.PredictionProbe` attached to the predictor
     for the run, with its report landing in the result's non-serialized
-    ``probe_report`` field) are optional observability hooks; when
-    instrumentation records phase timings (exposes a ``phases`` dict), a
-    snapshot is attached to the result's non-serialized ``phases``
-    field.  None of them changes the metrics: a run with hooks produces
-    the same :class:`SimulationResult` as one without.
+    ``probe_report`` field) are optional observability hooks.  None of
+    them changes the metrics: a run with hooks produces the same
+    :class:`SimulationResult` as one without.
     """
     if engine not in ("scalar", "vectorized", "auto"):
         raise SimulationError(
@@ -143,8 +144,7 @@ def simulate(predictor: Predictor, trace: TraceLike,
         if predictor.vector_kernel() is not None:
             return simulate_vectorized(
                 predictor, trace, config, trace_name=trace_name,
-                instrumentation=instrumentation, telemetry=telemetry,
-                probe=probe)
+                tracer=tracer, telemetry=telemetry, probe=probe)
         if engine == "vectorized":
             from .errors import EngineNotSupportedError
 
@@ -153,12 +153,11 @@ def simulate(predictor: Predictor, trace: TraceLike,
                 "vector kernel; run it with --engine scalar (or auto to "
                 "fall back automatically)")
     config = config or SimulationConfig()
-    instr = instrumentation
 
-    read_start = time.perf_counter() if instr is not None else 0.0
+    read_start = time.perf_counter() if tracer is not None else 0.0
     data, default_name = _resolve_trace(trace)
-    if instr is not None:
-        instr.add_phase("trace_read", time.perf_counter() - read_start)
+    if tracer is not None:
+        tracer.add_span("trace_read", time.perf_counter() - read_start)
     name = trace_name if trace_name is not None else default_name
 
     start = time.perf_counter()
@@ -251,7 +250,7 @@ def simulate(predictor: Predictor, trace: TraceLike,
     if recorder is not None:
         recorder.finish(instructions, conditional_branches, mispredictions)
 
-    final_start = time.perf_counter() if instr is not None else 0.0
+    final_start = time.perf_counter() if tracer is not None else 0.0
     probe_report = None
     if probe is not None:
         probe.finish(predictor)
@@ -266,13 +265,11 @@ def simulate(predictor: Predictor, trace: TraceLike,
         )
         if collect else []
     )
-    phases_snapshot = None
-    if instr is not None:
-        instr.add_phase("simulate_loop", elapsed)
-        instr.add_phase("finalize", time.perf_counter() - final_start)
-        recorded = getattr(instr, "phases", None)
-        if recorded is not None:
-            phases_snapshot = dict(recorded)
+    if tracer is not None:
+        end = time.perf_counter()
+        tracer.add_span("simulate_loop", elapsed,
+                        start=time.time() - (end - start))
+        tracer.add_span("finalize", end - final_start)
     return SimulationResult(
         trace_name=name,
         warmup_instructions=warmup,
@@ -285,7 +282,6 @@ def simulate(predictor: Predictor, trace: TraceLike,
         predictor_metadata=predictor.metadata_stats(),
         predictor_statistics=predictor.execution_stats(),
         most_failed=most_failed,
-        phases=phases_snapshot,
         probe_report=probe_report,
     )
 

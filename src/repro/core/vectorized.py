@@ -49,16 +49,15 @@ This is the reproduction's analogue of MBPlib's C++-level speed work and
 the subject of the ``benchmarks/test_vectorized_catalog.py`` benchmark.
 
 Observability: :func:`simulate_vectorized` accepts an optional
-``instrumentation`` object (:mod:`repro.telemetry`) and reports the
-standard simulator's phase set ("trace_read", "simulate_loop",
-"finalize"), so manifests and phase timers are engine-independent.  The
-default is off and adds no calls, matching the standard simulator's
-contract.  It likewise accepts an optional ``probe``
-(:class:`repro.probe.PredictionProbe`), filled post-hoc from the
-prediction arrays via the bulk hooks — per-component attribution
-(including override accounting for arbitrated predictors), the full
-per-branch profile, and the final tables' structural statistics
-reconstructed from the scans.
+``tracer`` (:mod:`repro.tracing`) and records the standard simulator's
+spans ("trace_read", "simulate_loop", "finalize"), so manifests and
+phase folds are engine-independent.  The default is off and adds no
+calls, matching the standard simulator's contract.  It likewise
+accepts an optional ``probe`` (:class:`repro.probe.PredictionProbe`),
+filled post-hoc from the prediction arrays via the bulk hooks —
+per-component attribution (including override accounting for
+arbitrated predictors), the full per-branch profile, and the final
+tables' structural statistics reconstructed from the scans.
 """
 
 from __future__ import annotations
@@ -76,8 +75,8 @@ from .errors import EngineNotSupportedError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..probe import PredictionProbe
-    from ..telemetry.instrumentation import Instrumentation
     from ..telemetry.interval import IntervalRecorder
+    from ..tracing.span import Tracer
     from .output import SimulationResult
     from .predictor import Predictor
     from .simulator import SimulationConfig
@@ -1417,7 +1416,6 @@ def _finish_unit(predictor: "Predictor", name: str,
                  instructions: int, exhausted: bool, start: float,
                  telemetry: "IntervalRecorder | None",
                  probe: "PredictionProbe | None",
-                 instrumentation: "Instrumentation | None",
                  ) -> "SimulationResult":
     """Turn one finished kernel run into a :class:`SimulationResult`.
 
@@ -1432,7 +1430,6 @@ def _finish_unit(predictor: "Predictor", name: str,
     from .metrics import MostFailedEntry, accuracy, mpki
     from .output import SimulationResult
 
-    instr = instrumentation
     warmup = config.warmup_instructions
     cond_numbers = numbers[ctx.conditional]
     measured = cond_numbers > warmup
@@ -1466,7 +1463,6 @@ def _finish_unit(predictor: "Predictor", name: str,
     if recorder is not None:
         recorder.finish(instructions, conditional_branches, mispredictions)
 
-    final_start = time.perf_counter() if instr is not None else 0.0
     measured_instructions = max(0, instructions - warmup)
 
     per_branch = None
@@ -1525,13 +1521,6 @@ def _finish_unit(predictor: "Predictor", name: str,
         metadata, statistics = run.stats(
             measured if warmed else np.ones_like(measured))
 
-    phases_snapshot = None
-    if instr is not None:
-        instr.add_phase("simulate_loop", elapsed)
-        instr.add_phase("finalize", time.perf_counter() - final_start)
-        recorded = getattr(instr, "phases", None)
-        if recorded is not None:
-            phases_snapshot = dict(recorded)
     return SimulationResult(
         trace_name=name,
         warmup_instructions=warmup,
@@ -1544,7 +1533,6 @@ def _finish_unit(predictor: "Predictor", name: str,
         predictor_metadata=metadata,
         predictor_statistics=statistics,
         most_failed=most_failed,
-        phases=phases_snapshot,
         probe_report=probe_report,
     )
 
@@ -1552,7 +1540,7 @@ def _finish_unit(predictor: "Predictor", name: str,
 def simulate_vectorized(predictor: "Predictor", trace: Any,
                         config: "SimulationConfig | None" = None, *,
                         trace_name: str | None = None,
-                        instrumentation: "Instrumentation | None" = None,
+                        tracer: "Tracer | None" = None,
                         telemetry: "IntervalRecorder | None" = None,
                         probe: "PredictionProbe | None" = None
                         ) -> "SimulationResult":
@@ -1576,12 +1564,11 @@ def simulate_vectorized(predictor: "Predictor", trace: Any,
             f"predictor {predictor.name()!r} does not provide a vector "
             "kernel; run it with engine='scalar' (or 'auto' to fall back "
             "automatically)")
-    instr = instrumentation
 
-    read_start = time.perf_counter() if instr is not None else 0.0
+    read_start = time.perf_counter() if tracer is not None else 0.0
     data, default_name = _resolve_trace(trace)
-    if instr is not None:
-        instr.add_phase("trace_read", time.perf_counter() - read_start)
+    if tracer is not None:
+        tracer.add_span("trace_read", time.perf_counter() - read_start)
     name = trace_name if trace_name is not None else default_name
 
     start = time.perf_counter()
@@ -1590,11 +1577,19 @@ def simulate_vectorized(predictor: "Predictor", trace: Any,
 
     ctx = _VectorContext(work, track_all=not config.track_only_conditional)
     run = kernel.run(ctx)
-    if instr is not None and ctx.reuse_count:
-        instr.count("context_reuse", ctx.reuse_count)
-    return _finish_unit(predictor, name, config, ctx, run, numbers,
-                        included, instructions, exhausted, start,
-                        telemetry, probe, instr)
+    result = _finish_unit(predictor, name, config, ctx, run, numbers,
+                          included, instructions, exhausted, start,
+                          telemetry, probe)
+    if tracer is not None:
+        # ``simulation_time`` is the loop phase; finalize is the rest.
+        end = time.perf_counter()
+        reuse = ctx.reuse_count
+        tracer.add_span("simulate_loop", result.simulation_time,
+                        start=time.time() - (end - start),
+                        attributes={"context_reuse": reuse} if reuse
+                        else None)
+        tracer.add_span("finalize", end - start - result.simulation_time)
+    return result
 
 
 def run_unit_group(data: TraceData, units: Sequence[tuple],
@@ -1688,7 +1683,7 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
             probe_obj = PredictionProbe()
         return _finish_unit(predictor, name, cfg, ctx, run, numbers,
                             included, instructions, exhausted, start,
-                            None, probe_obj, None)
+                            None, probe_obj)
 
     def run_alone(position: int) -> None:
         _predictor, kernel, cfg, name, _probe = prepared[position]

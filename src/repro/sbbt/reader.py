@@ -2,11 +2,11 @@
 
 Two read paths mirror the writer:
 
-* :func:`read_trace` — bulk: decompress, then decode every 128-bit packet
-  in one vectorized numpy pass into a
-  :class:`~repro.sbbt.trace.TraceData`.  This is the fast path the
-  simulators use and the reproduction's stand-in for MBPlib's stream
-  parsing (no per-record text parsing, no graph lookups).
+* :func:`read_trace` — bulk: validate the header, decompress the body it
+  promises, then decode every 128-bit packet in one vectorized numpy
+  pass into a :class:`~repro.sbbt.trace.TraceData`.  This is the fast
+  path the simulators use and the reproduction's stand-in for MBPlib's
+  stream parsing (no per-record text parsing, no graph lookups).
 * :class:`SbbtReader` — streaming: yields one
   :class:`~repro.sbbt.packet.SbbtPacket` at a time with bounded memory,
   for tools that inspect or filter huge traces.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 from types import TracebackType
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -34,6 +34,9 @@ _RESERVED_MASK = np.uint64(0b0111_1111_0000)
 _OPCODE_MASK = np.uint64(0xF)
 _OUTCOME_SHIFT = np.uint64(11)
 _ADDR_SHIFT = 12
+#: Bytes per read of a trace body: a header promising more than the
+#: file holds costs one block, never an allocation of the promise.
+_READ_BLOCK = 1 << 20
 
 
 def decode_payload(payload: bytes, *, validate: bool = True) -> TraceData:
@@ -42,8 +45,14 @@ def decode_payload(payload: bytes, *, validate: bool = True) -> TraceData:
     With ``validate=True`` the reserved bits, opcode range and the two
     semantic rules of the format are checked on whole columns.
     """
-    header = SbbtHeader.decode(payload)
-    body = payload[HEADER_SIZE:]
+    return _decode_body(SbbtHeader.decode(payload), payload[HEADER_SIZE:],
+                        validate)
+
+
+def _decode_body(header: SbbtHeader, body: bytes | bytearray,
+                 validate: bool) -> TraceData:
+    """Decode the packets that follow ``header`` (see
+    :func:`decode_payload`)."""
     expected = header.num_branches * PACKET_SIZE
     if len(body) < expected:
         raise TraceFormatError(
@@ -114,13 +123,33 @@ def _validate_columns(block1: np.ndarray, opcodes: np.ndarray,
 
 
 def read_trace(path: str | os.PathLike, *, validate: bool = True) -> TraceData:
-    """Read, decompress and bulk-decode the SBBT trace at ``path``."""
+    """Read, decompress and bulk-decode the SBBT trace at ``path``.
+
+    The header is read and validated before the body, and the body read
+    stops one byte past the packets the header promises, so a bad
+    signature or a lying header never decompresses the rest of the file.
+    That one byte detects trailing bytes; their reported count is then
+    1, however many follow.
+    """
     with open_compressed(path, "rb") as stream:
-        payload = stream.read()
-    try:
-        return decode_payload(payload, validate=validate)
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"{Path(path)}: {exc}") from exc
+        try:
+            header = SbbtHeader.read_from(stream)
+            body = _read_at_most(
+                stream, header.num_branches * PACKET_SIZE + 1)
+            return _decode_body(header, body, validate)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{Path(path)}: {exc}") from exc
+
+
+def _read_at_most(stream: BinaryIO, size: int) -> bytearray:
+    """Up to ``size`` bytes of ``stream``, read in bounded blocks."""
+    data = bytearray()
+    while len(data) < size:
+        block = stream.read(min(size - len(data), _READ_BLOCK))
+        if not block:
+            break
+        data += block
+    return data
 
 
 class SbbtReader:

@@ -7,8 +7,8 @@ zero-overhead-when-disabled so that attaching it never changes what is
 being measured:
 
 * :mod:`~repro.telemetry.instrumentation` — phase timers and event
-  counters behind an :class:`Instrumentation` protocol whose default is
-  a shared null object (hot loops carry no per-branch hooks);
+  counters folded from :mod:`repro.tracing` spans (hot loops carry no
+  per-branch hooks);
 * :mod:`~repro.telemetry.interval` — per-N-instruction MPKI/accuracy
   timeseries whose window deltas provably sum to the final
   :class:`~repro.core.output.SimulationResult` totals;
@@ -25,8 +25,7 @@ See ``docs/telemetry.md`` for the document schemas and overhead notes.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    ".instrumentation": ("NULL_INSTRUMENTATION", "Instrumentation",
-                         "PhaseTimers"),
+    ".instrumentation": ("PhaseTimers",),
     ".interval": ("CSV_COLUMNS", "INTERVAL_SCHEMA", "IntervalRecord",
                   "IntervalRecorder", "IntervalSeries"),
     ".manifest": ("MANIFEST_KIND", "MANIFEST_SCHEMA", "RunManifest",
@@ -37,7 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 })
 
 __all__ = [
-    "Instrumentation", "NULL_INSTRUMENTATION", "PhaseTimers",
+    "PhaseTimers",
     "IntervalRecord", "IntervalRecorder", "IntervalSeries",
     "INTERVAL_SCHEMA", "CSV_COLUMNS",
     "RunManifest", "build_manifest", "suite_manifest",

@@ -217,8 +217,9 @@ def build_manifest(result: SimulationResult, *,
         field; ``None`` records ``null``).
     phases, counters:
         Phase timings / event counts from a
-        :class:`~repro.telemetry.instrumentation.PhaseTimers`; phases
-        default to the timings attached to ``result`` (if any).
+        :class:`~repro.telemetry.instrumentation.PhaseTimers`, usually
+        folded from the run's spans
+        (:meth:`~repro.telemetry.instrumentation.PhaseTimers.from_spans`).
     cache_used:
         Whether a :mod:`repro.cache` was consulted for this run;
         combined with ``result.from_cache`` into the ``cache`` section.
@@ -243,8 +244,6 @@ def build_manifest(result: SimulationResult, *,
         from ..sbbt.digest import trace_digest
         digest = trace_digest(trace)
 
-    if phases is None:
-        phases = getattr(result, "phases", None)
     if probe is None:
         probe = getattr(result, "probe_report", None)
 

@@ -178,9 +178,8 @@ _NULL_SPAN = _NullSpanHandle()
 class Tracer:
     """Base class *and* null implementation of the tracing hooks.
 
-    Mirrors :class:`repro.telemetry.Instrumentation`: this base is the
-    shared do-nothing object (:data:`NULL_TRACER`), and
-    :class:`SpanRecorder` is the recording subclass.  Hooks:
+    This base is the shared do-nothing object (:data:`NULL_TRACER`),
+    and :class:`SpanRecorder` is the recording subclass.  Hooks:
 
     ``span(name, ...)``
         Context manager bracketing one operation; yields a handle with

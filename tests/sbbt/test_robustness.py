@@ -105,6 +105,62 @@ class TestFileFailureInjection:
             with SbbtReader(path) as reader:
                 list(reader)
 
+    @staticmethod
+    def _xz_bomb(path, head=b"", mebibytes=64):
+        """``head`` then ``mebibytes`` MiB of zeros, xz-compressed (~10 KB)."""
+        import lzma
+
+        zeros = bytes(1 << 20)
+        with lzma.open(path, "wb", preset=0) as stream:
+            stream.write(head)
+            for _ in range(mebibytes):
+                stream.write(zeros)
+        return path
+
+    @staticmethod
+    def _peak_bytes(action):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            action()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_bad_signature_bomb_rejected_in_bounded_memory(self, tmp_path):
+        """The signature sits in the first 5 bytes: rejecting it must not
+        decompress the 64 MiB behind it."""
+        bomb = self._xz_bomb(tmp_path / "bomb.sbbt.xz")
+
+        def read():
+            with pytest.raises(TraceFormatError, match="signature"):
+                read_trace(bomb)
+
+        assert self._peak_bytes(read) < 1 << 20
+
+    def test_trailing_bytes_bomb_rejected_in_bounded_memory(self, tmp_path):
+        """A valid header promising 4 packets, then 64 MiB of zeros: the
+        body read stops one byte past the promise."""
+        bomb = self._xz_bomb(tmp_path / "bomb.sbbt.xz",
+                             head=_valid_payload(n=4))
+
+        def read():
+            with pytest.raises(TraceFormatError, match="trailing bytes"):
+                read_trace(bomb)
+
+        assert self._peak_bytes(read) < 1 << 20
+
+    def test_header_promising_huge_body_is_a_format_error(self, tmp_path):
+        """A promise no memory could hold is read block by block until
+        the file runs out, then reported as truncation."""
+        payload = bytearray(_valid_payload(n=4))
+        payload[8:24] = ((1 << 64) - 1).to_bytes(8, "little") * 2
+        path = tmp_path / "liar.sbbt"
+        path.write_bytes(bytes(payload))
+        with pytest.raises(TraceFormatError, match="truncated"):
+            read_trace(path)
+
     def test_directory_instead_of_file(self, tmp_path):
         with pytest.raises(OSError):
             read_trace(tmp_path)

@@ -287,6 +287,34 @@ class TestReportGolden:
         assert "Interval telemetry (interval=5000" in out
         assert "simulate_loop" in out
 
+    @pytest.mark.parametrize("extra, runs, phases, counters", [
+        ([], 1, {"trace_read", "simulate_loop", "finalize"}, None),
+        (["--cache-dir", "{tmp}"], 1,
+         {"cache_lookup", "trace_read", "simulate_loop", "finalize"},
+         {"cache_miss": 1}),
+        (["--cache-dir", "{tmp}"], 2, {"cache_lookup"}, {"cache_hit": 1}),
+        (["--engine", "auto"], 1,
+         {"trace_read", "simulate_loop", "finalize"}, None),
+    ], ids=["no-cache", "cache-miss", "cache-hit", "engine-auto"])
+    def test_simulate_telemetry_document_phases(self, trace_file, tmp_path,
+                                                capsys, extra, runs,
+                                                phases, counters):
+        """Pins which phases and counters ``--telemetry`` records; the
+        last of ``runs`` identical invocations is the one read back."""
+        import json as json_module
+
+        telemetry = tmp_path / "run.json"
+        argv = ["simulate", str(trace_file), "--predictor", "gshare",
+                "--telemetry", str(telemetry),
+                *(arg.format(tmp=tmp_path / "cache") for arg in extra)]
+        for _ in range(runs):
+            run(argv, capsys)
+        document = json_module.loads(telemetry.read_text())
+        assert set(document["phases"]) == phases
+        assert document["counters"] == counters
+        assert set(document["manifest"]["timing"]["phases"]) == phases
+        assert document["manifest"]["timing"].get("counters") == counters
+
     def test_simulate_probe_telemetry_then_report(self, trace_file,
                                                   tmp_path, capsys):
         """``--probe`` threads a live report into the document."""

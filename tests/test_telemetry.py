@@ -7,8 +7,8 @@ Covers the ISSUE-2 acceptance properties:
 * interval series sum (window deltas and cumulative counters) to the
   final ``SimulationResult`` totals under warmup and max_instructions;
 * run manifests round-trip through JSON exactly;
-* phase timers are recorded by the standard simulator, the vectorized
-  engine, ``run_suite``, the cache and both baselines;
+* phase spans are recorded by the standard simulator, the vectorized
+  engine, ``run_suite`` and the cache, and fold into phase timers;
 * no duration anywhere depends on the non-monotonic ``time.time``.
 """
 
@@ -18,17 +18,13 @@ import json
 
 import pytest
 
-from repro.baselines.champsim import instruction_trace_from_branches, run_champsim
-from repro.baselines.cbp5 import Cbp5Framework, FromMbpPredictor, write_bt9
 from repro.cache import SimulationCache
 from repro.core.batch import run_suite
 from repro.core.errors import TelemetryError
 from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import Bimodal, GShare
 from repro.telemetry import (
-    NULL_INSTRUMENTATION,
     CsvFileSink,
-    Instrumentation,
     IntervalRecorder,
     IntervalSeries,
     JsonFileSink,
@@ -54,32 +50,26 @@ class RaisingSink:
         raise AssertionError("sink.finalize called on the disabled path")
 
 
-class TestNullInstrumentation:
-    def test_null_is_disabled_and_noop(self):
-        assert NULL_INSTRUMENTATION.enabled is False
-        with NULL_INSTRUMENTATION.phase("anything"):
-            pass
-        NULL_INSTRUMENTATION.add_phase("x", 1.0)
-        NULL_INSTRUMENTATION.count("y")
-        # The null phase context is a shared singleton: no per-use allocs.
-        assert (NULL_INSTRUMENTATION.phase("a")
-                is NULL_INSTRUMENTATION.phase("b"))
+def fold(tracer):
+    """The phases and counters a recorder's spans fold into."""
+    return PhaseTimers.from_spans(tracer.spans)
 
+
+class TestNullInstrumentation:
     def test_disabled_run_makes_no_sink_calls(self, small_trace):
         # The sink raises on any call; it is attached to a recorder that
         # is *not* passed to simulate, proving the default path never
         # touches telemetry machinery.
         recorder = IntervalRecorder(interval=1000, sink=RaisingSink())
-        result = simulate(Bimodal(), small_trace)
+        simulate(Bimodal(), small_trace)
         assert recorder.series is None
-        assert result.phases is None
 
     def test_disabled_run_identical_to_instrumented_run(self, small_trace):
         config = SimulationConfig(warmup_instructions=1000)
         plain = simulate(Bimodal(), small_trace, config)
         instrumented = simulate(
             Bimodal(), small_trace, config,
-            instrumentation=PhaseTimers(),
+            tracer=SpanRecorder(),
             telemetry=IntervalRecorder(interval=500))
         assert plain.mispredictions == instrumented.mispredictions
         assert (plain.num_conditional_branches
@@ -94,13 +84,10 @@ class TestNullInstrumentation:
 
 
 class TestPhaseTimers:
-    def test_accumulation_with_fake_clock(self):
-        ticks = iter([0.0, 2.0, 10.0, 13.0])
-        timers = PhaseTimers(clock=lambda: next(ticks))
-        with timers.phase("scan"):
-            pass
-        with timers.phase("scan"):
-            pass
+    def test_accumulation(self):
+        timers = PhaseTimers()
+        timers.add_phase("scan", 2.0)
+        timers.add_phase("scan", 3.0)
         assert timers.phases == {"scan": 5.0}
 
     def test_counters_and_snapshot(self):
@@ -113,13 +100,13 @@ class TestPhaseTimers:
         assert timers.counters["hit"] == 3
 
     def test_simulator_records_the_three_phases(self, small_trace):
-        timers = PhaseTimers()
-        result = simulate(Bimodal(), small_trace, instrumentation=timers)
-        assert set(timers.phases) == {"trace_read", "simulate_loop",
-                                      "finalize"}
-        assert timers.phases["simulate_loop"] == pytest.approx(
-            result.simulation_time)
-        assert result.phases == timers.phases
+        tracer = SpanRecorder()
+        result = simulate(Bimodal(), small_trace, tracer=tracer)
+        timers = fold(tracer)
+        assert list(timers.phases) == ["trace_read", "simulate_loop",
+                                       "finalize"]
+        assert timers.phases["simulate_loop"] == result.simulation_time
+        assert timers.counters == {}
 
     def test_thread_safe_accumulation(self):
         """8 threads hammering one shared instance lose no updates.
@@ -153,21 +140,6 @@ class TestPhaseTimers:
             8 * rounds * 0.001)
         for tid in range(8):
             assert timers.phases[f"own-{tid}"] == rounds
-
-    def test_subclassing_instrumentation_protocol(self, small_trace):
-        class Spy(Instrumentation):
-            enabled = True
-
-            def __init__(self):
-                self.calls = []
-
-            def add_phase(self, name, seconds):
-                self.calls.append(name)
-
-        spy = Spy()
-        result = simulate(Bimodal(), small_trace, instrumentation=spy)
-        assert "simulate_loop" in spy.calls
-        assert result.phases is None  # no .phases dict on the spy
 
 
 class TestIntervalSeries:
@@ -254,12 +226,13 @@ class TestIntervalSeries:
 class TestManifest:
     def test_round_trip_through_json(self, small_trace):
         config = SimulationConfig(warmup_instructions=500)
-        timers = PhaseTimers()
+        tracer = SpanRecorder()
         predictor = GShare(history_length=8, log_table_size=10)
-        result = simulate(predictor, small_trace, config,
-                          instrumentation=timers)
+        result = simulate(predictor, small_trace, config, tracer=tracer)
+        timers = fold(tracer)
         manifest = build_manifest(result, trace=small_trace,
                                   predictor=predictor, config=config,
+                                  phases=timers.phases,
                                   counters=timers.counters or None)
         clone = RunManifest.from_json(
             json.loads(manifest.to_json_string()))
@@ -271,15 +244,18 @@ class TestManifest:
 
         config = SimulationConfig(warmup_instructions=500)
         predictor = GShare(history_length=8, log_table_size=10)
-        result = simulate(predictor, small_trace, config,
-                          instrumentation=PhaseTimers())
+        tracer = SpanRecorder()
+        result = simulate(predictor, small_trace, config, tracer=tracer)
+        timers = fold(tracer)
         manifest = build_manifest(result, trace=small_trace,
-                                  predictor=predictor, config=config)
+                                  predictor=predictor, config=config,
+                                  phases=timers.phases)
         assert manifest.trace_digest == trace_digest(small_trace)
         assert manifest.predictor == predictor.spec()
         assert manifest.config["warmup_instructions"] == 500
         assert manifest.metrics["mispredictions"] == result.mispredictions
-        assert manifest.timing["phases"] == result.phases
+        assert manifest.timing["phases"] == timers.phases
+        assert "counters" not in manifest.timing
         assert manifest.cache == {"used": False, "hit": False}
         assert manifest.environment["python"]
 
@@ -352,23 +328,26 @@ class TestSuiteTelemetry:
 class TestCacheTelemetry:
     def test_hit_and_miss_counters(self, small_trace, tmp_path):
         cache = SimulationCache(tmp_path / "cache")
-        timers = PhaseTimers()
+        tracer = SpanRecorder()
         recorder = IntervalRecorder(interval=1000)
-        fresh = cache.get_or_simulate(Bimodal, small_trace,
-                                      instrumentation=timers,
+        fresh = cache.get_or_simulate(Bimodal, small_trace, tracer=tracer,
                                       telemetry=recorder)
+        timers = fold(tracer)
         assert timers.counters == {"cache_miss": 1}
+        assert list(timers.phases) == ["cache_lookup", "trace_read",
+                                       "simulate_loop", "finalize"]
         assert recorder.series is not None
         assert recorder.series.consistent_with(fresh)
 
-        hit_timers = PhaseTimers()
+        hit_tracer = SpanRecorder()
         hit_recorder = IntervalRecorder(interval=1000)
         cached = cache.get_or_simulate(Bimodal, small_trace,
-                                       instrumentation=hit_timers,
+                                       tracer=hit_tracer,
                                        telemetry=hit_recorder)
         assert cached.from_cache
+        hit_timers = fold(hit_tracer)
         assert hit_timers.counters == {"cache_hit": 1}
-        assert "cache_lookup" in hit_timers.phases
+        assert list(hit_timers.phases) == ["cache_lookup"]
         assert hit_recorder.series is None  # a hit simulates nothing
 
     def test_cache_hit_still_yields_valid_manifest(self, small_trace,
@@ -399,28 +378,6 @@ class TestCacheTelemetry:
         assert "probe" not in loaded
 
 
-class TestBaselineInstrumentation:
-    def test_cbp5_framework_phases(self, small_trace, tmp_path):
-        path = tmp_path / "t.bt9"
-        write_bt9(path, small_trace)
-        timers = PhaseTimers()
-        plain = Cbp5Framework(path).run(FromMbpPredictor(Bimodal()))
-        instrumented = Cbp5Framework(path).run(
-            FromMbpPredictor(Bimodal()), instrumentation=timers)
-        assert set(timers.phases) == {"header_read", "simulate_loop"}
-        assert instrumented.mispredictions == plain.mispredictions
-
-    def test_champsim_phases(self, small_trace):
-        trace = instruction_trace_from_branches(small_trace)
-        timers = PhaseTimers()
-        plain = run_champsim(Bimodal(), trace, max_instructions=3000)
-        instrumented = run_champsim(Bimodal(), trace, max_instructions=3000,
-                                    instrumentation=timers)
-        assert set(timers.phases) == {"trace_read", "core_run"}
-        assert instrumented.stats.direction_mispredictions == \
-            plain.stats.direction_mispredictions
-
-
 class TestSinksAndDocuments:
     def test_json_and_csv_file_sinks(self, small_trace, tmp_path):
         json_path = tmp_path / "series.json"
@@ -437,10 +394,11 @@ class TestSinksAndDocuments:
         assert csv_path.read_text() == recorder.series.to_csv()
 
     def test_combined_document_round_trip(self, small_trace, tmp_path):
-        timers = PhaseTimers()
+        tracer = SpanRecorder()
         recorder = IntervalRecorder(interval=2000)
-        result = simulate(Bimodal(), small_trace, instrumentation=timers,
+        result = simulate(Bimodal(), small_trace, tracer=tracer,
                           telemetry=recorder)
+        timers = fold(tracer)
         manifest = build_manifest(result, trace=small_trace)
         path = write_telemetry(tmp_path / "telemetry.json",
                                manifest=manifest, phases=timers.phases,
@@ -481,11 +439,13 @@ class TestSinksAndDocuments:
 class TestMonotonicTiming:
     def test_simulation_never_calls_wall_clock_time(self, small_trace,
                                                     monkeypatch):
-        """ISSUE-2 satellite: timings must use time.perf_counter.
+        """Timings must use time.perf_counter.
 
         ``time.time`` is wall clock — NTP steps make it non-monotonic,
         which would corrupt Table III measurements.  Poisoning it proves
-        no timing path in the simulators depends on it.
+        no timing path in the simulators depends on it; with a tracer
+        it may only stamp span starts, so there it is frozen, and every
+        phase duration must still be measured.
         """
         import time as time_module
 
@@ -493,12 +453,17 @@ class TestMonotonicTiming:
             raise AssertionError("time.time() used for simulation timing")
 
         monkeypatch.setattr(time_module, "time", forbidden)
-        timers = PhaseTimers()
         recorder = IntervalRecorder(interval=1000)
-        result = simulate(Bimodal(), small_trace, instrumentation=timers,
-                          telemetry=recorder)
+        result = simulate(Bimodal(), small_trace, telemetry=recorder)
         assert result.simulation_time >= 0.0
         assert recorder.series.consistent_with(result)
+
+        monkeypatch.setattr(time_module, "time", lambda: 0.0)
+        tracer = SpanRecorder()
+        result = simulate(Bimodal(), small_trace, tracer=tracer)
+        timers = fold(tracer)
+        assert timers.phases["simulate_loop"] == result.simulation_time
+        assert all(seconds > 0.0 for seconds in timers.phases.values())
 
 
 class TestVectorizedEngineTelemetry:
@@ -506,13 +471,20 @@ class TestVectorizedEngineTelemetry:
     telemetry contract: same phase names, identical interval series."""
 
     def test_phase_names_match_scalar(self, small_trace):
-        scalar_timers, vector_timers = PhaseTimers(), PhaseTimers()
+        scalar_tracer, vector_tracer = SpanRecorder(), SpanRecorder()
         simulate(GShare(log_table_size=10, history_length=8), small_trace,
-                 instrumentation=scalar_timers)
-        simulate(GShare(log_table_size=10, history_length=8), small_trace,
-                 engine="vectorized", instrumentation=vector_timers)
-        assert set(scalar_timers.phases) == set(vector_timers.phases) == {
-            "trace_read", "simulate_loop", "finalize"}
+                 tracer=scalar_tracer)
+        vector = simulate(GShare(log_table_size=10, history_length=8),
+                          small_trace, engine="vectorized",
+                          tracer=vector_tracer)
+        scalar_timers, vector_timers = fold(scalar_tracer), \
+            fold(vector_tracer)
+        assert list(scalar_timers.phases) == list(vector_timers.phases) \
+            == ["trace_read", "simulate_loop", "finalize"]
+        assert vector_timers.phases["simulate_loop"] == \
+            vector.simulation_time
+        # A single unit reuses no derived history: no zero counter.
+        assert vector_timers.counters == {}
 
     def test_interval_series_identical(self, small_trace):
         scalar_rec = IntervalRecorder(interval=1000)
@@ -541,12 +513,39 @@ class TestVectorizedEngineTelemetry:
     def test_result_unchanged_by_instrumentation(self, small_trace):
         plain = simulate(GShare(log_table_size=10, history_length=8),
                          small_trace, engine="vectorized")
-        timers = PhaseTimers()
         recorder = IntervalRecorder(interval=2000)
         instrumented = simulate(GShare(log_table_size=10, history_length=8),
                                 small_trace, engine="vectorized",
-                                instrumentation=timers, telemetry=recorder)
+                                tracer=SpanRecorder(), telemetry=recorder)
         a, b = plain.to_json(), instrumented.to_json()
         del a["metrics"]["simulation_time"]
         del b["metrics"]["simulation_time"]
         assert a == b
+
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
+    def test_result_json_unchanged_by_tracer(self, small_trace, tmp_path,
+                                             engine):
+        def factory():
+            return GShare(log_table_size=10, history_length=8)
+
+        def untimed(result):
+            document = result.to_json()
+            del document["metrics"]["simulation_time"]
+            return document
+
+        plain = simulate(factory(), small_trace, engine=engine)
+        traced = simulate(factory(), small_trace, engine=engine,
+                          tracer=SpanRecorder())
+        assert untimed(plain) == untimed(traced)
+        cache = SimulationCache(tmp_path / "cache")
+        stored = cache.get_or_simulate(factory, small_trace, engine=engine,
+                                       tracer=SpanRecorder())
+        assert untimed(stored) == untimed(plain)
+        plain_hit = cache.get_or_simulate(factory, small_trace,
+                                          engine=engine)
+        traced_hit = cache.get_or_simulate(factory, small_trace,
+                                           engine=engine,
+                                           tracer=SpanRecorder())
+        assert traced_hit.from_cache
+        assert (plain_hit.to_json_string() == traced_hit.to_json_string()
+                == stored.to_json_string())

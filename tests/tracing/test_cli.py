@@ -43,12 +43,36 @@ class TestTraceDirFlag:
         err = capsys.readouterr().err
         assert "tracing as" in err
         (log,) = spans_dir.glob("trace-*.jsonl")
-        names = _span_names(spans_dir)
-        assert names == {"mbp_simulate", "simulate"}
+        spans = read_spans([log])
+        assert {s.name for s in spans} == {
+            "mbp_simulate", "simulate", "trace_read", "simulate_loop",
+            "finalize"}
+        # The simulator's phases nest under the CLI's simulate span.
+        by_name = {s.name: s for s in spans}
+        for phase in ("trace_read", "simulate_loop", "finalize"):
+            assert by_name[phase].parent_id == by_name["simulate"].span_id
         # The announced trace id matches the log file name.
         trace_id = log.stem.removeprefix("trace-")
         assert trace_id in err
-        assert {s.trace_id for s in read_spans([log])} == {trace_id}
+        assert {s.trace_id for s in spans} == {trace_id}
+
+    def test_simulate_with_cache_traces_lookup(self, trace_file, tmp_path,
+                                               capsys):
+        cache = tmp_path / "cache"
+        argv = ["simulate", str(trace_file), "--cache-dir", str(cache)]
+        assert main([*argv, "--trace-dir", str(tmp_path / "miss")]) == 0
+        assert main([*argv, "--trace-dir", str(tmp_path / "hit")]) == 0
+        for run, phases, outcome in [
+                ("miss", {"cache_lookup", "trace_read", "simulate_loop",
+                          "finalize"}, "cache_miss"),
+                ("hit", {"cache_lookup"}, "cache_hit")]:
+            spans = read_spans([tmp_path / run])
+            by_name = {s.name: s for s in spans}
+            assert set(by_name) == {"mbp_simulate", "simulate", *phases}
+            for phase in phases:
+                assert (by_name[phase].parent_id
+                        == by_name["simulate"].span_id)
+            assert by_name["cache_lookup"].attributes == {outcome: 1}
 
     def test_suite_span_tree(self, trace_pair, tmp_path, capsys):
         spans_dir = tmp_path / "spans"
