@@ -10,7 +10,6 @@ free optimizers: seeded random search and greedy coordinate descent
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.batch import CacheLike, run_suite
+from ..core.configured import configure
 from ..core.engine import engine_scope
 from ..core.predictor import Predictor
 from ..core.simulator import SimulationConfig
@@ -100,7 +100,7 @@ def _objective(factory: Callable[..., Predictor],
     def evaluate(parameters: dict[str, Any]) -> float:
         key = tuple(sorted(parameters.items()))
         if key not in seen:
-            result = run_suite(functools.partial(factory, **parameters),
+            result = run_suite(configure(factory, parameters),
                                traces, config, cache=cache, engine=engine,
                                chunk=chunk, batch=batch,
                                sim_engine=sim_engine)

@@ -21,7 +21,6 @@ with only ``workers=`` the sweep creates and closes a private engine.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, Union
@@ -29,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, Union
 from pathlib import Path
 
 from ..core.batch import BatchResult, CacheLike, SuiteError, TraceFailure
+from ..core.configured import configure
 from ..core.engine import engine_scope
 from ..core.output import SimulationResult
 from ..core.plan import WorkPlan, execute_plan
@@ -124,8 +124,10 @@ def evaluate_param_sets(factory: Callable[..., Predictor],
     group evaluations instead of one pass per point, with bit-identical
     results (``batch="off"`` opts out).
 
-    ``functools.partial`` (not a lambda) keeps each configured factory
-    picklable, so plans can fan out across processes.  Failure semantics
+    Each parameter set becomes an interned
+    :class:`~repro.core.configured.ConfiguredFactory`: picklable, so
+    plans fan out across processes, and derived once, so a re-run sweep
+    keys its points without building predictors.  Failure semantics
     with ``on_error="raise"`` (the default) match
     ``run_suite(on_error="raise")`` applied point by point: if any
     point has failures, a :class:`~repro.core.batch.SuiteError` is
@@ -138,7 +140,7 @@ def evaluate_param_sets(factory: Callable[..., Predictor],
         raise ValueError(
             f"on_error must be 'raise' or 'collect', got {on_error!r}")
     plan = WorkPlan.for_points(
-        [(tag, functools.partial(factory, **parameters))
+        [(tag, configure(factory, parameters))
          for tag, parameters in enumerate(param_sets)],
         traces, config, sim_engine=sim_engine)
     outcomes = execute_plan(plan, engine=engine, cache=cache, chunk=chunk,

@@ -59,6 +59,7 @@ __all__ = [
     "VerifyReport",
     "InflightClaim",
     "SimulationCache",
+    "key_prefix",
 ]
 
 TraceLike = Union[TraceData, str, os.PathLike]
@@ -100,6 +101,56 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None, *,
 SCHEMA_VERSION = 1
 
 _ENTRY_SUFFIX = ".json"
+
+#: Bytes asked of the first read of an entry; entries without a probe
+#: report or ``most_failed`` list are a few KiB.
+_READ_SIZE = 1 << 16
+
+
+def _key_material(spec: dict[str, Any], config: SimulationConfig | None,
+                  trace_digest_hex: str) -> bytes:
+    """The canonical JSON that a cache key is the SHA-256 of."""
+    material = {
+        "schema": SCHEMA_VERSION,
+        "simulator": {
+            "name": SIMULATOR_NAME,
+            "version": SIMULATOR_VERSION,
+        },
+        "trace": trace_digest_hex,
+        "predictor": canonical_spec(spec),
+        "config": canonical_spec(asdict(config or SimulationConfig())),
+    }
+    return json.dumps(material, sort_keys=True,
+                      separators=(",", ":")).encode()
+
+
+def key_prefix(spec: dict[str, Any],
+               config: SimulationConfig | None = None) -> bytes:
+    """The key material of ``(spec, config)`` up to the trace digest.
+
+    ``"trace"`` sorts last among the material's keys and a hex digest
+    needs no JSON escaping, so ``sha256(prefix + digest + b'"}')`` is
+    :meth:`SimulationCache.make_key` for any hex ``digest``.  A
+    configuration encodes its prefix once
+    (:class:`~repro.core.configured.KeyedSpec`) and each key then costs
+    one hash.
+    """
+    encoded = _key_material(spec, config, "")
+    return encoded[:-len(b'"}')]
+
+
+def _read_entry(fd: int) -> bytes:
+    """An entry file's bytes: one ``os.read`` for any entry under
+    :data:`_READ_SIZE`, more only for larger ones."""
+    raw = os.read(fd, _READ_SIZE)
+    if len(raw) < _READ_SIZE:
+        return raw
+    chunks = [raw]
+    while True:
+        chunk = os.read(fd, _READ_SIZE)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
 
 
 @dataclass(slots=True)
@@ -188,6 +239,7 @@ class SimulationCache:
             ) from exc
         if not self.directory.is_dir():
             raise CacheError(f"{self.directory} is not a directory")
+        self._root = os.path.join(self.directory, "")
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -208,21 +260,10 @@ class SimulationCache:
 
         ``spec`` is a predictor's :meth:`~repro.core.predictor.Predictor.spec`
         dict (it is re-canonicalized here, so hand-built dicts are fine).
+        The pipeline keys through :func:`key_prefix` instead, which
+        gives the same key for a hex digest.
         """
-        config = config or SimulationConfig()
-        material = {
-            "schema": SCHEMA_VERSION,
-            "simulator": {
-                "name": SIMULATOR_NAME,
-                "version": SIMULATOR_VERSION,
-            },
-            "trace": trace_digest_hex,
-            "predictor": canonical_spec(spec),
-            "config": canonical_spec(asdict(config)),
-        }
-        encoded = json.dumps(material, sort_keys=True,
-                             separators=(",", ":")).encode()
-        return payload_digest(encoded)
+        return payload_digest(_key_material(spec, config, trace_digest_hex))
 
     def key_for(self, trace: TraceLike,
                 predictor: Predictor | dict[str, Any],
@@ -231,8 +272,8 @@ class SimulationCache:
         spec = predictor.spec() if isinstance(predictor, Predictor) else predictor
         return self.make_key(trace_digest(trace), spec, config)
 
-    def _entry_path(self, key: str) -> Path:
-        return self.directory / f"{key}{_ENTRY_SUFFIX}"
+    def _entry_path(self, key: str) -> str:
+        return f"{self._root}{key}{_ENTRY_SUFFIX}"
 
     # ------------------------------------------------------------------
     # Store / lookup.
@@ -248,7 +289,15 @@ class SimulationCache:
         """
         path = self._entry_path(key)
         try:
-            raw = path.read_bytes()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                raw = _read_entry(fd)
+                try:  # refresh LRU recency
+                    os.utime(fd)
+                except (OSError, NotImplementedError):
+                    pass
+            finally:
+                os.close(fd)
         except OSError:
             self.misses += 1
             return None
@@ -266,10 +315,6 @@ class SimulationCache:
             return None
         self.hits += 1
         result.from_cache = True
-        try:  # refresh LRU recency
-            os.utime(path)
-        except OSError:
-            pass
         return result
 
     def put(self, key: str, result: SimulationResult) -> None:
@@ -287,7 +332,7 @@ class SimulationCache:
                 stream.write(payload)
             os.replace(tmp_name, self._entry_path(key))
         except OSError:
-            self._drop(Path(tmp_name))
+            self._drop(tmp_name)
             raise
         self.stores += 1
         if self.max_entries is not None or self.max_bytes is not None:
@@ -345,12 +390,14 @@ class SimulationCache:
                         engine: str = "scalar") -> SimulationResult:
         """Serve from cache, or simulate once and remember the result.
 
-        ``factory`` is called **at most once**: when it exposes no
-        cheap-spec hook (see :func:`repro.core.predictor.derive_spec`)
-        the instance built for key derivation is cold and is the one
-        simulated on a miss — table-heavy predictors (TAGE, BATAGE) no
-        longer allocate their tables twice, and a hit with a cheap-spec
-        factory allocates nothing at all.  The trace name is
+        ``factory`` is called **at most once**.  A configured factory
+        (:class:`~repro.core.configured.ConfiguredFactory`, as
+        :func:`repro.registry.predictor_factory` returns) is the
+        cheap-spec case of :func:`repro.core.predictor.derive_spec`: it
+        derives its spec once per process from a cold instance it does
+        not keep, and is called only on a miss.  For any other factory
+        without a cheap-spec hook, the instance built for key derivation
+        is cold and is the one simulated on a miss.  The trace name is
         display-only and deliberately not part of the key, so a hit is
         renamed to the caller's current spelling.
 
@@ -502,9 +549,9 @@ class SimulationCache:
             return f"result not decodable: {exc!r}"
         return None
 
-    def _drop(self, path: Path) -> bool:
+    def _drop(self, path: str | os.PathLike) -> bool:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             return False
         return True

@@ -56,6 +56,7 @@ from .registry import (
     ENGINE_CHOICES,
     PREDICTOR_CHOICES,
     UnknownPredictorError,
+    predictor_factory,
     resolve_predictor,
 )
 from .traces import WORKLOAD_CATEGORIES
@@ -668,7 +669,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
     config = SimulationConfig(warmup_instructions=args.warmup,
                               max_instructions=args.max_instructions)
-    factory = PREDICTOR_CHOICES[args.predictor]
+    factory = predictor_factory(args.predictor)
     engine = _make_engine(args, len(args.traces))
     with _tracing(args, "suite") as (tracer, root_context):
         with engine if engine is not None else nullcontext():

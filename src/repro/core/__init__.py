@@ -15,6 +15,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".batch": ("BatchResult", "SuiteError", "TimingSummary", "TraceFailure",
                "TraceSimulationError", "run_suite"),
     ".engine": ("EngineStats", "ExecutionEngine", "SharedTrace"),
+    ".configured": ("ConfiguredFactory", "Derivation", "configure"),
     ".comparison": ("ComparisonEntry", "ComparisonResult",
                     "MultiComparisonResult", "compare", "compare_many"),
     ".errors": ("CacheError", "ConfigurationError", "ReproError",
@@ -36,6 +37,7 @@ __all__ = [
     "BatchResult", "TimingSummary", "TraceFailure", "run_suite",
     "EngineStats", "ExecutionEngine", "SharedTrace",
     "WorkPlan", "WorkUnit", "execute_plan",
+    "ConfiguredFactory", "Derivation", "configure",
     "ComparisonEntry", "ComparisonResult", "MultiComparisonResult",
     "compare", "compare_many",
     "CacheError", "ConfigurationError", "ReproError",

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 from ..sbbt.trace import TraceData
+from .configured import simulation_source
 from .errors import SimulationError
 from .output import SimulationResult
 from .plan import WorkPlan, execute_plan
@@ -199,7 +200,6 @@ class BatchResult:
 def _run_one(factory: PredictorFactory, trace: TraceLike,
              config: SimulationConfig, name: str | None,
              probe: bool = False,
-             predictor: Predictor | None = None,
              sim_engine: str = "scalar"
              ) -> SimulationResult | TraceFailure:
     """Simulate one trace with a freshly constructed predictor.
@@ -215,16 +215,14 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
     accumulators — and the report travels back on the (picklable)
     result's ``probe_report``.
 
-    ``predictor`` optionally supplies a pre-built **cold** instance to
-    use instead of calling ``factory()`` — the spec-derivation instance
-    :func:`repro.core.predictor.derive_spec` had to construct anyway.
-    Callers must never pass a trained predictor here.  A factory that
+    A configured factory whose kernel the engine runs builds no
+    predictor: the unit runs from its derivation
+    (:func:`repro.core.configured.simulation_source`).  A factory that
     raises fails the unit with ``stage="predictor"``.
     """
     stage = "predictor"
     try:
-        if predictor is None:
-            predictor = factory()
+        predictor = simulation_source(factory, sim_engine)
         stage = "simulate"
         run_probe = None
         if probe:

@@ -405,7 +405,7 @@ def _engine_run_group(items: Sequence[_ChunkItem], positions: Sequence[int],
             outcomes[position] = record
         return
     units = [(items[p][0], items[p][2], items[p][3], items[p][4],
-              items[p][5], None) for p in positions]
+              items[p][5]) for p in positions]
     group_start = time.perf_counter()
     results, group_info = run_unit_group(data, units)
     share = (time.perf_counter() - group_start) / len(positions)

@@ -42,7 +42,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 from ..sbbt.trace import TraceData
 from ..tracing import NULL_TRACER
 from .output import SimulationResult
-from .predictor import Predictor, derive_spec
+from .configured import ColdHandOff, ConfiguredFactory
+from .predictor import Predictor
 from .simulator import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -227,6 +228,23 @@ def _trace_identity(trace: TraceLike) -> tuple[str, Any]:
     return ("path", str(trace))
 
 
+def _keyable(plan: WorkPlan) -> WorkPlan:
+    """``plan`` with each plain-callable factory object wrapped in one
+    :class:`~repro.core.configured.ColdHandOff`, so that every unit
+    answers ``factory.derivation().cache_key(...)``."""
+    wrapped: dict[int, ColdHandOff] = {}
+    units = []
+    for unit in plan.units:
+        factory = unit.factory
+        if not isinstance(factory, (ConfiguredFactory, ColdHandOff)):
+            handoff = wrapped.get(id(factory))
+            if handoff is None:
+                handoff = wrapped[id(factory)] = ColdHandOff(factory)
+            unit = replace(unit, factory=handoff)
+        units.append(unit)
+    return WorkPlan(tuple(units)) if wrapped else plan
+
+
 def _batch_groups(plan: WorkPlan, indices: Sequence[int],
                   ) -> tuple[list[list[int]], list[int]]:
     """Partition cache-missed unit indices into per-trace batch groups.
@@ -295,9 +313,14 @@ def execute_plan(plan: WorkPlan, *,
 
     With ``cache=`` (a :class:`repro.cache.SimulationCache` or directory
     path) cached units are answered without simulating and fresh results
-    are stored.  Specs are derived once per distinct factory object, and
-    the derivation's cold predictor instance is reused for that factory's
-    first inline simulation (the ``derive_spec`` cheap-keying contract).
+    are stored.  A configured factory
+    (:class:`~repro.core.configured.ConfiguredFactory`, as the registry,
+    sweeps and searches build) keys every unit from the spec and key
+    prefix it derived once, across calls.  A plain callable's spec is
+    derived once per call, and the cold instance that took, if any, is
+    its first inline simulation's predictor
+    (:class:`~repro.core.configured.ColdHandOff`).  Cache hits and
+    kernel units of configured factories build no predictor at all.
     Traces are digested once per distinct trace (same object or same
     path) per call; a digest that fails is not remembered, so every unit
     on that trace retries it and records its own failure.  Nothing
@@ -341,20 +364,10 @@ def execute_plan(plan: WorkPlan, *,
     trc = tracer if tracer is not None else NULL_TRACER
     store = _resolve_cache(cache)
 
+    if store is not None:
+        plan = _keyable(plan)
     slots: list[Outcome | None] = [None] * len(plan)
     keys: list[str | None] = [None] * len(plan)
-    # Per-factory derivation artifacts: id(factory) -> (spec, cold
-    # instance or None).  Factories are kept alive by the plan, so ids
-    # are stable for the duration of this call.
-    derived: dict[int, tuple[dict[str, Any], Predictor | None]] = {}
-
-    def _derive(factory: PredictorFactory,
-                ) -> tuple[dict[str, Any], Predictor | None]:
-        entry = derived.get(id(factory))
-        if entry is None:
-            entry = derive_spec(factory)
-            derived[id(factory)] = entry
-        return entry
 
     # Per-trace content digests: _trace_identity(trace) -> hex digest.
     # Only successful digests are stored; the plan keeps every trace
@@ -373,15 +386,6 @@ def execute_plan(plan: WorkPlan, *,
             digests[identity] = digest
         return digest
 
-    def _take_prebuilt(factory: PredictorFactory) -> Predictor | None:
-        """The derivation instance, at most once per factory (it is cold
-        exactly once — reusing a trained predictor would corrupt runs)."""
-        entry = derived.get(id(factory))
-        if entry is None or entry[1] is None:
-            return None
-        derived[id(factory)] = (entry[0], None)
-        return entry[1]
-
     def _fail(i: int, exc: Exception, stage: str) -> None:
         slots[i] = TraceFailure(trace_name=plan[i].name,
                                 error=f"{type(exc).__name__}: {exc}",
@@ -398,13 +402,12 @@ def execute_plan(plan: WorkPlan, *,
             for i in todo:
                 unit = plan[i]
                 try:
-                    spec, _ = _derive(unit.factory)
+                    keyed = unit.factory.derivation()
                 except Exception as exc:  # noqa: BLE001 - bad configuration
                     _fail(i, exc, "predictor")
                     continue
                 try:
-                    key = store.make_key(_digest(unit.trace), spec,
-                                         unit.config)
+                    key = keyed.cache_key(_digest(unit.trace), unit.config)
                 except Exception as exc:  # noqa: BLE001 - bad trace
                     _fail(i, exc, "trace")
                     continue
@@ -449,8 +452,7 @@ def execute_plan(plan: WorkPlan, *,
                                   "batch_units": sum(map(len, groups)),
                               }) as batch_span:
                     context_reuse = sum(
-                        _run_group_inline(plan, members, slots,
-                                          _take_prebuilt, trc,
+                        _run_group_inline(plan, members, slots, trc,
                                           batch_span.context)
                         for members in groups)
                     if context_reuse:
@@ -462,8 +464,7 @@ def execute_plan(plan: WorkPlan, *,
                               attributes={"unit": unit.name}) as unit_span:
                     outcome = _run_one(
                         unit.factory, unit.trace, unit.config, unit.name,
-                        unit.probe, predictor=_take_prebuilt(unit.factory),
-                        sim_engine=unit.sim_engine)
+                        unit.probe, sim_engine=unit.sim_engine)
                     if not isinstance(outcome, SimulationResult):
                         unit_span.set_status("error")
                     slots[i] = outcome
@@ -533,8 +534,6 @@ def execute_plan(plan: WorkPlan, *,
 
 def _run_group_inline(plan: WorkPlan, members: Sequence[int],
                       slots: list[Outcome | None],
-                      take_prebuilt: Callable[[PredictorFactory],
-                                              Predictor | None],
                       trc: Any, parent: Any) -> int:
     """Run one batch group inline; fill ``slots`` for every member.
 
@@ -565,7 +564,7 @@ def _run_group_inline(plan: WorkPlan, members: Sequence[int],
             return 0
         units = [
             (plan[i].factory, plan[i].config, plan[i].name, plan[i].probe,
-             plan[i].sim_engine, take_prebuilt(plan[i].factory))
+             plan[i].sim_engine)
             for i in members
         ]
         outcomes, info = run_unit_group(data, units)

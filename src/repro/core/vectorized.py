@@ -71,12 +71,14 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..sbbt.trace import ITER_BLOCK_ROWS, TraceData
+from .configured import fresh_copy, simulation_source
 from .errors import EngineNotSupportedError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..probe import PredictionProbe
     from ..telemetry.interval import IntervalRecorder
     from ..tracing.span import Tracer
+    from .configured import Derivation
     from .output import SimulationResult
     from .predictor import Predictor
     from .simulator import SimulationConfig
@@ -1410,7 +1412,7 @@ def _plan_accounting(data: TraceData, limit: int | None,
     return work, numbers, included, instructions, exhausted
 
 
-def _finish_unit(predictor: "Predictor", name: str,
+def _finish_unit(source: "Predictor | Derivation", name: str,
                  config: "SimulationConfig", ctx: _VectorContext,
                  run: KernelRun, numbers: np.ndarray, included: int,
                  instructions: int, exhausted: bool, start: float,
@@ -1426,6 +1428,9 @@ def _finish_unit(predictor: "Predictor", name: str,
     byte-identical to a per-unit one by construction.  ``start`` is the
     unit's simulation start time (``simulation_time`` runs from it to
     the end of the telemetry replay, matching the standalone engine).
+    ``source`` is the untrained predictor or the configuration's
+    :class:`~repro.core.configured.Derivation`; its stats stand in for
+    a kernel that reports no :attr:`KernelRun.stats`.
     """
     from .metrics import MostFailedEntry, accuracy, mpki
     from .output import SimulationResult
@@ -1511,15 +1516,17 @@ def _finish_unit(predictor: "Predictor", name: str,
                 accuracy=accuracy(failed, occ)))
 
     if run.stats is None:
-        metadata = predictor.metadata_stats()
-        statistics = predictor.execution_stats()
+        metadata = source.metadata_stats()
+        statistics = source.execution_stats()
     else:
         # The scalar loop resets statistics (``on_warmup_end``) at the
         # first branch past the warmup; if none gets there, they cover
-        # the whole run.
+        # the whole run.  Kernels are shared by every run of their
+        # configuration, so nothing they hold may reach the result.
         warmed = included > 0 and int(numbers[-1]) > warmup
         metadata, statistics = run.stats(
             measured if warmed else np.ones_like(measured))
+        metadata, statistics = fresh_copy(metadata), fresh_copy(statistics)
 
     return SimulationResult(
         trace_name=name,
@@ -1537,7 +1544,7 @@ def _finish_unit(predictor: "Predictor", name: str,
     )
 
 
-def simulate_vectorized(predictor: "Predictor", trace: Any,
+def simulate_vectorized(predictor: "Predictor | Derivation", trace: Any,
                         config: "SimulationConfig | None" = None, *,
                         trace_name: str | None = None,
                         tracer: "Tracer | None" = None,
@@ -1553,7 +1560,8 @@ def simulate_vectorized(predictor: "Predictor", trace: Any,
     interval telemetry records and the probe report.  Raises
     :class:`~repro.core.errors.EngineNotSupportedError` when the
     predictor has no kernel.  The predictor instance itself is never
-    trained — only its configuration is read.
+    trained — only its configuration is read — so a configuration's
+    :class:`~repro.core.configured.Derivation` serves in its place.
     """
     from .simulator import SimulationConfig, _resolve_trace
 
@@ -1597,9 +1605,12 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
     """Evaluate several configs over one decoded trace in batched passes.
 
     ``units`` is a sequence of ``(factory, config, name, probe,
-    sim_engine, prebuilt)`` tuples — the fields of a
-    :class:`~repro.core.plan.WorkUnit` plus an optional prebuilt
-    predictor instance.  The trace context is built once per
+    sim_engine)`` tuples — the fields of a
+    :class:`~repro.core.plan.WorkUnit`.  A configured factory's unit
+    runs its derivation's kernel and builds no predictor
+    (:func:`~repro.core.configured.simulation_source`); a factory that
+    raises fails its unit with ``stage="predictor"``.  The trace
+    context is built once per
     ``(max_instructions, track_only_conditional)`` combination, derived
     history windows are memoized across configs inside it, and
     same-bounds :class:`SaturatingTableKernel` units are stacked into a
@@ -1628,29 +1639,39 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
     stacks: dict[Any, list[int]] = {}
     singles: list[int] = []
 
-    def failure(name: str, exc: BaseException) -> "TraceFailure":
+    def failure(name: str, exc: BaseException,
+                stage: str = "simulate") -> "TraceFailure":
         return TraceFailure(name, error=f"{type(exc).__name__}: {exc}",
-                            details=traceback.format_exc())
+                            details=traceback.format_exc(), stage=stage)
 
     for position, unit in enumerate(units):
-        factory, config, name, probe, sim_engine, prebuilt = unit
+        factory, config, name, probe, sim_engine = unit
+        if sim_engine not in ("vectorized", "auto"):
+            outcomes[position] = _run_one(factory, data, config, name,
+                                          probe, sim_engine=sim_engine)
+            continue
         try:
-            predictor = prebuilt if prebuilt is not None else factory()
-            kernel = predictor.vector_kernel()
+            source = simulation_source(factory, sim_engine)
+        except Exception as exc:
+            outcomes[position] = failure(name, exc, "predictor")
+            continue
+        try:
+            kernel = source.vector_kernel()
         except Exception as exc:
             outcomes[position] = failure(name, exc)
             continue
-        if kernel is None or sim_engine not in ("vectorized", "auto"):
-            # No batchable kernel (or an explicitly scalar unit): the
-            # existing per-unit fault barrier reproduces every edge of
-            # the funnel path, including EngineNotSupportedError
-            # wrapping for sim_engine="vectorized".
-            outcomes[position] = _run_one(factory, data, config, name,
-                                          probe, predictor=predictor,
+        if kernel is None:
+            # No batchable kernel, so ``source`` is a cold predictor:
+            # the per-unit fault barrier simulates it and reproduces
+            # every edge of the funnel path, including
+            # EngineNotSupportedError wrapping for
+            # sim_engine="vectorized".
+            outcomes[position] = _run_one(lambda: source, data, config,
+                                          name, probe,
                                           sim_engine=sim_engine)
             continue
         cfg = config or SimulationConfig()
-        prepared[position] = (predictor, kernel, cfg, name, probe)
+        prepared[position] = (source, kernel, cfg, name, probe)
         ctx_key = (cfg.max_instructions, cfg.track_only_conditional)
         if isinstance(kernel, SaturatingTableKernel):
             stacks.setdefault((ctx_key, kernel.lo, kernel.hi),
@@ -1673,7 +1694,7 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
 
     def finish(position: int, ctx: _VectorContext, run: KernelRun,
                start: float) -> "SimulationResult":
-        predictor, _kernel, cfg, name, probe = prepared[position]
+        source, _kernel, cfg, name, probe = prepared[position]
         _work, numbers, included, instructions, exhausted = (
             accts[cfg.max_instructions])
         probe_obj = None
@@ -1681,12 +1702,12 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
             from ..probe import PredictionProbe
 
             probe_obj = PredictionProbe()
-        return _finish_unit(predictor, name, cfg, ctx, run, numbers,
+        return _finish_unit(source, name, cfg, ctx, run, numbers,
                             included, instructions, exhausted, start,
                             None, probe_obj)
 
     def run_alone(position: int) -> None:
-        _predictor, kernel, cfg, name, _probe = prepared[position]
+        _source, kernel, cfg, name, _probe = prepared[position]
         try:
             ctx = context_for(cfg)
             start = time.perf_counter()

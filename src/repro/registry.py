@@ -10,19 +10,20 @@ could drift.  The same table backs the paper's Table II collection
 (:data:`repro.predictors.TABLE2_PREDICTORS`).  A name's predictor
 module is imported on its first lookup, not when this module loads.
 
-Factories must be picklable (module-level classes or
-``functools.partial`` over them): they travel to worker processes
-through the execution engine and through work plans.
+Factories must be picklable (module-level classes or functions): they
+travel to worker processes through the execution engine and through
+work plans.  :func:`predictor_factory` binds one to its parameters as a
+:class:`~repro.core.configured.ConfiguredFactory`.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator, Mapping
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core.configured import ConfiguredFactory
     from .core.predictor import Predictor
 
 __all__ = [
@@ -136,13 +137,14 @@ def resolve_predictor(name: str) -> Callable[[], Predictor]:
 
 def predictor_factory(name: str,
                       parameters: dict[str, Any] | None = None,
-                      ) -> Callable[[], Predictor]:
-    """A picklable zero-argument factory for ``name``, with optional
-    constructor overrides applied via ``functools.partial``."""
-    base = resolve_predictor(name)
-    if parameters:
-        return functools.partial(base, **parameters)
-    return base
+                      ) -> ConfiguredFactory:
+    """The configured factory of ``name`` with optional constructor
+    overrides: picklable, zero-argument, interned, and deriving its spec,
+    cache key prefix, vector kernel and cold stats once
+    (:func:`repro.core.configured.configure`)."""
+    from .core.configured import configure
+
+    return configure(resolve_predictor(name), parameters)
 
 
 def make_predictor(name: str) -> Predictor:

@@ -693,9 +693,11 @@ class MbpServer:
 
     async def _stats_payload(self) -> dict[str, Any]:
         cache_stats = await asyncio.to_thread(self.cache.stats)
+        # Plan threads tally while this runs: copy under the lock.
+        tallies = self.telemetry.snapshot()
         return {
-            "counters": dict(self.telemetry.counters),
-            "phases": dict(self.telemetry.phases),
+            "counters": tallies["counters"],
+            "phases": tallies["phases"],
             "queue": {"depth": self._queued, "peak": self._queued_peak,
                       "limit_per_client": self.config.max_queue},
             "inflight": len(self._plan_futures),

@@ -13,6 +13,7 @@ Covers the acceptance criteria of the cache subsystem:
 
 from __future__ import annotations
 
+import enum
 import json
 import multiprocessing
 import os
@@ -24,14 +25,22 @@ from repro.cache import (CACHE_DIR_ENV, SCHEMA_VERSION, SimulationCache,
                          resolve_cache_dir)
 from repro.analysis.sweep import sweep_parameter
 from repro.core.batch import run_suite
+from repro.core.configured import KeyedSpec
 from repro.core.errors import CacheError
 from repro.core.output import SimulationResult
 from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import Bimodal, GShare
+from repro.registry import predictor_factory
 from repro.sbbt.digest import trace_digest
 from repro.sbbt.writer import write_trace
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
+
+try:
+    import hypothesis  # noqa: F401
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - depends on the environment
+    HAVE_HYPOTHESIS = False
 
 
 class CountingBimodal(Bimodal):
@@ -198,6 +207,90 @@ class TestKeySensitivity:
         write_trace(plain, trace)
         write_trace(gz, trace)
         assert trace_digest(plain) == trace_digest(gz) == trace_digest(trace)
+
+
+#: One fixed (digest, spec, config) and the keys the cache has always
+#: given it: a key that moves orphans every cache directory already
+#: filled, so these are literals, not recomputations.
+PINNED_DIGEST = "ab" * 32
+PINNED_SPEC = {"name": "GShare", "history_length": 15,
+               "log_table_size": 14, "counter_width": 2}
+PINNED_CONFIG = SimulationConfig(warmup_instructions=1000,
+                                 max_instructions=50_000,
+                                 track_only_conditional=True,
+                                 collect_most_failed=False)
+PINNED_KEY = (
+    "90f2e415c0a713abbc3399056b9b6e04ab9b3b8d04a4e75444ce9ca07ec22f3e")
+PINNED_CONFIG_KEY = (
+    "e7ffda6d16cfff940e22e515d2f05f20d6babe7bfcdfe03803f82dd928452ba8")
+PINNED_GSHARE_DEFAULT_KEY = (
+    "dffe2002254611b68b9acdbc8fc40a977169eb26dcf62a51fe6eca19e371f3df")
+
+
+class TestKeyStability:
+    def test_make_key_is_pinned(self):
+        assert SimulationCache.make_key(PINNED_DIGEST,
+                                        PINNED_SPEC) == PINNED_KEY
+        assert SimulationCache.make_key(PINNED_DIGEST, PINNED_SPEC,
+                                        PINNED_CONFIG) == PINNED_CONFIG_KEY
+
+    def test_prefix_path_is_pinned(self):
+        keyed = KeyedSpec(PINNED_SPEC)
+        assert keyed.cache_key(PINNED_DIGEST, SimulationConfig()) \
+            == PINNED_KEY
+        assert keyed.cache_key(PINNED_DIGEST,
+                               PINNED_CONFIG) == PINNED_CONFIG_KEY
+
+    def test_registry_factory_keys_are_pinned(self):
+        derivation = predictor_factory("gshare").derivation()
+        assert derivation.cache_key(PINNED_DIGEST, SimulationConfig()) \
+            == PINNED_GSHARE_DEFAULT_KEY
+        assert SimulationCache.make_key(PINNED_DIGEST, GShare().spec()) \
+            == PINNED_GSHARE_DEFAULT_KEY
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="needs hypothesis")
+    def test_prefix_path_equals_make_key(self):
+        import numpy as np
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = 7
+
+        scalars = st.one_of(
+            st.integers(-2**40, 2**40),
+            st.integers(-2**31, 2**31 - 1).map(np.int64),
+            st.integers(0, 255).map(np.uint8),
+            st.sampled_from(list(Level)),
+            st.booleans(),
+            st.none(),
+            st.text(max_size=6),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        values = st.recursive(
+            scalars,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=3),
+                st.lists(inner, max_size=3).map(tuple),
+                st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+            max_leaves=8)
+        specs = st.dictionaries(st.text(max_size=8), values, max_size=5)
+        configs = st.builds(
+            SimulationConfig,
+            warmup_instructions=st.integers(0, 10**9),
+            max_instructions=st.one_of(st.none(), st.integers(0, 10**12)),
+            track_only_conditional=st.booleans(),
+            collect_most_failed=st.booleans())
+        digests = st.binary(min_size=32, max_size=32).map(bytes.hex)
+
+        @settings(max_examples=200, deadline=None)
+        @given(spec=specs, config=configs, digest=digests)
+        def check(spec, config, digest):
+            assert KeyedSpec(spec).cache_key(digest, config) == \
+                SimulationCache.make_key(digest, spec, config)
+
+        check()
 
 
 class TestCorruptionTolerance:

@@ -327,6 +327,63 @@ class TestCoalescing:
         assert stats["server"]["workers"] == 0
 
 
+class TestStatsUnderLoad:
+    def test_stats_during_concurrent_plans(self, serve, trace_files):
+        """``stats`` answers consistently while plan threads tally."""
+        handle = serve()
+        errors: list[Exception] = []
+
+        def worker(offset: int) -> None:
+            try:
+                with MbpClient(socket_path=handle.socket_path) as client:
+                    for round_ in range(3):
+                        client.sweep(trace_files[:2], "gshare",
+                                     "history_length",
+                                     [offset + 4 * round_ + h
+                                      for h in (1, 2)])
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(20 * i,))
+                   for i in range(3)]
+        for thread in threads:
+            thread.start()
+        seen = []
+        with MbpClient(socket_path=handle.socket_path) as client:
+            while any(thread.is_alive() for thread in threads):
+                seen.append(client.stats()["counters"].get("serve_units", 0))
+            for thread in threads:
+                thread.join()
+            final = client.stats()["counters"]
+        assert not errors
+        assert seen and seen == sorted(seen)  # tallies only ever grow
+        assert final["serve_units"] == 3 * 3 * 2 * 2
+        assert final == handle.server.telemetry.snapshot()["counters"]
+
+    def test_stats_copies_tallies_under_their_lock(self, serve):
+        handle = serve()
+        telemetry = handle.server.telemetry
+        lock = telemetry._lock
+        held: list[bool] = []
+
+        class Watched(dict):
+            """Records, on every copy, whether the tally lock is held."""
+
+            def __iter__(self):
+                return super().__iter__()
+
+            def keys(self):
+                held.append(lock.locked())
+                return super().keys()
+
+        with lock:
+            telemetry.counters = Watched(telemetry.counters)
+            telemetry.phases = Watched(telemetry.phases)
+        with MbpClient(socket_path=handle.socket_path) as client:
+            stats = client.stats()
+        assert stats["counters"]["serve_requests"] == 1
+        assert held and all(held)
+
 class TestSpanLog:
     def test_blocked_plan_has_its_lookup_span_on_disk(
             self, serve, trace_files, tmp_path, monkeypatch):
