@@ -18,6 +18,12 @@ an ``instructions`` count, the derived ``instructions_per_second``
 throughput is stamped in as well.  CI uploads these files so
 throughput regressions are diffable across runs without scraping the
 text tables.
+
+Timed comparisons go through :func:`time_pair`, the alternated-pair
+protocol of ``benchmarks/e2e/README.md``: one untimed warm-up call per
+side, then R pairs with the side that runs first alternating, read as a
+median with its quartiles.  A gate judges the median, and the artifact
+carries the repeat count and every raw sample.
 """
 
 from __future__ import annotations
@@ -25,8 +31,12 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
+import time
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -60,6 +70,58 @@ def bench_metrics(request):
     """
     metrics = _bench_extra.setdefault(request.node.nodeid, {})
     return metrics
+
+
+@dataclass(frozen=True)
+class Timing:
+    """One side of a :func:`time_pair` run: seconds per call."""
+
+    median: float
+    q1: float
+    q3: float
+    samples: tuple[float, ...]
+    #: What the side's last call returned, for result checks.
+    value: Any
+
+
+def _timing(samples: list[float], value: Any) -> Timing:
+    if len(samples) == 1:
+        q1 = median = q3 = samples[0]
+    else:
+        q1, median, q3 = statistics.quantiles(samples, n=4,
+                                              method="inclusive")
+    return Timing(median, q1, q3, tuple(samples), value)
+
+
+def time_pair(first: Callable[[], Any], second: Callable[[], Any],
+              repeats: int, metrics: dict | None = None,
+              names: tuple[str, str] = ("first", "second"),
+              ) -> tuple[Timing, Timing]:
+    """Time two callables by the alternated-pair protocol.
+
+    Each side gets one untimed warm-up call (imports, first-call
+    set-up, a fresh engine's fork and publish).  Then ``repeats`` timed
+    pairs follow, with the side that runs first alternating from pair
+    to pair so neither always inherits the other's cache state.  With
+    ``metrics`` (a ``bench_metrics`` dict, or one that ends up in it),
+    ``repeats`` and each side's raw samples, ``<name>_samples_s``, are
+    recorded there.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    sides = (first, second)
+    values = [side() for side in sides]
+    samples: tuple[list[float], list[float]] = ([], [])
+    for pair in range(repeats):
+        for k in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            values[k] = sides[k]()
+            samples[k].append(time.perf_counter() - start)
+    if metrics is not None:
+        metrics["repeats"] = repeats
+        for name, taken in zip(names, samples):
+            metrics[f"{name}_samples_s"] = list(taken)
+    return _timing(samples[0], values[0]), _timing(samples[1], values[1])
 
 
 def pytest_runtest_logreport(report):

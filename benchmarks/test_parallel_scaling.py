@@ -11,19 +11,27 @@ telemetry, and both recorded in ``BENCH_parallel_scaling.json``:
 
 2. **Engine reuse vs per-point pool churn.**  A parameter sweep run the
    old way (``run_suite(workers=N)`` per grid point, each call opening
-   and closing its own private engine) against the engine way (one pool
-   forked once, every trace decoded and shipped to shared memory once).  The
-   churn path pays ``points x workers`` forks and ``points x traces``
-   trace shipments; the engine pays each exactly once, which is the
-   ISSUE-5 acceptance criterion: >= 2x at 4 workers.  A third column
-   runs the same sweep with config-batched vectorized evaluation on the
-   shared engine (``sim_engine="auto"``, chunks sized so each one holds
-   a whole per-trace batch group) — see ``test_sweep_batching.py`` for
-   the batching payoff measured in isolation.
+   and closing its own private engine) against the engine way (one set
+   of workers started once, every trace decoded and shipped to shared
+   memory once).  The churn path pays ``points x workers`` worker
+   starts and ``points x traces`` trace shipments; the engine pays each
+   exactly once, and the gate asks for >= 2x at 4 workers.  A third
+   column runs the same sweep with config-batched vectorized evaluation
+   on the shared engine (``sim_engine="auto"``, chunks sized so each
+   one holds a whole per-trace batch group) — see
+   ``test_sweep_batching.py`` for the batching payoff measured in
+   isolation.
+
+Every comparison is timed by the alternated-pair protocol
+(``conftest.time_pair``): one untimed warm-up call per side, then R
+alternated pairs, read as the median.  The warm-up call starts an
+engine's workers and publishes its traces, so the engine columns
+measure a warm engine; the churn column pays a fresh engine per point
+on every call, which is what it measures.
 """
 
+import functools
 import json
-import time
 
 import pytest
 
@@ -37,13 +45,18 @@ from repro.sbbt.writer import write_trace
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
 
-from conftest import emit_report
+from conftest import emit_report, time_pair
 
 NUM_TRACES = 3
 BRANCHES_PER_TRACE = 800
 WORKER_COUNTS = (1, 2, 4)
 SWEEP_WORKERS = 4
 SWEEP_VALUES = tuple(range(2, 26, 2))  # 12 grid points
+
+#: Alternated timed pairs per comparison; every gate reads the median.
+SUITE_REPEATS = 7
+SWEEP_REPEATS = 3
+GATE_REPEATS = 5
 
 
 def gshare_factory():
@@ -69,26 +82,22 @@ def trace_paths(tmp_path_factory, traces):
     return paths
 
 
-def _timed(function):
-    start = time.perf_counter()
-    value = function()
-    return value, time.perf_counter() - start
-
-
 @pytest.fixture(scope="module")
 def suite_scaling(traces):
-    """(wall seconds, engine stats) per worker count, one warm engine each."""
+    """Per worker count: serial and warm-engine timings, alternated
+    pair by pair, plus the engine's stats and the raw samples."""
     measurements = {}
-    serial_batch, serial_time = _timed(lambda: run_suite(gshare_factory,
-                                                         traces))
-    measurements["serial"] = (serial_time, None)
     for workers in WORKER_COUNTS:
+        metrics: dict = {}
         with ExecutionEngine(workers=workers) as engine:
-            batch, seconds = _timed(
-                lambda: run_suite(gshare_factory, traces, engine=engine))
-            measurements[workers] = (seconds, engine.stats.to_json())
-        assert ([r.mispredictions for r in batch.results]
-                == [r.mispredictions for r in serial_batch.results])
+            serial, engined = time_pair(
+                lambda: run_suite(gshare_factory, traces),
+                lambda: run_suite(gshare_factory, traces, engine=engine),
+                SUITE_REPEATS, metrics, names=("serial", "engine"))
+            stats = engine.stats.to_json()
+        assert ([r.mispredictions for r in engined.value.results]
+                == [r.mispredictions for r in serial.value.results])
+        measurements[workers] = (serial, engined, stats, metrics)
     return measurements
 
 
@@ -99,11 +108,10 @@ def sweep_styles(trace_paths):
 
     def churn():
         # The pre-engine dispatch style: every grid point opens its own
-        # private engine — forks a pool and decodes and publishes every
-        # trace again.
+        # private engine — starts its workers and decodes and publishes
+        # every trace again.
         points = []
         for value in SWEEP_VALUES:
-            import functools
             batch = run_suite(
                 functools.partial(GShare, history_length=value,
                                   log_table_size=12),
@@ -111,11 +119,11 @@ def sweep_styles(trace_paths):
             points.append(batch.mean_mpki())
         return points
 
-    def engine_reuse():
+    def engine_reuse(eng):
         sweep = sweep_parameter(GShare, "history_length",
                                 SWEEP_VALUES, trace_paths,
                                 fixed={"log_table_size": 12},
-                                engine=engine)
+                                engine=eng)
         return [point.mean_mpki for point in sweep.points]
 
     def engine_batched(eng):
@@ -129,105 +137,125 @@ def sweep_styles(trace_paths):
                                 sim_engine="auto", batch="auto")
         return [point.mean_mpki for point in sweep.points]
 
-    # Two rounds each, best-of: fork timing on a loaded CI box is noisy
-    # and the comparison is about structural cost, not scheduler luck.
-    churn_times, engine_times, batched_times = [], [], []
-    for _ in range(2):
-        churn_points, seconds = _timed(churn)
-        churn_times.append(seconds)
+    reuse_metrics: dict = {}
+    batched_metrics: dict = {}
     with ExecutionEngine(workers=SWEEP_WORKERS) as engine:
-        for _ in range(2):
-            engine_points, seconds = _timed(engine_reuse)
-            engine_times.append(seconds)
+        churned, reused = time_pair(
+            churn, lambda: engine_reuse(engine), SWEEP_REPEATS,
+            reuse_metrics, names=("churn", "engine"))
         stats = engine.stats.to_json()
-    with ExecutionEngine(workers=SWEEP_WORKERS) as batch_engine:
-        batched_points = engine_batched(batch_engine)  # fork + publish
-        for _ in range(2):
-            batched_points, seconds = _timed(
-                lambda: engine_batched(batch_engine))
-            batched_times.append(seconds)
-        batched_stats = batch_engine.stats.to_json()
-    assert engine_points == churn_points
-    assert batched_points == churn_points
+    with ExecutionEngine(workers=SWEEP_WORKERS) as engine:
+        churned_again, batched = time_pair(
+            churn, lambda: engine_batched(engine), SWEEP_REPEATS,
+            batched_metrics, names=("churn", "batched"))
+        batched_stats = engine.stats.to_json()
+    assert reused.value == churned.value
+    assert batched.value == churned.value == churned_again.value
     return {
-        "churn_s": min(churn_times),
-        "engine_s": min(engine_times),
-        "batched_s": min(batched_times),
+        "churn": churned,
+        "engine": reused,
+        "batched_churn": churned_again,
+        "batched": batched,
         "stats": stats,
         "batched_stats": batched_stats,
+        "metrics": reuse_metrics,
+        "batched_metrics": batched_metrics,
     }
+
+
+def _cell(timing):
+    """A table cell: the median with its quartiles."""
+    return (f"{format_duration(timing.median)} "
+            f"[{format_duration(timing.q1)}, {format_duration(timing.q3)}]")
 
 
 def test_suite_scaling_report(suite_scaling, traces, report_only,
                               bench_metrics):
-    serial_time, _ = suite_scaling["serial"]
-    rows = [["serial (in-process)", format_duration(serial_time), "-", "-"]]
-    bench_metrics["serial_s"] = serial_time
+    rows = []
+    bench_metrics["repeats"] = SUITE_REPEATS
     bench_metrics["instructions"] = sum(t.num_instructions for t in traces)
     for workers in WORKER_COUNTS:
-        seconds, stats = suite_scaling[workers]
+        serial, engined, stats, metrics = suite_scaling[workers]
+        speedup = serial.median / engined.median
         rows.append([
             f"engine, {workers} worker(s)",
-            format_duration(seconds),
-            f"{serial_time / seconds:.2f} x",
+            _cell(serial),
+            _cell(engined),
+            f"{speedup:.2f} x",
             f"reuse {stats['trace_reuses']}/{stats['tasks_dispatched']}",
         ])
-        bench_metrics[f"engine_{workers}w_s"] = seconds
-        bench_metrics[f"engine_{workers}w_speedup"] = serial_time / seconds
+        bench_metrics[f"serial_{workers}w_s"] = serial.median
+        bench_metrics[f"engine_{workers}w_s"] = engined.median
+        bench_metrics[f"engine_{workers}w_speedup"] = speedup
+        for name in ("serial", "engine"):
+            bench_metrics[f"{name}_{workers}w_samples_s"] = \
+                metrics[f"{name}_samples_s"]
     emit_report("parallel_suite_scaling", format_table(
-        headers=["Dispatch", "Time", "vs serial", "Trace reuse"],
+        headers=["Dispatch", "Serial", "Engine", "vs serial",
+                 "Trace reuse"],
         rows=rows,
         title=(f"Suite dispatch - {NUM_TRACES} traces x "
-               f"{BRANCHES_PER_TRACE} branches, engine worker scaling"),
+               f"{BRANCHES_PER_TRACE} branches, warm engine worker "
+               f"scaling (median [q1, q3] of {SUITE_REPEATS} alternated "
+               "pairs)"),
     ))
 
 
 def test_suite_scaling_shape(suite_scaling, report_only):
     # The engine must publish each trace once and account for every
-    # dispatch as either a first attach or a resident reuse.
+    # dispatch as either a first attach or a resident reuse, over the
+    # warm-up call and every timed repeat.
     for workers in WORKER_COUNTS:
-        _, stats = suite_scaling[workers]
+        _, _, stats, _ = suite_scaling[workers]
         assert stats["traces_published"] == NUM_TRACES
-        assert stats["tasks_dispatched"] == NUM_TRACES
+        assert stats["tasks_dispatched"] == \
+            (SUITE_REPEATS + 1) * NUM_TRACES
         assert (stats["trace_attaches"] + stats["trace_reuses"]
                 == stats["tasks_dispatched"])
 
 
 def test_sweep_engine_reuse_vs_pool_churn(sweep_styles, report_only,
                                           bench_metrics):
-    churn, engine = sweep_styles["churn_s"], sweep_styles["engine_s"]
+    churn, engine = sweep_styles["churn"], sweep_styles["engine"]
     stats = sweep_styles["stats"]
-    speedup = churn / engine
-    bench_metrics["pool_churn_s"] = churn
-    bench_metrics["engine_reuse_s"] = engine
+    speedup = churn.median / engine.median
+    bench_metrics.update(sweep_styles["metrics"])
+    bench_metrics["pool_churn_s"] = churn.median
+    bench_metrics["engine_reuse_s"] = engine.median
     bench_metrics["engine_reuse_speedup"] = speedup
     bench_metrics["trace_reuses"] = stats["trace_reuses"]
     bench_metrics["traces_published"] = stats["traces_published"]
     bench_metrics["tasks_dispatched"] = stats["tasks_dispatched"]
-    batched = sweep_styles["batched_s"]
-    batched_speedup = churn / batched
-    bench_metrics["engine_batched_s"] = batched
+    batched_churn = sweep_styles["batched_churn"]
+    batched = sweep_styles["batched"]
+    batched_speedup = batched_churn.median / batched.median
+    bench_metrics["engine_batched_s"] = batched.median
     bench_metrics["engine_batched_speedup"] = batched_speedup
+    for name, samples in sweep_styles["batched_metrics"].items():
+        if name.startswith("batched"):
+            bench_metrics[name] = samples
     emit_report("parallel_sweep_styles", format_table(
         headers=["Sweep dispatch", "Time", "Speedup"],
         rows=[
-            [f"pool churn ({len(SWEEP_VALUES)} pools of "
-             f"{SWEEP_WORKERS})", format_duration(churn), "1.0 x"],
+            [f"pool churn ({len(SWEEP_VALUES)} engines of "
+             f"{SWEEP_WORKERS})", _cell(churn), "1.0 x"],
             ["one engine, traces resident",
-             format_duration(engine), f"{speedup:.2f} x"],
+             _cell(engine), f"{speedup:.2f} x"],
             ["one engine, config-batched vectorized",
-             format_duration(batched), f"{batched_speedup:.2f} x"],
+             _cell(batched), f"{batched_speedup:.2f} x"],
         ],
         title=(f"Sweep of {len(SWEEP_VALUES)} points x {NUM_TRACES} traces "
-               f"at {SWEEP_WORKERS} workers: pool churn vs engine reuse"),
+               f"at {SWEEP_WORKERS} workers: pool churn vs engine reuse "
+               f"(median [q1, q3] of {SWEEP_REPEATS} alternated pairs)"),
     ))
-    # The acceptance criterion: amortizing pool startup and trace
+    # The acceptance criterion: amortizing worker startup and trace
     # shipping across the sweep must be at least a 2x win.
     assert speedup >= 2.0
-    # The telemetry proves *why*: each trace shipped once — across both
-    # measurement rounds — then reused by every other task.
+    # The telemetry proves *why*: each trace shipped once — across the
+    # warm-up and every timed repeat — then reused by every other task.
     assert stats["traces_published"] == NUM_TRACES
-    assert stats["tasks_dispatched"] == 2 * len(SWEEP_VALUES) * NUM_TRACES
+    assert stats["tasks_dispatched"] == \
+        (SWEEP_REPEATS + 1) * len(SWEEP_VALUES) * NUM_TRACES
     assert stats["trace_reuses"] > 0
 
 
@@ -238,7 +266,7 @@ def test_sweep_engine_batched_forms_groups(sweep_styles, report_only,
     shapes depend on how the dispatcher splits chunks across workers;
     the controlled-chunk shape tests live in tests/core/test_batching.py)."""
     stats = sweep_styles["batched_stats"]
-    runs = 3  # one warm + two timed
+    runs = SWEEP_REPEATS + 1  # one warm-up + the timed repeats
     assert stats["batch_groups"] > 0
     # Every group holds at least two units, and no run can batch more
     # units than it dispatched.
@@ -268,7 +296,6 @@ def _comparable(outcome):
 
 
 def _gate_factories():
-    import functools
     return [(tag, functools.partial(GShare, history_length=h,
                                     log_table_size=12))
             for tag, h in enumerate(GATE_HISTORY)]
@@ -285,38 +312,37 @@ def gate_traces():
 def chunked_gate(gate_traces):
     """Serial vs warm-engine wall clock for one realistic suite
     (GATE_NUM_TRACES traces x len(GATE_HISTORY) configs), both lowered
-    through the same WorkPlan funnel; best-of-2 each."""
+    through the same WorkPlan funnel, in alternated pairs.  The engine's
+    warm-up call starts its workers, publishes the traces and seeds the
+    per-unit cost estimate — the steady state a sweep runs in."""
     plan = WorkPlan.for_points(_gate_factories(), gate_traces)
-    serial_times, engine_times = [], []
-    serial_outcomes = None
-    for _ in range(2):
-        outcomes, seconds = _timed(lambda: execute_plan(plan))
-        serial_outcomes = outcomes
-        serial_times.append(seconds)
+    metrics: dict = {}
     with ExecutionEngine(workers=GATE_WORKERS) as engine:
-        # Warm round: fork the pool, publish the traces, seed the
-        # per-unit cost estimate — the steady state a sweep runs in.
-        engine_outcomes = execute_plan(plan, engine=engine)
-        for _ in range(2):
-            engine_outcomes, seconds = _timed(
-                lambda: execute_plan(plan, engine=engine))
-            engine_times.append(seconds)
+        serial, engined = time_pair(
+            lambda: execute_plan(plan),
+            lambda: execute_plan(plan, engine=engine),
+            GATE_REPEATS, metrics, names=("chunked_serial",
+                                          "chunked_engine"))
         stats = engine.stats.to_json()
     return {
-        "serial_s": min(serial_times),
-        "engine_s": min(engine_times),
-        "serial_outcomes": serial_outcomes,
-        "engine_outcomes": engine_outcomes,
+        "serial": serial,
+        "engine": engined,
+        "serial_outcomes": serial.value,
+        "engine_outcomes": engined.value,
         "stats": stats,
+        "metrics": metrics,
     }
 
 
 def test_chunked_engine_vs_serial_gate(chunked_gate, report_only,
                                        bench_metrics):
     import os
-    serial, engine = chunked_gate["serial_s"], chunked_gate["engine_s"]
+    serial_timing = chunked_gate["serial"]
+    engine_timing = chunked_gate["engine"]
+    serial, engine = serial_timing.median, engine_timing.median
     speedup = serial / engine
     units = GATE_NUM_TRACES * len(GATE_HISTORY)
+    bench_metrics.update(chunked_gate["metrics"])
     bench_metrics["chunked_serial_s"] = serial
     bench_metrics["chunked_engine_s"] = engine
     bench_metrics["chunked_engine_speedup"] = speedup
@@ -324,12 +350,13 @@ def test_chunked_engine_vs_serial_gate(chunked_gate, report_only,
     emit_report("parallel_chunked_gate", format_table(
         headers=["Dispatch", "Time", "Speedup"],
         rows=[
-            ["serial (plan funnel)", format_duration(serial), "1.0 x"],
+            ["serial (plan funnel)", _cell(serial_timing), "1.0 x"],
             [f"engine, {GATE_WORKERS} workers, adaptive chunks",
-             format_duration(engine), f"{speedup:.2f} x"],
+             _cell(engine_timing), f"{speedup:.2f} x"],
         ],
         title=(f"Chunked dispatch gate - {GATE_NUM_TRACES} traces x "
-               f"{len(GATE_HISTORY)} configs x {GATE_BRANCHES} branches"),
+               f"{len(GATE_HISTORY)} configs x {GATE_BRANCHES} branches "
+               f"(median [q1, q3] of {GATE_REPEATS} alternated pairs)"),
     ))
     # The acceptance gate: a warm engine at 4 workers must not lose to
     # the serial loop on a realistic suite.  A single-CPU runner cannot
@@ -351,7 +378,6 @@ def test_small_unit_plan_packs_chunks(trace_paths, report_only,
                                       bench_metrics):
     """Many small units: adaptive sizing must actually pack several
     units per round-trip once warm, and stay byte-identical."""
-    import functools
     factories = [(tag, functools.partial(GShare, history_length=h,
                                          log_table_size=12))
                  for tag, h in enumerate(SMALL_UNIT_CONFIGS)]

@@ -1,13 +1,14 @@
 """Config-batched sweeps (ours) — one vectorized pass over a whole grid.
 
 A parameter sweep evaluates many configurations of one predictor over
-the same trace.  Run per-unit, every grid point re-reads the trace,
-rebuilds the vectorized context (unpacked outcome/address arrays, packed
-history windows) and sorts its own index stream.  The batched evaluator
-(``batch="auto"``) groups a plan's units by trace, builds the context
-once, memoizes derived histories across configurations, and resolves
-every same-bounds saturating-table kernel in one stacked radix sort +
-grouped walk.  This module records the payoff in
+the same trace.  Run per-unit, every grid point rebuilds the vectorized
+context (unpacked outcome/address arrays, packed history windows) and
+sorts its own index stream; only the trace decode is shared, since the
+inline loop decodes a run of units over one trace file once.  The
+batched evaluator (``batch="auto"``) groups a plan's units by trace,
+builds the context once, memoizes derived histories across
+configurations, and resolves every same-bounds saturating-table kernel
+in one stacked radix sort + grouped walk.  This module records the payoff in
 ``BENCH_sweep_batching.json``:
 
 1. **GShare history sweep** — 16 history lengths over one trace, the

@@ -13,11 +13,10 @@ scan (bimodal, gshare, two-level, local, tournament) get the full numpy
 speedup; 2bc-gskew, YAGS and the hashed perceptron vectorize
 history/index derivation but keep an exact scalar update loop (their
 inter-table control flow and the perceptron's weight sum are not prefix
-scans), so they are measured but not gated.  Each side makes one
-untimed warm-up call before its row is timed.
+scans), so they are measured but not gated.  Each row is timed by the
+alternated-pair protocol (``conftest.time_pair``): one untimed warm-up
+call per side, then ``REPEATS`` alternated pairs, read as the median.
 """
-
-import time
 
 import pytest
 
@@ -36,7 +35,7 @@ from repro.predictors.twolevel import GAs
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
 
-from conftest import emit_report
+from conftest import emit_report, time_pair
 
 NUM_BRANCHES = 150_000
 
@@ -58,6 +57,9 @@ FULLY_SCANNED = ("bimodal", "gshare", "two-level", "local", "tournament")
 
 GATE_SPEEDUP = 5.0
 
+#: Timed pairs per row; the gate reads the medians.
+REPEATS = 5
+
 
 @pytest.fixture(scope="module")
 def big_trace():
@@ -70,24 +72,24 @@ def measurements(big_trace):
     config = SimulationConfig(collect_most_failed=False)
     rows = {}
     for name, factory in CATALOG.items():
-        # One untimed call per side first, so a row times the kernel and
-        # the loop, not imports and first-call warm-up.
-        simulate(factory(), big_trace, config)
-        simulate(factory(), big_trace, config, engine="vectorized")
-        start = time.perf_counter()
-        scalar = simulate(factory(), big_trace, config)
-        scalar_time = time.perf_counter() - start
-        start = time.perf_counter()
-        vector = simulate(factory(), big_trace, config, engine="vectorized")
-        vector_time = time.perf_counter() - start
-        assert vector.mispredictions == scalar.mispredictions, name
-        assert vector.num_conditional_branches == \
-            scalar.num_conditional_branches, name
+        metrics: dict = {}
+        scalar, vector = time_pair(
+            lambda: simulate(factory(), big_trace, config),
+            lambda: simulate(factory(), big_trace, config,
+                             engine="vectorized"),
+            REPEATS, metrics, names=("scalar", "vectorized"))
+        assert vector.value.mispredictions == scalar.value.mispredictions, \
+            name
+        assert vector.value.num_conditional_branches == \
+            scalar.value.num_conditional_branches, name
         rows[name] = {
-            "scalar_time": scalar_time,
-            "vector_time": vector_time,
-            "instructions": scalar.simulation_instructions,
-            "mispredictions": scalar.mispredictions,
+            "scalar_time": scalar.median,
+            "vector_time": vector.median,
+            "scalar_iqr": (scalar.q1, scalar.q3),
+            "vector_iqr": (vector.q1, vector.q3),
+            "instructions": scalar.value.simulation_instructions,
+            "mispredictions": scalar.value.mispredictions,
+            "metrics": metrics,
         }
     return rows
 
@@ -95,6 +97,7 @@ def measurements(big_trace):
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_throughput(name, measurements, bench_metrics, report_only):
     row = measurements[name]
+    bench_metrics.update(row["metrics"])
     bench_metrics["scalar_instructions_per_second"] = (
         row["instructions"] / row["scalar_time"])
     bench_metrics["vectorized_instructions_per_second"] = (
@@ -112,14 +115,20 @@ def test_scan_predictors_meet_speedup_gate(name, measurements, report_only):
         f"(gate {GATE_SPEEDUP}x)")
 
 
+def _with_iqr(median, iqr):
+    q1, q3 = iqr
+    return (f"{format_duration(median)} "
+            f"[{format_duration(q1)}, {format_duration(q3)}]")
+
+
 def test_vectorized_catalog_report(measurements, big_trace, report_only):
     body = []
     for name, row in measurements.items():
         speedup = row["scalar_time"] / row["vector_time"]
         body.append([
             name,
-            format_duration(row["scalar_time"]),
-            format_duration(row["vector_time"]),
+            _with_iqr(row["scalar_time"], row["scalar_iqr"]),
+            _with_iqr(row["vector_time"], row["vector_iqr"]),
             f"{speedup:.1f} x",
             f"{row['instructions'] / row['vector_time'] / 1e6:.1f} M instr/s",
             "scan" if name in FULLY_SCANNED else "hybrid",
@@ -129,5 +138,6 @@ def test_vectorized_catalog_report(measurements, big_trace, report_only):
                  "Vectorized throughput", "Kernel"],
         rows=body,
         title=("Vectorized fast path across the table-indexed catalog "
-               f"({len(big_trace)} branches, bit-exact results)"),
+               f"({len(big_trace)} branches, bit-exact results; median "
+               f"[q1, q3] of {REPEATS} alternated pairs)"),
     ))

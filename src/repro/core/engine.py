@@ -2,46 +2,44 @@
 
 The paper's headline claim is *throughput*: MBPlib simulates whole trace
 suites ~11x faster than the CBP5 framework and ~30x faster than ChampSim
-(Table III).  The C++ binary pays its orchestration cost once — traces
-are decoded once, and every (configuration, trace) run happens inside
-one long-lived process.  The Python evaluation drivers historically did
-not: every :func:`repro.core.batch.run_suite` call forked a fresh
-``ProcessPoolExecutor`` and pickled each trace payload to a worker per
-task, so a 20-point sweep re-shipped every trace 20 times and re-forked
-the pool 20 times.
+(Table III), because the caller's code drives the simulator directly
+instead of a framework loop sitting in between.  The C++ binary pays its
+orchestration cost once — traces are decoded once, and every
+(configuration, trace) run happens inside one long-lived process.
 
-:class:`ExecutionEngine` removes that overhead:
+:class:`ExecutionEngine` is the Python counterpart for multi-unit plans:
 
-* **one pool** — worker processes are created lazily on the first
-  dispatch and reused for every subsequent suite, sweep point or search
-  evaluation until :meth:`ExecutionEngine.close`;
+* **long-lived workers on direct pipes** — ``workers`` processes are
+  started lazily on the first dispatch and live until
+  :meth:`ExecutionEngine.close`.  Each owns one duplex
+  :func:`multiprocessing.Pipe`; the parent sends a pickled chunk of work
+  units only to an idle worker, and there is no executor, queue thread
+  or result thread in between;
 * **one decode, one ship** — each distinct trace (identified by its
   canonical SBBT content digest) is decoded in the parent once and
   published once into a :mod:`multiprocessing.shared_memory` segment
   holding the five :class:`~repro.sbbt.trace.TraceData` column arrays
   back to back.  Workers attach the segment the first time they see the
   digest and reconstruct **zero-copy** numpy views over the shared
-  buffer; every later task over the same trace reuses the resident
+  buffer; every later unit over the same trace reuses the resident
   views and ships only a ~100-byte descriptor;
-* **streamed completion** — tasks are submitted in a bounded window and
-  results are consumed with ``as_completed`` semantics, so one slow
-  trace never delays the recording of the others and memory stays
-  bounded for arbitrarily long task lists;
 * **adaptive chunked dispatch** — :meth:`ExecutionEngine.run_plan`
   consumes :class:`~repro.core.plan.WorkPlan` batches and packs several
-  work units into each worker round-trip, sized from the measured
-  per-unit cost, so cheap units (small traces, big sweeps) no longer pay
-  one pickle/IPC/future round-trip each — the overhead that used to make
-  a parallel suite slower than a serial one.  Multi-unit chunks
-  checkpoint finished outcomes to a spool, so a worker crash mid-chunk
-  loses exactly one unit.
+  work units into each chunk, sized from the measured per-unit cost, so
+  cheap units (small traces, big sweeps) share one round trip;
+* **streamed completion** — a worker sends one record home the moment
+  each unit of its chunk finishes, then a chunk-end message.  If the
+  worker dies mid-chunk, the records already received are the finished
+  units, the unit that was running takes the one failure, and only the
+  unstarted units run again, on a replacement worker.
 
 Lifecycle is context-managed: ``with ExecutionEngine(workers=4) as
-engine: ...`` guarantees the pool is shut down and every shared-memory
-segment is unlinked — also on worker crashes (the pool is replaced, the
-segments survive until ``close``) and under both the ``fork`` and
-``spawn`` start methods.  A :mod:`weakref` finalizer backstops segment
-cleanup if an engine is dropped without ``close``.
+engine: ...`` guarantees the workers are stopped and reaped and every
+shared-memory segment is unlinked — also after worker crashes (only the
+dead worker is replaced; the segments survive until ``close``) and under
+the ``fork``, ``spawn`` and ``forkserver`` start methods.  A
+:mod:`weakref` finalizer backstops both if an engine is dropped without
+``close``.
 
 Observability: the engine keeps an engine-lifetime :class:`EngineStats`
 record — ``traces_published`` / ``trace_attaches`` / ``trace_reuses`` /
@@ -55,18 +53,17 @@ once per worker" property is measurable, not folklore.
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
+import signal
 import threading
 import time
 import traceback
 import weakref
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context, shared_memory
+from multiprocessing.connection import Connection, wait
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, Union
 
@@ -76,8 +73,8 @@ from ..sbbt.trace import TraceData
 from ..telemetry.instrumentation import FUNNEL_SPANS
 from .errors import SimulationError
 from .output import SimulationResult
-from .plan import (WorkPlan, chunk_cost_size, normalize_batch,
-                   normalize_chunk)
+from .plan import (WorkPlan, _trace_identity, chunk_cost_size,
+                   normalize_batch, normalize_chunk)
 from .predictor import Predictor
 from .simulator import SimulationConfig
 
@@ -112,9 +109,9 @@ def engine_scope(engine: "ExecutionEngine | None",
     caller-provided ``engine`` is yielded as-is (the caller owns its
     lifecycle).  Otherwise, ``workers > 1`` opens a *private*
     :class:`ExecutionEngine` that lives exactly as long as the ``with``
-    block — one pool and one trace shipment for the whole suite, sweep
-    or search — and ``workers == 1`` yields ``None`` (serial in-process
-    execution).
+    block — one set of workers and one trace shipment for the whole
+    suite, sweep or search — and ``workers == 1`` yields ``None``
+    (serial in-process execution).
     """
     if engine is not None or workers <= 1:
         yield engine
@@ -233,14 +230,14 @@ def _attach_resident(ref: SharedTrace) -> tuple[TraceData, bool]:
     if entry is not None:
         return entry[1], False
     # Attaching registers the name with the resource tracker a second
-    # time; pool workers share the parent's tracker process (its fd is
+    # time; engine workers share the parent's tracker process (its fd is
     # inherited under fork and passed explicitly under spawn), and the
     # tracker's per-type cache is a set, so the duplicate is a no-op and
     # the parent's unlink-on-close remains the single cleanup point.
     # (Explicitly unregistering here would *remove* the parent's
     # registration from the shared tracker — bpo-38119 only bites when
-    # attacher and creator have separate trackers, which a pool never
-    # does.)
+    # attacher and creator have separate trackers, which an engine
+    # never has.)
     segment = shared_memory.SharedMemory(name=ref.segment)
     data = _unpack_trace(segment.buf, ref.num_branches, ref.num_instructions)
     _RESIDENT[ref.digest] = (segment, data)
@@ -258,7 +255,7 @@ def _engine_run_one(factory: PredictorFactory, ref: SharedTrace,
     Returns ``(outcome, attached, spans)`` — the outcome is a
     :class:`~repro.core.output.SimulationResult` or a
     :class:`~repro.core.batch.TraceFailure` (the same fault barrier as
-    the classic pool path), ``attached`` feeds the parent's
+    the inline path), ``attached`` feeds the parent's
     trace_attach / trace_reuse counters, and ``spans`` are the
     worker-side span dicts when ``trace_wire`` carried a
     :class:`~repro.tracing.TraceContext` (empty — tracing disabled —
@@ -309,71 +306,22 @@ def _engine_run_one(factory: PredictorFactory, ref: SharedTrace,
 _ChunkItem = tuple[Any, SharedTrace, SimulationConfig, str, bool, str,
                    "dict | None"]
 
-
-def _spool_file(spool_dir: str, chunk_id: str, position: int) -> str:
-    return os.path.join(spool_dir, f"{chunk_id}-{position}.res")
-
-
-def _spool_write(spool_dir: str, chunk_id: str, position: int,
-                 payload: tuple[Any, bool, list]) -> None:
-    """Persist one finished unit's (outcome, attached, spans) atomically.
-
-    Best-effort: a spool write failure only degrades crash recovery for
-    this chunk (the unit would be re-simulated), it never fails the unit.
-    """
-    final = _spool_file(spool_dir, chunk_id, position)
-    tmp = f"{final}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "wb") as stream:
-            pickle.dump(payload, stream)
-        os.replace(tmp, final)
-    except Exception:  # noqa: BLE001 - recovery is advisory
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def _spool_load(spool_dir: str, chunk_id: str, count: int,
-                ) -> dict[int, tuple[Any, bool, list]]:
-    """Outcomes a crashed chunk managed to finish, keyed by position.
-
-    Unreadable or half-written entries are treated as missing — the
-    parent then re-runs (or fails) those units, which is always safe.
-    """
-    recovered: dict[int, tuple[Any, bool, list]] = {}
-    for position in range(count):
-        try:
-            with open(_spool_file(spool_dir, chunk_id, position),
-                      "rb") as stream:
-                recovered[position] = pickle.load(stream)
-        except Exception:  # noqa: BLE001 - missing/corrupt = not finished
-            continue
-    return recovered
-
-
-def _spool_clear(spool_dir: str, chunk_id: str, count: int) -> None:
-    """Drop a chunk's spool entries (after they have been consumed)."""
-    for position in range(count):
-        try:
-            os.unlink(_spool_file(spool_dir, chunk_id, position))
-        except OSError:
-            continue
+#: Called by the chunk runners as each unit finishes:
+#: ``emit(position, outcome, attached, elapsed_seconds, spans)``.
+_Emit = Callable[[int, Any, bool, float, list], None]
 
 
 def _engine_run_group(items: Sequence[_ChunkItem], positions: Sequence[int],
-                      outcomes: list, info: dict[str, int],
-                      spool_dir: str | None, chunk_id: str) -> None:
+                      info: dict[str, int], emit: _Emit) -> None:
     """Worker task helper: run one same-digest batch group in stacked
     numpy passes (:func:`repro.core.vectorized.run_unit_group`).
 
     The shared trace is attached once; the group's elapsed time is
     attributed evenly across its units so the parent's chunk-size EMA
     sees the *batched* per-unit cost.  An attach failure fails every
-    member (each would have failed identically alone).  Spool writes
-    happen per unit after the group completes — a crash mid-group
-    re-runs the whole group, which is safe and cheap (groups are one
-    pass).
+    member (each would have failed identically alone).  Units are
+    emitted after the group completes — a crash mid-group re-runs the
+    whole group, which is safe and cheap (groups are one pass).
     """
     from .batch import TraceFailure
     from .vectorized import run_unit_group
@@ -394,15 +342,11 @@ def _engine_run_group(items: Sequence[_ChunkItem], positions: Sequence[int],
                     trace_wire, "attach", wall,
                     time.perf_counter() - start, status="error",
                     attributes={"digest": ref.digest[:12]}))
-            record = (TraceFailure(
+            emit(position, TraceFailure(
                 trace_name=name,
                 error=f"{type(exc).__name__}: {exc}",
                 details=traceback.format_exc(),
             ), False, 0.0, spans)
-            if spool_dir is not None:
-                _spool_write(spool_dir, chunk_id, position,
-                             (record[0], record[1], record[3]))
-            outcomes[position] = record
         return
     units = [(items[p][0], items[p][2], items[p][3], items[p][4],
               items[p][5]) for p in positions]
@@ -426,37 +370,26 @@ def _engine_run_group(items: Sequence[_ChunkItem], positions: Sequence[int],
                 status="error" if failed else "ok",
                 attributes={"unit": name, "sim_engine": sim_engine,
                             "batched": True}))
-        record = (results[offset], attached and offset == 0, share, spans)
-        if spool_dir is not None:
-            _spool_write(spool_dir, chunk_id, position,
-                         (record[0], record[1], record[3]))
-        outcomes[position] = record
+        emit(position, results[offset], attached and offset == 0, share,
+             spans)
 
 
-def _engine_run_chunk(items: Sequence[_ChunkItem], spool_dir: str | None,
-                      chunk_id: str, batch: bool = False,
-                      ) -> tuple[list[tuple[Any, bool, float, list[dict]]],
-                                 dict[str, int]]:
+def _engine_run_chunk(items: Sequence[_ChunkItem], batch: bool,
+                      emit: _Emit) -> dict[str, int]:
     """Worker task: simulate a whole chunk of resident-trace units.
 
-    Returns ``(records, info)``: one ``(outcome, attached,
-    elapsed_seconds, spans)`` record per unit, in chunk order, plus an
-    ``info`` dict with the chunk's ``batch_groups`` / ``batch_units`` /
-    ``context_reuse`` counts.  The per-unit timings feed the parent's
-    adaptive chunk-size estimate and the spans (empty when tracing is
-    off) ship the worker-side trace back.  When ``spool_dir`` is given
-    (multi-unit chunks), every finished unit is also checkpointed to
-    disk so a crash later in the chunk loses only the unit that was
-    executing — finished units' spans survive the crash with their
-    outcomes.
+    Calls ``emit(position, outcome, attached, elapsed_seconds, spans)``
+    the moment each unit finishes and returns an ``info`` dict with the
+    chunk's ``batch_groups`` / ``batch_units`` / ``context_reuse``
+    counts.  The per-unit timings feed the parent's adaptive chunk-size
+    estimate and the spans (empty when tracing is off) ship the
+    worker-side trace back.
 
     With ``batch=True``, units sharing a trace digest whose
     ``sim_engine`` admits the vectorized engine are evaluated as one
     batched group (the parent's digest-affinity packing makes such
     groups common); the rest run per unit exactly as before.
     """
-    outcomes: list[tuple[Any, bool, float, list[dict]] | None] = \
-        [None] * len(items)
     info = {"batch_groups": 0, "batch_units": 0, "context_reuse": 0}
     batched: set[int] = set()
     if batch:
@@ -466,8 +399,7 @@ def _engine_run_chunk(items: Sequence[_ChunkItem], spool_dir: str | None,
                 groups.setdefault(item[1].digest, []).append(position)
         for positions in groups.values():
             if len(positions) >= 2:
-                _engine_run_group(items, positions, outcomes, info,
-                                  spool_dir, chunk_id)
+                _engine_run_group(items, positions, info, emit)
                 batched.update(positions)
     for position, (factory, ref, config, name, probe,
                    sim_engine, trace_wire) in enumerate(items):
@@ -476,12 +408,69 @@ def _engine_run_chunk(items: Sequence[_ChunkItem], spool_dir: str | None,
         start = time.perf_counter()
         outcome, attached, spans = _engine_run_one(
             factory, ref, config, name, probe, sim_engine, trace_wire)
-        elapsed = time.perf_counter() - start
-        if spool_dir is not None:
-            _spool_write(spool_dir, chunk_id, position,
-                         (outcome, attached, spans))
-        outcomes[position] = (outcome, attached, elapsed, spans)
-    return outcomes, info
+        emit(position, outcome, attached, time.perf_counter() - start,
+             spans)
+    return info
+
+
+#: How often an idle worker checks that the engine's process still
+#: exists; an orphaned worker (the parent was killed) exits on its own.
+_PARENT_CHECK_SECONDS = 1.0
+
+
+def _send_record(conn: Connection, chunk_id: int, name: str,
+                 position: int, outcome: Any, attached: bool,
+                 elapsed: float, spans: list) -> None:
+    """Send one finished unit's record home.
+
+    An outcome that cannot be pickled becomes that unit's
+    :class:`~repro.core.batch.TraceFailure` here, in the worker: running
+    the unit again would fail the same way, so it is not retried.
+    """
+    try:
+        payload = ForkingPickler.dumps(
+            (chunk_id, position, outcome, attached, elapsed, spans))
+    except Exception as exc:  # noqa: BLE001 - a result that cannot travel
+        from .batch import TraceFailure
+
+        failure = TraceFailure(trace_name=name,
+                               error=f"{type(exc).__name__}: {exc}",
+                               details=traceback.format_exc())
+        payload = ForkingPickler.dumps(
+            (chunk_id, position, failure, attached, elapsed, spans))
+    conn.send_bytes(payload)
+
+
+def _engine_worker(conn: Connection) -> None:
+    """An engine worker process: run chunks until told to stop.
+
+    Each message from the parent is ``(chunk id, items, batch)`` or
+    ``None`` (stop).  Each unit's ``(chunk id, position, outcome,
+    attached, elapsed, spans)`` record goes home as the unit finishes,
+    then ``(chunk id, info)`` closes the chunk.
+    """
+    # Ctrl-C reaches the whole process group; the parent decides what
+    # happens to its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
+    while True:
+        while not conn.poll(_PARENT_CHECK_SECONDS):
+            if os.getppid() != parent:
+                return
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        chunk_id, items, batch = message
+
+        def emit(position: int, outcome: Any, attached: bool,
+                 elapsed: float, spans: list) -> None:
+            _send_record(conn, chunk_id, items[position][3], position,
+                         outcome, attached, elapsed, spans)
+
+        conn.send((chunk_id, _engine_run_chunk(items, batch, emit)))
 
 
 # ----------------------------------------------------------------------
@@ -511,6 +500,64 @@ def _release_segments(segments: dict[str, shared_memory.SharedMemory],
             pass
 
 
+#: How long :meth:`ExecutionEngine.close` waits for workers to exit
+#: after the stop message before it terminates the stragglers.
+_STOP_TIMEOUT = 5.0
+
+
+class _Worker:
+    """One engine worker process and the parent's end of its pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self, process: Any, conn: Connection):
+        self.process = process
+        self.conn = conn
+
+    def reap(self, timeout: float) -> None:
+        """Wait for the process to end, terminating it if it does not
+        within ``timeout``, and close the pipe.  A joined worker is a
+        reaped child, so its usage shows in ``RUSAGE_CHILDREN``."""
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+        self.conn.close()
+
+
+def _start_worker(context: Any) -> _Worker:
+    """Start one worker process on a fresh duplex pipe."""
+    parent_end, child_end = context.Pipe(duplex=True)
+    process = context.Process(target=_engine_worker, args=(child_end,),
+                              name="mbp-engine-worker", daemon=True)
+    process.start()
+    child_end.close()
+    return _Worker(process, parent_end)
+
+
+def _shutdown(workers: list[_Worker],
+              segments: dict[str, shared_memory.SharedMemory]) -> None:
+    """Stop every worker, then unlink every segment (idempotent).
+
+    Sends each worker the stop message, waits up to ``_STOP_TIMEOUT``
+    for all of them, terminates any straggler and reaps them all.
+    Module-level so a :func:`weakref.finalize` can call it after the
+    engine object is gone; empties ``workers`` in place, like
+    :func:`_release_segments` does ``segments``.
+    """
+    stopping = list(workers)
+    workers.clear()
+    for worker in stopping:
+        try:
+            worker.conn.send(None)
+        except OSError:  # already dead
+            pass
+    deadline = time.monotonic() + _STOP_TIMEOUT
+    for worker in stopping:
+        worker.reap(max(0.0, deadline - time.monotonic()))
+    _release_segments(segments)
+
+
 @dataclass(slots=True)
 class EngineStats:
     """Counters and phase timings of one :class:`ExecutionEngine`.
@@ -526,10 +573,13 @@ class EngineStats:
     Chunked dispatch adds three counters: ``chunks_dispatched`` is the
     number of worker round-trips (so the mean chunk size is
     ``tasks_dispatched / chunks_dispatched``), ``units_recovered`` counts
-    finished units salvaged from the spool after a mid-chunk worker
-    crash, and ``units_retried`` counts unstarted units re-dispatched
+    finished units whose records had arrived before their worker died
+    mid-chunk, and ``units_retried`` counts unstarted units re-dispatched
     after such a crash (each retry also re-increments
-    ``tasks_dispatched``).
+    ``tasks_dispatched``).  ``pool_restarts`` counts worker processes
+    replaced: one that died (mid-chunk or while idle) or that an
+    abandoned :meth:`ExecutionEngine.run_plan` left mid-chunk.  Only that
+    worker is replaced; the others keep running.
 
     Batched evaluation adds two more: ``batch_groups`` counts the
     same-trace groups workers evaluated in one stacked numpy pass and
@@ -577,7 +627,7 @@ class EngineStats:
 
 
 class ExecutionEngine:
-    """A persistent worker pool with resident shared-memory traces.
+    """Persistent worker processes with resident shared-memory traces.
 
     Parameters
     ----------
@@ -589,13 +639,13 @@ class ExecutionEngine:
         all methods behave identically; ``spawn`` pays a per-worker
         interpreter startup but is immune to fork-unsafe state.
     window:
-        Maximum in-flight units during :meth:`run_plan` (default
-        ``4 * workers``, at least 16).  Bounds both executor queue
-        growth and the latency until a failure is observed.
+        Maximum in-flight units per :meth:`run_plan` call (default
+        ``4 * workers``, at least 16).  Caps chunk sizes and the latency
+        until a failure is observed.
 
     Use as a context manager; :meth:`close` is idempotent and also runs
-    from a GC finalizer, so segments cannot outlive the process even if
-    user code forgets the ``with``.
+    from a GC finalizer, so neither workers nor segments outlive the
+    engine even if user code forgets the ``with``.
     """
 
     def __init__(self, workers: int | None = None, *,
@@ -610,7 +660,14 @@ class ExecutionEngine:
         self.workers = workers
         self._context = get_context(start_method)
         self._window = window if window is not None else max(4 * workers, 16)
-        self._pool: ProcessPoolExecutor | None = None
+        #: Every live worker.  Mutated in place, never rebound: the GC
+        #: finalizer holds this list.
+        self._workers: list[_Worker] = []
+        #: Live workers with no chunk, most recently used last.
+        self._idle: list[_Worker] = []
+        #: One mailbox per :meth:`run_plan` call waiting for a worker,
+        #: first come first served; a freed worker goes to the oldest.
+        self._waiting: deque[list[_Worker]] = deque()
         #: digest -> parent-side segment handle (the owning reference).
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         #: digest -> task descriptor for everything ever published.
@@ -622,17 +679,15 @@ class ExecutionEngine:
         self._shipped = threading.local()
         self._closed = False
         self._lock = threading.Lock()
+        self._freed = threading.Condition(self._lock)
         #: EMA of worker-measured seconds per unit; engine-lifetime, so
         #: later plans (sweep points, search rounds) start warm.
         self._unit_ema: float | None = None
         self._chunk_seq = 0
-        #: Crash-recovery spool (created on first multi-unit chunk);
-        #: TemporaryDirectory carries its own GC finalizer as a backstop.
-        self._spool: tempfile.TemporaryDirectory | None = None
         self.stats = EngineStats(workers=workers,
                                  start_method=self._context.get_start_method())
         self._finalizer = weakref.finalize(
-            self, _release_segments, self._segments)
+            self, _shutdown, self._workers, self._segments)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -645,25 +700,19 @@ class ExecutionEngine:
         self.close()
 
     def close(self) -> None:
-        """Shut down the pool and unlink every shared segment.
+        """Stop and reap every worker and unlink every shared segment.
 
-        Safe to call repeatedly; after it, the engine refuses new work.
+        Each worker gets a stop message; one that has not exited within
+        a few seconds is terminated.  Safe to call repeatedly; after it,
+        the engine refuses new work.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        _release_segments(self._segments)
-        if self._spool is not None:
-            try:
-                self._spool.cleanup()
-            except OSError:  # pragma: no cover - already gone
-                pass
-            self._spool = None
-        self._finalizer.detach()
+            self._idle.clear()
+            self._freed.notify_all()
+        self._finalizer()
 
     @property
     def closed(self) -> bool:
@@ -674,40 +723,77 @@ class ExecutionEngine:
         if self._closed:
             raise SimulationError("ExecutionEngine is closed")
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The live executor, (re)created lazily and after crashes.
+    # ------------------------------------------------------------------
+    # Workers.  All of this state is shared by concurrent run_plan calls
+    # (the serve daemon's plan threads) and only touched under the lock.
+    # ------------------------------------------------------------------
 
-        Locked, like every other piece of shared engine state: several
-        :meth:`run_plan` generators (the serve daemon's plan threads)
-        may ask at once, and exactly one pool must come out of it.
+    def _free_locked(self, worker: _Worker) -> None:
+        """Hand an idle ``worker`` to the oldest waiting call, or park it."""
+        if self._waiting:
+            self._waiting.popleft().append(worker)
+            self._freed.notify_all()
+        else:
+            self._idle.append(worker)
 
-        The workers start here, still under the lock: a forked worker
-        inherits every lock as it was at the fork, and :meth:`publish`
-        holds the resource tracker's lock while it registers a segment.
-        A worker forked during another thread's publish would wait on
-        that lock forever at its first attach.  A no-op task makes the
-        pool fork now.
+    def _checkout(self, wait: bool) -> _Worker | None:
+        """An idle worker for one chunk, or ``None`` when none is free
+        and ``wait`` is false.
+
+        Missing workers (the first call, or replacements) are started
+        here, still under the lock: a forked worker inherits every lock
+        as it was at the fork, and :meth:`publish` holds the resource
+        tracker's lock while it registers a segment.  A worker forked
+        during another thread's publish would wait on that lock forever
+        at its first attach.  An idle worker found dead (killed between
+        chunks) is replaced on the spot.
+
+        With ``wait``, the caller queues behind earlier waiters until a
+        worker is freed; that is how calls sharing the engine take turns.
         """
         with self._lock:
-            self._check_open()
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=self._context)
-                self._pool.submit(int)
-            return self._pool
+            while True:
+                self._check_open()
+                while len(self._workers) < self.workers:
+                    worker = _start_worker(self._context)
+                    self._workers.append(worker)
+                    self._free_locked(worker)
+                if self._idle:
+                    worker = self._idle.pop()
+                    if worker.process.is_alive() and not worker.conn.poll():
+                        return worker
+                    # Readable while idle means its pipe closed.
+                    self._workers.remove(worker)
+                    self.stats.pool_restarts += 1
+                    worker.process.kill()
+                    worker.reap(_STOP_TIMEOUT)
+                    continue
+                if not wait:
+                    return None
+                mailbox: list[_Worker] = []
+                self._waiting.append(mailbox)
+                while not mailbox and not self._closed:
+                    self._freed.wait()
+                if mailbox:
+                    return mailbox[0]
+                self._waiting.remove(mailbox)
 
-    def _restart_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Replace ``broken`` after a worker died mid-task.
-
-        A no-op when another generator already replaced it, so
-        concurrent plans that all saw one crash restart the pool once.
-        """
+    def _checkin(self, worker: _Worker) -> None:
+        """Return a worker whose chunk-end has been read."""
         with self._lock:
-            if self._pool is not broken:
-                return
-            self._pool = None
+            self._free_locked(worker)
+
+    def _retire(self, worker: _Worker, *, kill: bool = False) -> None:
+        """Drop ``worker`` for good and reap it (killing it first when
+        ``kill``); the next checkout starts its replacement."""
+        with self._lock:
+            if worker not in self._workers:
+                return  # close() is stopping it already
+            self._workers.remove(worker)
             self.stats.pool_restarts += 1
-        broken.shutdown(wait=False, cancel_futures=True)
+        if kill:
+            worker.process.kill()
+        worker.reap(_STOP_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Trace publication.
@@ -800,19 +886,6 @@ class ExecutionEngine:
     # Task execution.
     # ------------------------------------------------------------------
 
-    def _spool_path(self) -> str:
-        """The crash-recovery spool directory, created on first use.
-
-        Creation is locked: concurrent ``run_plan`` generators (the
-        serve daemon drives several at once) must agree on one spool,
-        not race two ``TemporaryDirectory`` objects and leak one.
-        """
-        with self._lock:
-            if self._spool is None:
-                self._spool = tempfile.TemporaryDirectory(
-                    prefix="mbp-engine-spool-")
-            return self._spool.name
-
     def _observe_unit_seconds(self, seconds: float) -> None:
         """Fold one worker-measured per-unit timing into the cost EMA."""
         seconds = max(seconds, 1e-9)
@@ -832,8 +905,8 @@ class ExecutionEngine:
         ``(plan index, outcome)`` pairs in **completion order**.
 
         Units are packed into *chunks* — several units per worker
-        round-trip — so the per-dispatch overhead (pickling, IPC, future
-        bookkeeping) is paid once per chunk instead of once per unit.
+        round-trip — so the per-dispatch overhead (pickling and pipe
+        traffic) is paid once per chunk instead of once per unit.
         With ``chunk="auto"`` the size adapts to the measured per-unit
         cost: the first wave runs as singleton probe chunks, their
         worker-side timings seed an exponential moving average, and
@@ -843,17 +916,20 @@ class ExecutionEngine:
         persists across plans, so sweeps and searches start warm after
         their first call.
 
-        Submission stays windowed: at most ``window`` *units* are in
-        flight, and finished chunks are immediately refilled, so
-        arbitrarily long plans never flood the executor queue.
+        A chunk goes only to an idle worker, at most ``window`` units
+        are in flight, and each chunk's outcomes are yielded once its
+        chunk-end message has arrived.  Concurrent calls share the
+        engine's ``workers`` processes and take turns for them.
 
-        A worker crash (``BrokenProcessPool``) loses as little as
-        possible: multi-unit chunks checkpoint every finished unit's
-        outcome to a parent-owned spool, so the parent recovers those
-        results, records one :class:`~repro.core.batch.TraceFailure` for
-        the unit that was executing, re-dispatches only the unstarted
-        units, and replaces the pool — the engine (and its resident
-        traces) survive the crash.
+        A worker crash loses as little as possible: the worker sent each
+        finished unit's record home as it finished, so the records that
+        arrived before the pipe closed are recovered, the next unit of
+        the chunk takes one :class:`~repro.core.batch.TraceFailure`, and
+        only the unstarted units are dispatched again.  Only the dead
+        worker is replaced; chunks on the other workers run on, and the
+        resident traces survive.  Abandoning the generator mid-plan
+        replaces the workers it left mid-chunk, so no record of this
+        call can reach another.
 
         With ``batch="auto"`` (the default) the dispatch queue is packed
         with *trace-digest affinity*: units over the same trace are made
@@ -862,10 +938,9 @@ class ExecutionEngine:
         each worker evaluates the same-digest vectorized units of its
         chunk as one stacked numpy pass
         (:func:`repro.core.vectorized.run_unit_group`) instead of unit
-        by unit.  Results still come back per unit — outcome, spool
-        checkpoint, spans and cache entry are unchanged in shape.
-        ``batch="off"`` keeps plan-order dispatch and per-unit worker
-        loops.
+        by unit.  Results still come back per unit — outcome, record,
+        spans and cache entry are unchanged in shape.  ``batch="off"``
+        keeps plan-order dispatch and per-unit worker loops.
 
         Each call counts its own work and adds the tally to
         :attr:`stats` once, when it finishes, so concurrent calls never
@@ -877,10 +952,10 @@ class ExecutionEngine:
         ``batch_groups`` / ``batch_units`` / ``context_reuse`` /
         ``trace_ship`` / ``trace_attach`` / ``trace_reuse`` — a
         ``chunk_dispatch`` child measuring the parent's time spent
-        packing and submitting chunks, one ``unit`` span per unit
+        packing and sending chunks, one ``unit`` span per unit
         (closed with ``status="error"`` for poisoned and failed units),
         and the worker-emitted ``attach`` / ``simulate`` spans that ship
-        back inside each chunk's results — per-unit contexts ride the
+        back inside each unit's record — per-unit contexts ride the
         chunk payloads as wire dicts, so the parent/child links survive
         the process boundary.
         """
@@ -921,20 +996,28 @@ class ExecutionEngine:
 
         # Publish per unit, not en masse: one unreadable trace becomes
         # that unit's TraceFailure (matching the inline path's isolation
-        # contract) instead of aborting the whole plan.
+        # contract) instead of aborting the whole plan.  Units over the
+        # same trace (same object or path) share one successful publish;
+        # a failed one is retried, so each of its units records its own.
         refs: dict[int, SharedTrace] = {}
-        publish_failures: list[tuple[int, TraceFailure]] = []
+        published: dict[tuple[str, Any], SharedTrace] = {}
+        done: deque[tuple[int, Any]] = deque()
         for index, unit in enumerate(plan):
-            try:
-                refs[index] = self.publish(unit.trace)
-                tally["trace_ship"] += self._shipped.last
-            except Exception as exc:  # noqa: BLE001 - caller-facing record
-                publish_failures.append((index, TraceFailure(
-                    trace_name=unit.name,
-                    error=f"{type(exc).__name__}: {exc}",
-                    details=traceback.format_exc(),
-                    stage="trace",
-                )))
+            identity = _trace_identity(unit.trace)
+            ref = published.get(identity)
+            if ref is None:
+                try:
+                    ref = published[identity] = self.publish(unit.trace)
+                    tally["trace_ship"] += self._shipped.last
+                except Exception as exc:  # noqa: BLE001 - caller-facing
+                    done.append((index, TraceFailure(
+                        trace_name=unit.name,
+                        error=f"{type(exc).__name__}: {exc}",
+                        details=traceback.format_exc(),
+                        stage="trace",
+                    )))
+                    continue
+            refs[index] = ref
         if use_batch:
             # Trace-digest affinity: make same-trace units adjacent in
             # the dispatch queue (digest buckets in first-appearance
@@ -951,21 +1034,22 @@ class ExecutionEngine:
         else:
             queue = deque(i for i in range(len(plan)) if i in refs)
         tally["task_dispatch"] = len(queue)
-        #: future -> (chunk id, plan indices in chunk order, spool dir,
-        #: the pool it was submitted to).
-        in_flight: dict[Future, tuple[str, list[int], str | None,
-                                      ProcessPoolExecutor]] = {}
+        #: worker -> (chunk id, plan indices in chunk order, the records
+        #: received so far keyed by chunk position).
+        busy: dict[_Worker, tuple[int, list[int], dict[int, tuple]]] = {}
         units_in_flight = 0
         chunk_phase = 0.0
 
-        def _submit_chunks() -> None:
+        def _dispatch() -> None:
+            """Send chunks to idle workers.  With nothing in flight, wait
+            for a worker, so this returns with work in flight or with
+            the queue empty."""
             nonlocal units_in_flight, chunk_phase
-            submit_start = time.perf_counter()
-            pool = self._ensure_pool()
             while queue and units_in_flight < self._window:
-                if (fixed is None and self._unit_ema is None
-                        and len(in_flight) >= self.workers):
-                    break  # cold start: wait for a probe measurement
+                worker = self._checkout(wait=not busy)
+                if worker is None:
+                    break
+                submit_start = time.perf_counter()
                 if fixed is not None:
                     size = fixed
                 else:
@@ -978,8 +1062,7 @@ class ExecutionEngine:
                 indices = [queue.popleft() for _ in range(size)]
                 with self._lock:
                     self._chunk_seq += 1
-                    chunk_id = f"c{self._chunk_seq}"
-                spool = self._spool_path() if size > 1 else None
+                    chunk_id = self._chunk_seq
                 if traced:
                     for i in indices:
                         if i not in unit_meta:  # crash retries keep theirs
@@ -993,117 +1076,129 @@ class ExecutionEngine:
                     for i in indices
                 ]
                 try:
-                    future = pool.submit(_engine_run_chunk, items, spool,
-                                         chunk_id, use_batch)
-                except BrokenProcessPool:
-                    # A worker of another plan's chunk died since this
-                    # call fetched the pool: replace it and go on.
-                    queue.extendleft(reversed(indices))
-                    self._restart_pool(pool)
-                    pool = self._ensure_pool()
+                    payload = ForkingPickler.dumps(
+                        (chunk_id, items, use_batch))
+                except Exception as exc:  # noqa: BLE001 - unpicklable unit
+                    # Sending again would fail the same way: fail the
+                    # chunk's units instead of retrying them.
+                    self._checkin(worker)
+                    for i in indices:
+                        if traced:
+                            _close_unit(i, status="error",
+                                        extra={"error": type(exc).__name__})
+                        done.append((i, TraceFailure(
+                            trace_name=plan[i].name,
+                            error=f"{type(exc).__name__}: {exc}",
+                            details=traceback.format_exc())))
                     continue
+                try:
+                    worker.conn.send_bytes(payload)
+                except OSError:
+                    # It died after the checkout's liveness check:
+                    # replace it and go on.
+                    queue.extendleft(reversed(indices))
+                    self._retire(worker)
+                    continue
+                finally:
+                    chunk_phase += time.perf_counter() - submit_start
                 tally["task_chunk"] += 1
                 tally["chunk_size"] += size
-                in_flight[future] = (chunk_id, indices, spool, pool)
+                busy[worker] = (chunk_id, indices, {})
                 units_in_flight += size
-            chunk_phase += time.perf_counter() - submit_start
+
+        def _settle(worker: _Worker, info: dict[str, int] | None) -> None:
+            """Deliver a chunk's records, at its chunk-end (``info``) or
+            after its worker died (``None``).  After a death the records
+            that arrived are recovered, the first unit without one takes
+            the blame, the rest go back on the queue, and the worker is
+            replaced."""
+            nonlocal units_in_flight, units_recovered, units_retried
+            chunk_id, indices, records = busy.pop(worker)
+            units_in_flight -= len(indices)
+            crashed = info is None
+            if crashed:
+                self._retire(worker)
+            else:
+                self._checkin(worker)
+                for name, count in info.items():
+                    tally[name] += count
+            poisoned = False
+            retry: list[int] = []
+            for position, index in enumerate(indices):
+                if position in records:
+                    outcome, attached, elapsed, spans = records[position]
+                    tally["trace_attach" if attached else "trace_reuse"] += 1
+                    self._observe_unit_seconds(elapsed)
+                    units_recovered += crashed
+                    if traced:
+                        tracer.record_wire(spans)
+                        _close_unit(index, status=(
+                            "error" if isinstance(outcome, TraceFailure)
+                            else "ok"),
+                            extra={"recovered": True} if crashed else None)
+                    done.append((index, outcome))
+                elif not poisoned:
+                    # The unit that was (presumably) running when the
+                    # worker died.  Its worker cannot ship spans any
+                    # more, so the parent closes its span.
+                    poisoned = True
+                    if traced:
+                        _close_unit(index, status="error",
+                                    extra={"error": "WorkerCrashed"})
+                    done.append((index, TraceFailure(
+                        trace_name=plan[index].name,
+                        error=(f"WorkerCrashed: engine worker "
+                               f"{worker.process.pid} exited with code "
+                               f"{worker.process.exitcode} during chunk "
+                               f"{chunk_id}"))))
+                else:
+                    retry.append(index)
+            if retry:
+                units_retried += len(retry)
+                queue.extendleft(reversed(retry))
+
+        def _receive() -> None:
+            """Block until a busy worker has news; read all of it."""
+            handles: dict[Any, _Worker] = {}
+            for worker in busy:
+                handles[worker.conn] = worker
+                handles[worker.process.sentinel] = worker
+            for handle in wait(list(handles)):
+                worker = handles[handle]
+                if worker not in busy:
+                    continue  # pipe and sentinel both fired
+                chunk_id, _, records = busy[worker]
+                try:
+                    while worker.conn.poll():
+                        message = worker.conn.recv()
+                        if message[0] != chunk_id:
+                            raise SimulationError(
+                                f"engine worker sent a record of chunk "
+                                f"{message[0]} during chunk {chunk_id}")
+                        if len(message) == 2:
+                            _settle(worker, message[1])
+                            break
+                        _, position, *record = message
+                        records[position] = tuple(record)
+                    else:
+                        if not worker.process.is_alive():
+                            _settle(worker, None)  # pipe drained, no end
+                except (EOFError, OSError):
+                    _settle(worker, None)
 
         try:
-            for index, failure in publish_failures:
-                yield index, failure
-            _submit_chunks()
-            while in_flight:
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                broken: ProcessPoolExecutor | None = None
-                for future in done:
-                    chunk_id, indices, spool, submitted = \
-                        in_flight.pop(future)
-                    units_in_flight -= len(indices)
-                    try:
-                        payloads, chunk_info = future.result()
-                        for name, count in chunk_info.items():
-                            tally[name] += count
-                    except Exception as exc:  # noqa: BLE001 - broken pool
-                        crashed = isinstance(exc, BrokenProcessPool)
-                        if crashed:
-                            broken = submitted
-                        recovered = (_spool_load(spool, chunk_id,
-                                                 len(indices))
-                                     if spool is not None else {})
-                        poisoned = False
-                        retry: list[int] = []
-                        for position, index in enumerate(indices):
-                            if position in recovered:
-                                # Finished before the crash; the spooled
-                                # outcome is as good as a returned one.
-                                outcome, attached, spans = \
-                                    recovered[position]
-                                tally["trace_attach" if attached
-                                      else "trace_reuse"] += 1
-                                units_recovered += 1
-                                if traced:
-                                    tracer.record_wire(spans)
-                                    _close_unit(index,
-                                                extra={"recovered": True})
-                                yield index, outcome
-                            elif not poisoned:
-                                # The unit that was (presumably) running
-                                # when the worker died takes the blame.
-                                # Its worker cannot ship spans any more,
-                                # so the parent closes its span here.
-                                poisoned = True
-                                if traced:
-                                    _close_unit(
-                                        index, status="error",
-                                        extra={"error":
-                                               type(exc).__name__})
-                                yield index, TraceFailure(
-                                    trace_name=plan[index].name,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                    details=traceback.format_exc(),
-                                )
-                            elif crashed:
-                                retry.append(index)
-                            else:
-                                # Non-crash chunk failure (e.g. a result
-                                # that cannot travel back): re-running
-                                # would fail identically, so fail the
-                                # unit instead of retrying forever.
-                                if traced:
-                                    _close_unit(
-                                        index, status="error",
-                                        extra={"error":
-                                               type(exc).__name__})
-                                yield index, TraceFailure(
-                                    trace_name=plan[index].name,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                    details=traceback.format_exc(),
-                                )
-                        if retry:
-                            units_retried += len(retry)
-                            queue.extendleft(reversed(retry))
-                        if spool is not None:
-                            _spool_clear(spool, chunk_id, len(indices))
-                        continue
-                    for position, index in enumerate(indices):
-                        outcome, attached, elapsed, spans = \
-                            payloads[position]
-                        tally["trace_attach" if attached
-                              else "trace_reuse"] += 1
-                        self._observe_unit_seconds(elapsed)
-                        if traced:
-                            tracer.record_wire(spans)
-                            _close_unit(
-                                index,
-                                status=("error" if isinstance(
-                                    outcome, TraceFailure) else "ok"))
-                        yield index, outcome
-                    if spool is not None:
-                        _spool_clear(spool, chunk_id, len(indices))
-                if broken is not None:
-                    self._restart_pool(broken)
-                _submit_chunks()
+            while True:
+                _dispatch()
+                while done:
+                    yield done.popleft()
+                if not busy:
+                    break
+                _receive()
         finally:
+            # An abandoned call leaves its chunks running: replace those
+            # workers rather than read stale records into another plan.
+            for worker in list(busy):
+                self._retire(worker, kill=True)
             elapsed = time.perf_counter() - start
             with self._lock:
                 stats = self.stats

@@ -15,7 +15,7 @@ One deliberate fidelity deviation: the paper's listing spells a key
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .metrics import MostFailedEntry, accuracy, mpki
@@ -64,6 +64,13 @@ class SimulationResult:
     #: perturb cache keys or golden outputs.  Run manifests
     #: (:func:`repro.telemetry.build_manifest`) pick it up by default.
     probe_report: dict[str, Any] | None = field(default=None, compare=False)
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from positional fields: a third of the cost of the
+        # generated slots state, and every engine unit's result crosses
+        # a pipe this way.
+        return (SimulationResult,
+                tuple([getattr(self, name) for name in _FIELDS]))
 
     @property
     def mpki(self) -> float:
@@ -162,3 +169,7 @@ class SimulationResult:
             f"({self.predictor_metadata.get('name', '?')}, "
             f"{self.simulation_time:.3f}s)"
         )
+
+
+#: Field names in constructor order, for :meth:`SimulationResult.__reduce__`.
+_FIELDS = tuple(f.name for f in fields(SimulationResult))

@@ -44,7 +44,7 @@ from ..tracing import NULL_TRACER
 from .output import SimulationResult
 from .configured import ColdHandOff, ConfiguredFactory
 from .predictor import Predictor
-from .simulator import SimulationConfig
+from .simulator import SimulationConfig, reuse_decoded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import InflightClaim
@@ -458,16 +458,22 @@ def execute_plan(plan: WorkPlan, *,
                     if context_reuse:
                         batch_span.set_attribute("context_reuse",
                                                  context_reuse)
-            for i in loose:
-                unit = plan[i]
-                with trc.span("unit", parent=sim.context,
-                              attributes={"unit": unit.name}) as unit_span:
-                    outcome = _run_one(
-                        unit.factory, unit.trace, unit.config, unit.name,
-                        unit.probe, sim_engine=unit.sim_engine)
-                    if not isinstance(outcome, SimulationResult):
-                        unit_span.set_status("error")
-                    slots[i] = outcome
+            # A run of consecutive units over one trace file decodes it
+            # once (loose is in plan order: Table III's TAGE and GShare
+            # units of one trace sit side by side).
+            with reuse_decoded():
+                for i in loose:
+                    unit = plan[i]
+                    with trc.span("unit", parent=sim.context,
+                                  attributes={"unit": unit.name}
+                                  ) as unit_span:
+                        outcome = _run_one(
+                            unit.factory, unit.trace, unit.config,
+                            unit.name, unit.probe,
+                            sim_engine=unit.sim_engine)
+                        if not isinstance(outcome, SimulationResult):
+                            unit_span.set_status("error")
+                        slots[i] = outcome
 
     def _join(waiting: list[tuple[int, "InflightClaim"]],
               parent: Any) -> list[int]:

@@ -34,10 +34,12 @@ timeline.
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from ..sbbt.reader import read_trace
 from ..sbbt.trace import TraceData
@@ -94,11 +96,42 @@ class SimulationConfig:
             raise SimulationError("max_instructions must be non-negative")
 
 
+#: Per thread: ``[path string, decoded trace]`` while a
+#: :func:`reuse_decoded` block is open.
+_reuse = threading.local()
+
+
+@contextmanager
+def reuse_decoded() -> Iterator[None]:
+    """Within the block, on this thread, a trace file resolved again
+    right after itself is decoded once.
+
+    Only the last decoded trace is kept, so memory stays bounded; a file
+    that fails to decode is not remembered, so each caller records its
+    own failure.  Callers still pass the path, so what a run reports and
+    traces is unchanged.
+    """
+    outer = getattr(_reuse, "last", None)
+    _reuse.last = [None, None]
+    try:
+        yield
+    finally:
+        _reuse.last = outer
+
+
 def _resolve_trace(trace: TraceLike) -> tuple[TraceData, str]:
     """Accept in-memory data or a path; return (data, display name)."""
     if isinstance(trace, TraceData):
         return trace, "<memory>"
-    return read_trace(trace), str(trace)
+    name = str(trace)
+    last = getattr(_reuse, "last", None)
+    if last is None:
+        return read_trace(trace), name
+    if last[0] != name:
+        last[:] = [None, None]  # drop the previous trace before decoding
+        last[1] = read_trace(trace)
+        last[0] = name
+    return last[1], name
 
 
 def simulate(predictor: Predictor, trace: TraceLike,

@@ -14,6 +14,9 @@ Covers the ISSUE-5 acceptance criteria:
 
 import gc
 import json
+import multiprocessing
+import os
+import tempfile
 import threading
 from multiprocessing import shared_memory
 
@@ -23,6 +26,7 @@ from repro.cache import SimulationCache
 from repro.core.batch import TraceFailure, run_suite
 from repro.core.engine import ExecutionEngine
 from repro.core.errors import SimulationError
+from repro.core.output import SimulationResult
 from repro.core.plan import WorkPlan, WorkUnit, execute_plan
 from repro.core.predictor import derive_spec
 from repro.core.simulator import SimulationConfig
@@ -188,6 +192,26 @@ class TestLifecycle:
             assert len(recovered.results) == len(traces)
         assert _segments_alive(names) == []
 
+    def test_unpicklable_factory_fails_its_chunk_only(self, traces):
+        config = SimulationConfig()
+        factories = [bimodal_factory, lambda: Bimodal(log_table_size=10),
+                     bimodal_factory]
+        plan = WorkPlan(units=tuple(
+            WorkUnit(factory=factory, trace=trace, name=f"unit-{i}",
+                     config=config)
+            for i, (factory, trace) in enumerate(zip(factories, traces))))
+        with ExecutionEngine(workers=1) as engine:
+            outcomes = dict(engine.run_plan(plan, chunk=1))
+            stats = engine.stats
+        assert isinstance(outcomes[1], TraceFailure)
+        assert outcomes[1].trace_name == "unit-1"
+        assert outcomes[0].mispredictions > 0
+        assert outcomes[2].mispredictions > 0
+        # Nothing was sent for the failed chunk and no worker died.
+        assert stats.chunks_dispatched == 2
+        assert stats.pool_restarts == 0
+        assert stats.units_retried == 0
+
     def test_missing_trace_file_is_isolated(self, tmp_path, traces):
         missing = tmp_path / "missing.sbbt"
         mixed = [traces[0], missing, traces[1]]
@@ -251,6 +275,35 @@ class TestAccounting:
             assert as_memory.digest == first.digest
             assert engine.stats.traces_published == 1
             assert engine.resident_traces == 1
+
+    def test_run_plan_publishes_each_trace_once_per_call(
+            self, tmp_path, traces, trace_files):
+        missing = tmp_path / "missing.sbbt"
+        suite = [trace_files[0], str(trace_files[0]), traces[1], missing]
+        plan = WorkPlan.for_points(
+            [(0, bimodal_factory), (1, gshare_factory)], suite)
+        with ExecutionEngine(workers=1) as engine:
+            calls = []
+            publish = engine.publish
+
+            def counting_publish(trace):
+                calls.append(str(trace) if not hasattr(trace, "ips")
+                             else "<memory>")
+                return publish(trace)
+
+            engine.publish = counting_publish
+            outcomes = dict(engine.run_plan(plan))
+        # One publish per distinct trace (a path and its string are
+        # one); the missing file is tried again by each of its units,
+        # and each records its own failure.
+        assert sorted(calls) == sorted(
+            [str(trace_files[0]), "<memory>"] + [str(missing)] * 2)
+        for index, unit in enumerate(plan):
+            if unit.trace is missing:
+                assert outcomes[index].stage == "trace"
+                assert outcomes[index].trace_name == unit.name
+            else:
+                assert isinstance(outcomes[index], SimulationResult)
 
     def test_instrumentation_counters(self, traces):
         from repro.telemetry import PhaseTimers
@@ -341,108 +394,199 @@ class TestValidation:
         assert "closed" in repr(engine)
 
 
-class TestMidChunkRecovery:
-    """ISSUE-8 satellite: a worker crash *inside* a chunk loses as
-    little as possible — finished units are recovered from the spool,
-    exactly one unit takes the blame, only unstarted units re-dispatch,
-    and no shared-memory segments (or spool files) are left behind."""
+#: The crash tests run under both of these start methods: a forked
+#: worker inherits the parent's state, a spawned one imports afresh.
+CRASH_START_METHODS = [method for method in ("fork", "spawn")
+                       if method in multiprocessing.get_all_start_methods()]
 
-    def _mixed_plan(self, traces, crash_at):
+
+class _UnpicklableStats(Bimodal):
+    """Simulates fine, but its result cannot be pickled home."""
+
+    def execution_stats(self):
+        return {"hook": lambda: None}
+
+
+def unpicklable_factory():
+    return _UnpicklableStats(log_table_size=10)
+
+
+def _worker_processes(engine):
+    return [worker.process for worker in engine._workers]
+
+
+class TestMidChunkRecovery:
+    """A worker crash *inside* a chunk loses as little as possible:
+    the records that streamed home before the crash are recovered,
+    exactly one unit takes the blame, only unstarted units re-dispatch,
+    only the dead worker is replaced, and nothing is left behind — no
+    shared-memory segment, no worker process, no temporary file."""
+
+    def _mixed_plan(self, traces, crash_at, factory=crashing_factory):
         from repro.core.plan import WorkPlan, WorkUnit
         from repro.core.simulator import SimulationConfig
         config = SimulationConfig()
         units = []
         for i, trace in enumerate(traces):
-            factory = crashing_factory if i == crash_at else bimodal_factory
-            units.append(WorkUnit(factory=factory, trace=trace,
+            unit_factory = factory if i == crash_at else bimodal_factory
+            units.append(WorkUnit(factory=unit_factory, trace=trace,
                                   name=f"unit-{i}", config=config))
         return WorkPlan(units=tuple(units))
 
     def test_crash_mid_chunk_recovers_finished_units(self, traces):
-        import os
         plan = self._mixed_plan(_make_traces(count=4), crash_at=2)
-        with ExecutionEngine(workers=1) as engine:
-            outcomes = dict(engine.run_plan(plan, chunk=4))
-            names = engine.segment_names()
-            stats = engine.stats
-            # Units 0 and 1 finished before the crash: their spooled
-            # outcomes survive the worker's death.
-            assert stats.units_recovered == 2
-            assert outcomes[0].trace_name == "unit-0"
-            assert outcomes[1].trace_name == "unit-1"
-            assert outcomes[0].mispredictions > 0
-            # Exactly one TraceFailure: the unit executing at the crash.
-            assert isinstance(outcomes[2], TraceFailure)
-            assert outcomes[2].trace_name == "unit-2"
-            assert sum(isinstance(o, TraceFailure)
-                       for o in outcomes.values()) == 1
-            # The unstarted tail unit was re-dispatched, not failed.
-            assert stats.units_retried == 1
-            assert outcomes[3].trace_name == "unit-3"
-            assert outcomes[3].mispredictions > 0
-            # 4 planned + 1 retry, in 1 crashed chunk + 1 retry chunk.
-            assert stats.tasks_dispatched == 5
-            assert stats.chunks_dispatched == 2
-            assert stats.pool_restarts == 1
-            # The spool directory holds no stale checkpoint files.
-            assert engine._spool is not None
-            assert os.listdir(engine._spool.name) == []
-            spool_dir = engine._spool.name
-        assert _segments_alive(names) == []
-        assert not os.path.exists(spool_dir)
+        for method in CRASH_START_METHODS:
+            temp_before = set(os.listdir(tempfile.gettempdir()))
+            with ExecutionEngine(workers=1, start_method=method) as engine:
+                outcomes = dict(engine.run_plan(plan, chunk=4))
+                names = engine.segment_names()
+                stats = engine.stats
+                processes = _worker_processes(engine)
+                # Units 0 and 1 finished before the crash: their
+                # streamed records survive the worker's death.
+                assert stats.units_recovered == 2
+                assert outcomes[0].trace_name == "unit-0"
+                assert outcomes[1].trace_name == "unit-1"
+                assert outcomes[0].mispredictions > 0
+                # Exactly one TraceFailure: the unit executing at the
+                # crash.
+                assert isinstance(outcomes[2], TraceFailure)
+                assert outcomes[2].trace_name == "unit-2"
+                assert "WorkerCrashed" in outcomes[2].error
+                assert sum(isinstance(o, TraceFailure)
+                           for o in outcomes.values()) == 1
+                # The unstarted tail unit was re-dispatched, not failed.
+                assert stats.units_retried == 1
+                assert outcomes[3].trace_name == "unit-3"
+                assert outcomes[3].mispredictions > 0
+                # 4 planned + 1 retry, in 1 crashed chunk + 1 retry
+                # chunk, on one replacement worker.
+                assert stats.tasks_dispatched == 5
+                assert stats.chunks_dispatched == 2
+                assert stats.pool_restarts == 1
+            assert _segments_alive(names) == []
+            assert not any(process.is_alive() for process in processes)
+            # Recovery needs no checkpoint files: nothing was written
+            # under the temporary directory.
+            assert set(os.listdir(tempfile.gettempdir())) <= temp_before
 
     def test_recovered_outcomes_match_serial(self, traces):
         local = _make_traces(count=4)
         plan = self._mixed_plan(local, crash_at=2)
-        serial = [run_suite(bimodal_factory, [t]).results[0]
-                  for t in local]
-        with ExecutionEngine(workers=1) as engine:
-            outcomes = dict(engine.run_plan(plan, chunk=4))
-        for i in (0, 1, 3):
-            expected = serial[i]
-            got = outcomes[i]
-            assert got.mispredictions == expected.mispredictions
-            assert (got.num_conditional_branches
-                    == expected.num_conditional_branches)
+        serial = [run_suite(bimodal_factory, [t],
+                            names=[f"unit-{i}"]).results[0]
+                  for i, t in enumerate(local)]
+        for method in CRASH_START_METHODS:
+            with ExecutionEngine(workers=1, start_method=method) as engine:
+                outcomes = dict(engine.run_plan(plan, chunk=4))
+            for i in (0, 1, 3):
+                assert _comparable(outcomes[i]) == _comparable(serial[i])
 
     def test_crash_on_first_unit_retries_whole_tail(self, traces):
         plan = self._mixed_plan(_make_traces(count=3), crash_at=0)
-        with ExecutionEngine(workers=1) as engine:
-            outcomes = dict(engine.run_plan(plan, chunk=3))
-            stats = engine.stats
-            names = engine.segment_names()
-        # Nothing finished before the crash: no recoveries, the first
-        # unit is poisoned, both unstarted units retried and succeed.
-        assert stats.units_recovered == 0
-        assert stats.units_retried == 2
-        assert isinstance(outcomes[0], TraceFailure)
-        assert outcomes[1].mispredictions > 0
-        assert outcomes[2].mispredictions > 0
-        assert stats.pool_restarts == 1
-        assert _segments_alive(names) == []
+        for method in CRASH_START_METHODS:
+            with ExecutionEngine(workers=1, start_method=method) as engine:
+                outcomes = dict(engine.run_plan(plan, chunk=3))
+                stats = engine.stats
+                names = engine.segment_names()
+            # Nothing finished before the crash: no recoveries, the
+            # first unit is poisoned, both unstarted units retried and
+            # succeed.
+            assert stats.units_recovered == 0
+            assert stats.units_retried == 2
+            assert isinstance(outcomes[0], TraceFailure)
+            assert outcomes[1].mispredictions > 0
+            assert outcomes[2].mispredictions > 0
+            assert stats.pool_restarts == 1
+            assert _segments_alive(names) == []
 
     def test_engine_stays_usable_after_mid_chunk_crash(self, traces):
         plan = self._mixed_plan(_make_traces(count=4), crash_at=1)
-        with ExecutionEngine(workers=1) as engine:
-            dict(engine.run_plan(plan, chunk=4))
-            batch = run_suite(bimodal_factory, traces, engine=engine)
-            assert len(batch.results) == len(traces)
-            assert not batch.failures
+        for method in CRASH_START_METHODS:
+            with ExecutionEngine(workers=1, start_method=method) as engine:
+                dict(engine.run_plan(plan, chunk=4))
+                batch = run_suite(bimodal_factory, traces, engine=engine)
+                assert len(batch.results) == len(traces)
+                assert not batch.failures
 
-    def test_pool_broken_before_submit_is_replaced(self, traces):
-        """A pool another plan's crash broke between this plan fetching
-        it and submitting to it is replaced, not raised."""
-        import os
-        from concurrent.futures.process import BrokenProcessPool
+    def test_worker_killed_while_idle_is_replaced(self, traces):
+        """A worker that dies between plans is replaced when the next
+        plan checks it out, and none of that plan's units fail."""
+        local = _make_traces(count=2)
+        plan = self._mixed_plan(local, crash_at=None)
+        inline = [_comparable(o) for o in execute_plan(plan)]
+        for method in CRASH_START_METHODS:
+            with ExecutionEngine(workers=1, start_method=method) as engine:
+                dict(engine.run_plan(plan))
+                (victim,) = _worker_processes(engine)
+                victim.kill()
+                victim.join()
+                outcomes = dict(engine.run_plan(plan))
+                stats = engine.stats
+            assert stats.pool_restarts == 1
+            assert stats.units_retried == 0
+            assert [_comparable(outcomes[i]) for i in range(2)] == inline
 
-        plan = self._mixed_plan(_make_traces(count=2), crash_at=None)
+    def test_crash_leaves_other_workers_chunks_untouched(self):
+        """On two workers, one dying mid-chunk neither fails nor
+        re-runs the units of the chunk on the other worker."""
+        local = _make_traces(count=2, branches=800) \
+            + _make_traces(count=2, branches=20000)
+        plan = self._mixed_plan(local, crash_at=1)
+        inline = [_comparable(o) for o in execute_plan(
+            plan.subset([2, 3]))]
+        for method in CRASH_START_METHODS:
+            with ExecutionEngine(workers=2, start_method=method) as engine:
+                # Chunks [0, 1] and [2, 3] go to the two workers at once.
+                outcomes = dict(engine.run_plan(plan, chunk=2))
+                stats = engine.stats
+                processes = _worker_processes(engine)
+            assert outcomes[0].mispredictions > 0
+            assert isinstance(outcomes[1], TraceFailure)
+            assert [_comparable(outcomes[2]),
+                    _comparable(outcomes[3])] == inline
+            assert stats.units_recovered == 1
+            assert stats.units_retried == 0
+            assert stats.tasks_dispatched == 4
+            assert stats.chunks_dispatched == 2
+            assert stats.pool_restarts == 1
+            assert not any(process.is_alive() for process in processes)
+
+    def test_unpicklable_outcome_fails_only_its_unit(self):
+        local = _make_traces(count=3)
+        plan = self._mixed_plan(local, crash_at=1,
+                                factory=unpicklable_factory)
+        inline = execute_plan(plan)
+        assert isinstance(inline[1], SimulationResult)
         with ExecutionEngine(workers=1) as engine:
-            with pytest.raises(BrokenProcessPool):
-                engine._ensure_pool().submit(os._exit, 13).result(30)
-            outcomes = dict(engine.run_plan(plan))
-            assert engine.stats.pool_restarts == 1
-        assert [outcomes[i].trace_name for i in range(2)] == \
-            ["unit-0", "unit-1"]
+            outcomes = dict(engine.run_plan(plan, chunk=3))
+            stats = engine.stats
+        assert isinstance(outcomes[1], TraceFailure)
+        assert outcomes[1].trace_name == "unit-1"
+        assert "pickle" in outcomes[1].error.lower()
+        assert [_comparable(outcomes[i]) for i in (0, 2)] == \
+            [_comparable(inline[i]) for i in (0, 2)]
+        # Not a crash, and not retried: it would fail the same way.
+        assert stats.units_retried == 0
+        assert stats.pool_restarts == 0
+        assert stats.tasks_dispatched == 3
+
+    def test_abandoned_plan_leaves_no_stale_records(self):
+        """Closing a run_plan generator mid-plan replaces the workers it
+        left mid-chunk; the next plan's outcomes match an inline run."""
+        local = _make_traces(count=6)
+        first = self._mixed_plan(local, crash_at=None)
+        second = WorkPlan.for_suite(gshare_factory, local)
+        inline = [_comparable(o) for o in execute_plan(second)]
+        with ExecutionEngine(workers=2) as engine:
+            running = engine.run_plan(first, chunk=1)
+            next(running)
+            running.close()
+            outcomes = dict(engine.run_plan(second, chunk=1))
+            processes = _worker_processes(engine)
+        assert [_comparable(outcomes[i])
+                for i in range(len(second))] == inline
+        assert not any(process.is_alive() for process in processes)
 
     def test_stats_json_carries_chunk_counters(self, traces):
         plan = self._mixed_plan(_make_traces(count=4), crash_at=2)
@@ -452,26 +596,35 @@ class TestMidChunkRecovery:
         assert document["units_recovered"] == 2
         assert document["units_retried"] == 1
         assert document["chunks_dispatched"] == 2
+        assert document["pool_restarts"] == 1
         assert "chunk_dispatch" in document["phases"]
+
+
+def _counting_starts(monkeypatch):
+    """Patch the engine's worker start; return the list of started
+    processes."""
+    import repro.core.engine as engine_module
+
+    started = []
+    real_start = engine_module._start_worker
+
+    def counting_start(context):
+        worker = real_start(context)
+        started.append(worker.process)
+        return worker
+
+    monkeypatch.setattr(engine_module, "_start_worker", counting_start)
+    return started
 
 
 class TestConcurrentRunPlan:
     """Several threads may drive ``run_plan`` generators on one engine
-    at once (the serve daemon's plan threads do): they must share one
-    pool, never collide on spool ids, and leak nothing."""
+    at once (the serve daemon's plan threads do): they must share
+    exactly ``workers`` processes, never see each other's records, and
+    leak nothing."""
 
     def test_four_threads_on_one_fresh_engine(self, monkeypatch):
-        import repro.core.engine as engine_module
-
-        constructed = []
-
-        class CountingPool(engine_module.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                constructed.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor",
-                            CountingPool)
+        started = _counting_starts(monkeypatch)
         local = _make_traces(count=4)
         plans = [WorkPlan.for_suite(factory, local,
                                     names=[f"p{k}-t{i}"
@@ -499,21 +652,60 @@ class TestConcurrentRunPlan:
             for thread in threads:
                 thread.join()
             names = engine.segment_names()
+            assert engine.stats.pool_restarts == 0
         assert not errors, errors
-        assert len(constructed) == 1
+        assert len(started) == 2
+        assert not any(process.is_alive() for process in started)
         for k, plan in enumerate(plans):
             assert [_comparable(outcomes[k][i])
                     for i in range(len(plan))] == inline[k]
         assert names
         assert _segments_alive(names) == []
 
+    def test_crash_in_one_plan_spares_concurrent_plans(self, monkeypatch):
+        """A worker crash in one thread's plan fails one unit of that
+        plan only; the other threads' plans come out as inline."""
+        started = _counting_starts(monkeypatch)
+        local = _make_traces(count=4)
+        healthy = [WorkPlan.for_suite(bimodal_factory, local)
+                   for _ in range(2)]
+        crashing = TestMidChunkRecovery()._mixed_plan(local, crash_at=1)
+        inline = [_comparable(o) for o in execute_plan(healthy[0])]
+        plans = [crashing] + healthy
+        barrier = threading.Barrier(len(plans))
+        outcomes: list[dict | None] = [None] * len(plans)
+        errors: list[Exception] = []
+
+        def drive(k):
+            try:
+                barrier.wait(timeout=30)
+                outcomes[k] = dict(engine.run_plan(plans[k], chunk=2))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        with ExecutionEngine(workers=2) as engine:
+            threads = [threading.Thread(target=drive, args=(k,))
+                       for k in range(len(plans))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert engine.stats.pool_restarts == 1
+        assert not errors, errors
+        assert len(started) == 3  # two workers, one replacement
+        assert sum(isinstance(o, TraceFailure)
+                   for o in outcomes[0].values()) == 1
+        assert isinstance(outcomes[0][1], TraceFailure)
+        for k in (1, 2):
+            assert [_comparable(outcomes[k][i])
+                    for i in range(len(local))] == inline
+
     def test_pool_never_forks_while_a_publish_holds_the_tracker(
             self, monkeypatch, trace_files):
-        """The pool forks its worker on its first submit.  If a second
-        plan is publishing right then, the fork must wait for it: a
-        worker forked while ``publish`` holds the resource tracker's
+        """Workers are forked when a plan first checks one out.  If a
+        second plan is publishing right then, the fork must wait for it:
+        a worker forked while ``publish`` holds the resource tracker's
         lock inherits the lock held and hangs at its first attach."""
-        import multiprocessing
         import time
         from multiprocessing import resource_tracker
 
@@ -522,6 +714,7 @@ class TestConcurrentRunPlan:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method")
         real_register = resource_tracker.register
+        real_start = engine_module._start_worker
         holding = threading.Event()
 
         def slow_register(name, rtype):
@@ -531,17 +724,15 @@ class TestConcurrentRunPlan:
                     time.sleep(0.5)  # a fork now inherits the lock held
             return real_register(name, rtype)
 
-        class RacingPool(engine_module.ProcessPoolExecutor):
-            def submit(self, *args, **kwargs):
-                # The first submit forks: start a publish right before.
-                if publisher.ident is None:
-                    publisher.start()
-                    holding.wait(timeout=1)
-                return super().submit(*args, **kwargs)
+        def racing_start(context):
+            # The first start forks: start a publish right before.
+            if publisher.ident is None:
+                publisher.start()
+                holding.wait(timeout=1)
+            return real_start(context)
 
         monkeypatch.setattr(resource_tracker, "register", slow_register)
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor",
-                            RacingPool)
+        monkeypatch.setattr(engine_module, "_start_worker", racing_start)
         engine = ExecutionEngine(workers=1, start_method="fork")
         publisher = threading.Thread(
             target=engine.publish, args=(trace_files[1],))
@@ -554,7 +745,7 @@ class TestConcurrentRunPlan:
         publisher.join(timeout=30)
         hung = runner.is_alive()
         if hung:  # kill the stuck worker so close() can return
-            for process in list(engine._pool._processes.values()):
+            for process in _worker_processes(engine):
                 process.kill()
         engine.close()
         assert not hung, "the forked worker hung on an inherited lock"

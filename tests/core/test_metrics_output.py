@@ -147,3 +147,27 @@ class TestListing1Schema:
         assert result.mpki == 0.0
         assert result.accuracy == 1.0
         assert result.num_most_failed_branches == 0
+
+
+class TestPickling:
+    """Results cross the engine's pipes pickled; every field, including
+    the in-memory-only ones, must survive the trip."""
+
+    def test_round_trip_keeps_every_field(self):
+        import dataclasses
+        import pickle
+
+        from repro.core.metrics import MostFailedEntry
+
+        entry = MostFailedEntry(ip=0x40, occurrences=7, mispredictions=3,
+                                mpki=1.5, accuracy=0.5)
+        result = _result(predictor_statistics={"conflicts": 2},
+                         most_failed=[entry], simulator_name="other",
+                         from_cache=True, coalesced=True,
+                         probe_report={"components": [1, 2]})
+        copy = pickle.loads(pickle.dumps(result))
+        for field in dataclasses.fields(SimulationResult):
+            assert getattr(copy, field.name) == \
+                getattr(result, field.name), field.name
+        assert type(copy.most_failed[0]) is MostFailedEntry
+        assert pickle.loads(pickle.dumps(entry)) == entry

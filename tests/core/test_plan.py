@@ -584,3 +584,81 @@ class TestDigestOncePerPlan:
             assert [_comparable(o) for o in good_outcomes] == \
                 [_comparable(o) for o in reference]
         assert counters["cache_hit"] == 4
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Count ``read_trace`` calls on the inline path, per trace."""
+    import repro.core.simulator as simulator
+
+    calls = Counter()
+    original = simulator.read_trace
+
+    def spy(path, *args, **kwargs):
+        calls[str(path)] += 1
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "read_trace", spy)
+    return calls
+
+
+class TestDecodeOncePerRun:
+    """The inline loop decodes a trace once for each run of
+    consecutive units over it, as Table III's TAGE-then-GShare pairs
+    are."""
+
+    def _trace_major(self, paths, sim_engine="scalar"):
+        return WorkPlan(units=tuple(
+            WorkUnit(factory=factory, trace=path, name=f"{tag}-{i}",
+                     config=SimulationConfig(), sim_engine=sim_engine)
+            for i, path in enumerate(paths)
+            for tag, factory in (("bimodal", bimodal_factory),
+                                 ("gshare", gshare_factory))))
+
+    @pytest.mark.parametrize("sim_engine", ["scalar", "vectorized"])
+    def test_one_decode_per_run_and_identical_results(
+            self, traces, tmp_path, decode_calls, sim_engine):
+        from repro.core.batch import _run_one
+
+        paths = []
+        for i, data in enumerate(traces[:3]):
+            path = tmp_path / f"t{i}.sbbt.xz"
+            write_trace(path, data)
+            paths.append(path)
+        plan = self._trace_major(paths, sim_engine)
+        outcomes = execute_plan(plan, batch="off")
+        assert dict(decode_calls) == {str(path): 1 for path in paths}
+        # Each outcome is what the unit gives on its own.
+        alone = [_run_one(unit.factory, unit.trace, unit.config, unit.name,
+                          sim_engine=unit.sim_engine) for unit in plan]
+        assert [_comparable(o) for o in outcomes] == \
+            [_comparable(o) for o in alone]
+        # A trace that comes back after another is decoded again: only
+        # the current trace is kept.
+        decode_calls.clear()
+        execute_plan(plan.subset([0, 2, 1]), batch="off")
+        assert decode_calls[str(paths[0])] == 2
+
+    def test_unreadable_trace_fails_each_unit_as_alone(
+            self, traces, tmp_path, decode_calls):
+        from repro.core.batch import _run_one
+
+        good = tmp_path / "good.sbbt.xz"
+        write_trace(good, traces[0])
+        truncated = tmp_path / "truncated.sbbt.xz"
+        write_trace(truncated, traces[1])
+        raw = truncated.read_bytes()
+        truncated.write_bytes(raw[:len(raw) // 2])
+        missing = tmp_path / "missing.sbbt.xz"
+        plan = self._trace_major([good, truncated, missing])
+        outcomes = execute_plan(plan, batch="off")
+        assert decode_calls[str(good)] == 1
+        for unit, outcome in zip(plan, outcomes):
+            alone = _run_one(unit.factory, unit.trace, unit.config,
+                             unit.name)
+            if unit.trace == good:
+                assert _comparable(outcome) == _comparable(alone)
+                continue
+            assert isinstance(outcome, TraceFailure)
+            assert (outcome.trace_name, outcome.error, outcome.stage) == \
+                (alone.trace_name, alone.error, alone.stage)
