@@ -785,15 +785,32 @@ class ExecutionEngine:
 
     def _retire(self, worker: _Worker, *, kill: bool = False) -> None:
         """Drop ``worker`` for good and reap it (killing it first when
-        ``kill``); the next checkout starts its replacement."""
-        with self._lock:
-            if worker not in self._workers:
-                return  # close() is stopping it already
-            self._workers.remove(worker)
-            self.stats.pool_restarts += 1
-        if kill:
-            worker.process.kill()
-        worker.reap(_STOP_TIMEOUT)
+        ``kill``).
+
+        A call already waiting for a worker gets the replacement at
+        once, started here under the lock like every other worker:
+        waiters only wake for a worker handed to them, so leaving the
+        start to the next checkout would strand them whenever the calls
+        that retired workers never check out again.  Otherwise the next
+        checkout starts it.
+        """
+        retired = False
+        try:
+            with self._lock:
+                if worker not in self._workers:
+                    return  # close() is stopping it already
+                self._workers.remove(worker)
+                retired = True
+                self.stats.pool_restarts += 1
+                if kill:
+                    worker.process.kill()
+                if self._waiting and not self._closed:
+                    replacement = _start_worker(self._context)
+                    self._workers.append(replacement)
+                    self._free_locked(replacement)
+        finally:
+            if retired:
+                worker.reap(_STOP_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Trace publication.

@@ -61,6 +61,28 @@ def failing_factory():
     raise RuntimeError("factory exploded")
 
 
+#: Environment variable naming the gate file of _GatedCrashingPredictor.
+CRASH_GATE_ENV = "MBP_TEST_CRASH_GATE"
+
+
+class _GatedCrashingPredictor(Bimodal):
+    """Kills its worker once the file named by ``CRASH_GATE_ENV`` exists,
+    so a test decides when the crash happens."""
+
+    def predict(self, ip):
+        import os
+        import time
+        deadline = time.monotonic() + 60
+        while (not os.path.exists(os.environ[CRASH_GATE_ENV])
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os._exit(13)
+
+
+def gated_crashing_factory():
+    return _GatedCrashingPredictor(log_table_size=4)
+
+
 def _make_traces(count=3, branches=1500):
     return [generate_trace(PROFILES["short_mobile"], seed=90 + i,
                            num_branches=branches)
@@ -699,6 +721,97 @@ class TestConcurrentRunPlan:
         for k in (1, 2):
             assert [_comparable(outcomes[k][i])
                     for i in range(len(local))] == inline
+
+    @staticmethod
+    def _wait_until(predicate, timeout=30.0):
+        import time
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.01)
+
+    def test_waiter_gets_the_replacement_of_a_crashed_worker(
+            self, monkeypatch, tmp_path):
+        """On one worker, a plan whose only chunk crashes on its last
+        unit never checks out again; a plan waiting for that worker
+        gets its replacement instead of waiting until close."""
+        local = _make_traces(count=3)
+        crashing = TestMidChunkRecovery()._mixed_plan(
+            local[:2], crash_at=1, factory=gated_crashing_factory)
+        waiting = WorkPlan.for_suite(gshare_factory, local)
+        inline = [_comparable(o) for o in execute_plan(waiting)]
+        gate = tmp_path / "gate"
+        monkeypatch.setenv(CRASH_GATE_ENV, str(gate))
+        for method in CRASH_START_METHODS:
+            gate.unlink(missing_ok=True)
+            outcomes: list[dict | None] = [None, None]
+            errors: list[Exception] = []
+
+            def drive(k, plan):
+                try:
+                    outcomes[k] = dict(engine.run_plan(plan, chunk=2))
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            with ExecutionEngine(workers=1, start_method=method) as engine:
+                first = threading.Thread(target=drive, args=(0, crashing))
+                first.start()
+                self._wait_until(lambda: engine._chunk_seq == 1)
+                second = threading.Thread(target=drive, args=(1, waiting))
+                second.start()
+                self._wait_until(lambda: len(engine._waiting) == 1)
+                gate.touch()
+                first.join(timeout=60)
+                second.join(timeout=60)
+                hung = second.is_alive()
+                stats = engine.stats
+            first.join(timeout=60)
+            second.join(timeout=60)
+            assert not hung, "the waiting plan never got a worker"
+            assert not errors, errors
+            assert outcomes[0][0].mispredictions > 0
+            assert isinstance(outcomes[0][1], TraceFailure)
+            assert [_comparable(outcomes[1][i])
+                    for i in range(len(waiting))] == inline
+            assert stats.pool_restarts == 1
+            assert stats.units_retried == 0
+
+    def test_waiter_gets_workers_an_abandoned_plan_held(self):
+        """A generator closed while it holds every worker kills them;
+        a plan waiting for a worker gets their replacements."""
+        local = _make_traces(count=6)
+        abandoned = WorkPlan.for_suite(bimodal_factory, local)
+        waiting = WorkPlan.for_suite(gshare_factory, local)
+        inline = [_comparable(o) for o in execute_plan(waiting)]
+        for method in CRASH_START_METHODS:
+            outcomes: list[dict] = []
+            errors: list[Exception] = []
+
+            def drive():
+                try:
+                    outcomes.append(dict(engine.run_plan(waiting, chunk=1)))
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            with ExecutionEngine(workers=2, start_method=method) as engine:
+                running = engine.run_plan(abandoned, chunk=1)
+                next(running)
+                assert not engine._idle  # it holds both workers
+                waiter = threading.Thread(target=drive)
+                waiter.start()
+                self._wait_until(lambda: len(engine._waiting) == 1)
+                running.close()
+                waiter.join(timeout=60)
+                hung = waiter.is_alive()
+                stats = engine.stats
+                processes = _worker_processes(engine)
+            waiter.join(timeout=60)
+            assert not hung, "the waiting plan never got a worker"
+            assert not errors, errors
+            assert [_comparable(outcomes[0][i])
+                    for i in range(len(waiting))] == inline
+            assert stats.pool_restarts == 2
+            assert not any(process.is_alive() for process in processes)
 
     def test_pool_never_forks_while_a_publish_holds_the_tracker(
             self, monkeypatch, trace_files):
