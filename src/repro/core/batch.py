@@ -44,7 +44,8 @@ from .errors import SimulationError
 from .output import SimulationResult
 from .plan import WorkPlan, execute_plan
 from .predictor import Predictor
-from .simulator import SimulationConfig, simulate
+from .simulator import (SimulationConfig, _resolve_trace, reuse_decoded,
+                        simulate)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..cache import SimulationCache
@@ -217,19 +218,25 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
 
     A configured factory whose kernel the engine runs builds no
     predictor: the unit runs from its derivation
-    (:func:`repro.core.configured.simulation_source`).  A factory that
-    raises fails the unit with ``stage="predictor"``.
+    (:func:`repro.core.configured.simulation_source`).  A trace that
+    cannot be read fails the unit with ``stage="trace"``, and a factory
+    that raises with ``stage="predictor"``.  The trace is decoded once
+    (:func:`~repro.core.simulator.reuse_decoded`) and ``simulate`` still
+    receives it as given.
     """
-    stage = "predictor"
+    stage = "trace"
     try:
-        predictor = simulation_source(factory, sim_engine)
-        stage = "simulate"
-        run_probe = None
-        if probe:
-            from ..probe import PredictionProbe
-            run_probe = PredictionProbe()
-        return simulate(predictor, trace, config, trace_name=name,
-                        probe=run_probe, engine=sim_engine)
+        with reuse_decoded():
+            _resolve_trace(trace)
+            stage = "predictor"
+            predictor = simulation_source(factory, sim_engine)
+            stage = "simulate"
+            run_probe = None
+            if probe:
+                from ..probe import PredictionProbe
+                run_probe = PredictionProbe()
+            return simulate(predictor, trace, config, trace_name=name,
+                            probe=run_probe, engine=sim_engine)
     except Exception as exc:  # noqa: BLE001 - deliberate fault barrier
         return TraceFailure(
             trace_name=name if name is not None else str(trace),

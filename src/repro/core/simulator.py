@@ -109,14 +109,16 @@ def reuse_decoded() -> Iterator[None]:
     Only the last decoded trace is kept, so memory stays bounded; a file
     that fails to decode is not remembered, so each caller records its
     own failure.  Callers still pass the path, so what a run reports and
-    traces is unchanged.
+    traces is unchanged.  A block opened inside another joins it.
     """
-    outer = getattr(_reuse, "last", None)
+    if getattr(_reuse, "last", None) is not None:
+        yield
+        return
     _reuse.last = [None, None]
     try:
         yield
     finally:
-        _reuse.last = outer
+        _reuse.last = None
 
 
 def _resolve_trace(trace: TraceLike) -> tuple[TraceData, str]:

@@ -1600,9 +1600,9 @@ def simulate_vectorized(predictor: "Predictor | Derivation", trace: Any,
     return result
 
 
-def run_unit_group(data: TraceData, units: Sequence[tuple],
+def run_unit_group(trace: Any, units: Sequence[tuple],
                    ) -> tuple[list[Any], dict[str, int]]:
-    """Evaluate several configs over one decoded trace in batched passes.
+    """Evaluate several configs over one trace in batched passes.
 
     ``units`` is a sequence of ``(factory, config, name, probe,
     sim_engine)`` tuples — the fields of a
@@ -1622,6 +1622,11 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
     :class:`~repro.core.batch.TraceFailure`; the other units are
     unaffected.
 
+    ``trace`` is a decoded trace or a path; the per-unit fallbacks
+    receive it as given, so a file's runs report its path.  Call with
+    a path inside :func:`~repro.core.simulator.reuse_decoded` so they
+    reuse this call's decode.
+
     Returns ``(outcomes, info)``: one
     :class:`~repro.core.output.SimulationResult` or ``TraceFailure``
     per unit, in order, byte-identical (up to wall clock) to the
@@ -1630,8 +1635,9 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
     avoided.
     """
     from .batch import TraceFailure, _run_one
-    from .simulator import SimulationConfig
+    from .simulator import SimulationConfig, _resolve_trace
 
+    data, _ = _resolve_trace(trace)
     outcomes: list[Any] = [None] * len(units)
     prepared: dict[int, tuple[Any, Any, Any, str, bool]] = {}
     accts: dict[Any, tuple] = {}
@@ -1647,7 +1653,7 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
     for position, unit in enumerate(units):
         factory, config, name, probe, sim_engine = unit
         if sim_engine not in ("vectorized", "auto"):
-            outcomes[position] = _run_one(factory, data, config, name,
+            outcomes[position] = _run_one(factory, trace, config, name,
                                           probe, sim_engine=sim_engine)
             continue
         try:
@@ -1666,7 +1672,7 @@ def run_unit_group(data: TraceData, units: Sequence[tuple],
             # every edge of the funnel path, including
             # EngineNotSupportedError wrapping for
             # sim_engine="vectorized".
-            outcomes[position] = _run_one(lambda: source, data, config,
+            outcomes[position] = _run_one(lambda: source, trace, config,
                                           name, probe,
                                           sim_engine=sim_engine)
             continue

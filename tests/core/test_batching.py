@@ -28,7 +28,7 @@ from repro.core.batch import TraceFailure
 from repro.core.output import SimulationResult
 from repro.core.plan import (
     WorkPlan,
-    _batch_groups,
+    _partition,
     execute_plan,
     normalize_batch,
 )
@@ -135,13 +135,13 @@ class TestBatchGroupPolicy:
 
     def test_units_sharing_a_trace_group(self, small_trace):
         plan = _point_plan(small_trace, [2, 4, 6])
-        groups, loose = _batch_groups(plan, range(len(plan)))
+        groups, loose = _partition(plan.units, batch=True)
         assert groups == [[0, 1, 2]]
         assert loose == []
 
     def test_scalar_units_stay_loose(self, small_trace):
         plan = _point_plan(small_trace, [2, 4, 6], sim_engine="scalar")
-        groups, loose = _batch_groups(plan, range(len(plan)))
+        groups, loose = _partition(plan.units, batch=True)
         assert groups == []
         assert loose == [0, 1, 2]
 
@@ -150,7 +150,7 @@ class TestBatchGroupPolicy:
         plan = WorkPlan.for_suite(lambda: GShare(4, 8),
                                   [small_trace, server_trace],
                                   SimulationConfig(), sim_engine="auto")
-        groups, loose = _batch_groups(plan, range(len(plan)))
+        groups, loose = _partition(plan.units, batch=True)
         assert groups == []
         assert loose == [0, 1]
 
@@ -158,7 +158,7 @@ class TestBatchGroupPolicy:
         units = _point_plan(small_trace, [2, 4, 6]).units
         scalar = _point_plan(small_trace, [8], sim_engine="scalar").units
         plan = WorkPlan(units=(units[0], scalar[0], units[1], units[2]))
-        groups, loose = _batch_groups(plan, range(len(plan)))
+        groups, loose = _partition(plan.units, batch=True)
         assert groups == [[0, 2, 3]]
         assert loose == [1]
 
@@ -168,9 +168,15 @@ class TestBatchGroupPolicy:
         path = tmp_path / "t.sbbt"
         write_trace(path, small_trace)
         plan = _point_plan(str(path), [2, 4])
-        groups, loose = _batch_groups(plan, range(len(plan)))
+        groups, loose = _partition(plan.units, batch=True)
         assert groups == [[0, 1]]
         assert loose == []
+
+    def test_batch_off_leaves_every_unit_loose(self, small_trace):
+        plan = _point_plan(small_trace, [2, 4, 6])
+        groups, loose = _partition(plan.units, batch=False)
+        assert groups == []
+        assert loose == [0, 1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -267,11 +273,22 @@ class TestInlineBatching:
         assert_outcomes_identical(batched, per_unit)
 
     def test_unreadable_trace_fails_every_member(self, tmp_path):
-        plan = _point_plan(str(tmp_path / "missing.sbbt"), [2, 4, 6])
-        batched = execute_plan(plan, batch="auto")
-        per_unit = execute_plan(plan, batch="off")
-        assert all(isinstance(r, TraceFailure) for r in batched)
-        assert_outcomes_identical(batched, per_unit)
+        # One failure stage for a trace that cannot be read, whichever
+        # way the unit runs: inline per unit, inline batched, or on an
+        # engine worker.
+        from repro.core.engine import ExecutionEngine
+
+        not_sbbt = tmp_path / "not-sbbt.sbbt"
+        not_sbbt.write_bytes(b"this is not an SBBT trace\n" * 8)
+        with ExecutionEngine(workers=1) as engine:
+            for trace in (str(tmp_path / "missing.sbbt"), str(not_sbbt)):
+                plan = _point_plan(trace, [2, 4, 6])
+                for outcomes in (execute_plan(plan, batch="off"),
+                                 execute_plan(plan, batch="auto"),
+                                 execute_plan(plan, engine=engine)):
+                    assert [(type(r), r.trace_name, r.stage)
+                            for r in outcomes] == \
+                        [(TraceFailure, u.name, "trace") for u in plan]
 
     def test_two_traces_two_groups(self, small_trace, server_trace):
         factories = [(tag, lambda h=h: GShare(h, 8))
@@ -325,6 +342,41 @@ class TestEngineBatching:
             assert engine.stats.batch_groups == 2
             assert engine.stats.batch_units == 8
         assert_outcomes_identical(batched, per_unit)
+
+    def test_inline_and_engine_worker_run_alike(self, tmp_path):
+        # Both backends run units through one runner: a plan mixing two
+        # batch groups with loose scalar and singleton units gives the
+        # same result JSON and the same batch counts inline and as one
+        # chunk on a one-worker engine.
+        from dataclasses import replace
+
+        from repro.core.engine import ExecutionEngine
+        from repro.sbbt.writer import write_trace
+        from repro.traces.synth import generate_trace
+        from repro.traces.workloads import PROFILES
+
+        plan = self._plan_two_traces(tmp_path)
+        loose = WorkPlan.for_points(
+            [(9, functools.partial(GShare, history_length=3,
+                                   log_table_size=8))],
+            [plan[0].trace, plan[1].trace], SimulationConfig(),
+            sim_engine="scalar")
+        single = tmp_path / "single.sbbt"
+        write_trace(single, generate_trace(PROFILES["short_server"],
+                                           seed=30, num_branches=2000))
+        plan = WorkPlan(units=plan.units + loose.units
+                        + (replace(plan[0], trace=str(single)),))
+        inline, inline_timers = execute_folded(plan, batch="auto")
+        with ExecutionEngine(workers=1) as engine:
+            worker, worker_timers = execute_folded(
+                plan, engine=engine, chunk=len(plan), batch="auto")
+        assert all(isinstance(r, SimulationResult) for r in inline)
+        assert [comparable_document(r) for r in inline] == \
+            [comparable_document(r) for r in worker]
+        counts = ("batch_groups", "batch_units", "context_reuse")
+        assert [inline_timers.counters[n] for n in counts] == \
+            [worker_timers.counters[n] for n in counts]
+        assert inline_timers.counters["batch_groups"] == 2
 
     def test_batch_off_dispatches_per_unit(self, tmp_path):
         from repro.core.engine import ExecutionEngine

@@ -404,10 +404,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExecutionEngine(workers=0)
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            ExecutionEngine(workers=1, window=0)
-
     def test_repr(self, traces):
         engine = ExecutionEngine(workers=2)
         engine.publish(traces[0])

@@ -476,6 +476,17 @@ class TestErrorReplies:
                 client.simulate(str(tmp_path / "missing.sbbt"), "gshare")
         assert excinfo.value.code == "bad_trace"
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_non_sbbt_trace_is_bad_trace_for_any_workers(
+            self, serve, tmp_path, workers):
+        not_sbbt = tmp_path / "not-sbbt.sbbt"
+        not_sbbt.write_bytes(b"this is not an SBBT trace\n" * 8)
+        handle = serve(workers=workers)
+        with MbpClient(socket_path=handle.socket_path) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.simulate(str(not_sbbt), "gshare")
+        assert excinfo.value.code == "bad_trace"
+
     @pytest.mark.parametrize("parameters", [{"history_length": -3},
                                             {"no_such_argument": 1}])
     def test_bad_predictor_configuration_is_bad_request(
