@@ -15,17 +15,19 @@ in one stacked radix sort + grouped walk.  This module records the payoff in
    flagship case: every point shares the trace and the table bounds, so
    the whole grid collapses into one stacked pass.  The acceptance gate
    asserts the batched sweep is >= 3x faster than the same sweep run
-   per-unit (best-of-``ROUNDS`` on both sides; results are asserted
-   point-for-point identical every round).
+   per-unit, and the two sweeps' points are asserted identical.
 
 2. **Bimodal table-size sweep** — 8 table sizes over one trace.  The
    points share the trace (context and history reuse apply) but not the
    table geometry, so stacking yields less; recorded as a report with no
    hard gate, it shows the batching win degrading gracefully instead of
    falling off a cliff.
-"""
 
-import time
+Both sweeps are timed by the alternated-pair protocol
+(``conftest.time_pair``): one untimed warm-up call per dispatch style,
+then ``REPEATS`` alternated pairs, read as the median with its
+quartiles.
+"""
 
 import pytest
 
@@ -38,11 +40,10 @@ from repro.tracing import SpanRecorder
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
 
-from conftest import emit_report
+from conftest import emit_report, time_pair
 
-#: Best-of rounds per dispatch style; CI boxes are noisy and the
-#: comparison is about structural cost, not scheduler luck.
-ROUNDS = 3
+#: Timed pairs per sweep; the gates read the medians.
+REPEATS = 5
 
 GSHARE_VALUES = tuple(range(8, 24))  # 16 grid points
 GSHARE_TABLE = 14
@@ -54,19 +55,6 @@ BIMODAL_BRANCHES = 60_000
 BIMODAL_PROFILE = "short_server"
 
 
-def _timed(function):
-    """(value, wall seconds, CPU seconds) for one call.
-
-    The speedup gates divide CPU times: the sweeps are single-threaded
-    and CPU-bound, so process time measures the structural cost while
-    staying steady when a co-tenant steals the wall clock.
-    """
-    wall = time.perf_counter()
-    cpu = time.process_time()
-    value = function()
-    return value, time.perf_counter() - wall, time.process_time() - cpu
-
-
 def _trace_file(tmp_path_factory, profile, num_branches, seed):
     directory = tmp_path_factory.mktemp("sweep-batching")
     path = directory / f"{profile}.sbbt"
@@ -75,13 +63,10 @@ def _trace_file(tmp_path_factory, profile, num_branches, seed):
     return path
 
 
-def _best_of_sweep(factory, parameter, values, path, fixed):
-    """Best-of-ROUNDS wall clock for batch="off" vs batch="auto".
-
-    Interleaved rounds so slow drift (thermal, co-tenants) hits both
-    sides equally; every round asserts the batched points are identical
-    to the per-unit ones before its timing is kept.
-    """
+def _time_sweep(factory, parameter, values, path, fixed):
+    """Median wall clock of batch="off" vs batch="auto" over
+    ``REPEATS`` alternated pairs; the batched side is traced on every
+    call, the warm-up included."""
     recorder = SpanRecorder()
 
     def run(batch, tracer=None):
@@ -89,24 +74,16 @@ def _best_of_sweep(factory, parameter, values, path, fixed):
                                fixed=fixed, sim_engine="vectorized",
                                batch=batch, tracer=tracer)
 
-    run("off")  # warm the page cache and the numpy code paths
-    run("auto")
-    off_wall, auto_wall, off_cpu, auto_cpu = [], [], [], []
-    for _ in range(ROUNDS):
-        off, wall, cpu = _timed(lambda: run("off"))
-        off_wall.append(wall)
-        off_cpu.append(cpu)
-        auto, wall, cpu = _timed(lambda: run("auto", recorder))
-        auto_wall.append(wall)
-        auto_cpu.append(cpu)
-        assert ([p.mean_mpki for p in auto.points]
-                == [p.mean_mpki for p in off.points])
+    metrics: dict = {}
+    off, auto = time_pair(lambda: run("off"), lambda: run("auto", recorder),
+                          REPEATS, metrics, names=("per_unit", "batched"))
+    assert ([p.mean_mpki for p in auto.value.points]
+            == [p.mean_mpki for p in off.value.points])
     timers = PhaseTimers.from_spans(recorder.spans)
     return {
-        "off_s": min(off_wall),
-        "auto_s": min(auto_wall),
-        "off_cpu_s": min(off_cpu),
-        "auto_cpu_s": min(auto_cpu),
+        "off": off,
+        "auto": auto,
+        "metrics": metrics,
         "batch_groups": timers.counters.get("batch_groups", 0),
         "batch_units": timers.counters.get("batch_units", 0),
         "context_reuse": timers.counters.get("context_reuse", 0),
@@ -117,85 +94,89 @@ def _best_of_sweep(factory, parameter, values, path, fixed):
 def gshare_sweep(tmp_path_factory):
     path = _trace_file(tmp_path_factory, GSHARE_PROFILE,
                        GSHARE_BRANCHES, seed=91)
-    return _best_of_sweep(GShare, "history_length", GSHARE_VALUES, path,
-                          fixed={"log_table_size": GSHARE_TABLE})
+    return _time_sweep(GShare, "history_length", GSHARE_VALUES, path,
+                       fixed={"log_table_size": GSHARE_TABLE})
 
 
 @pytest.fixture(scope="module")
 def bimodal_sweep(tmp_path_factory):
     path = _trace_file(tmp_path_factory, BIMODAL_PROFILE,
                        BIMODAL_BRANCHES, seed=92)
-    return _best_of_sweep(Bimodal, "log_table_size", BIMODAL_VALUES, path,
-                          fixed={"counter_width": 2})
+    return _time_sweep(Bimodal, "log_table_size", BIMODAL_VALUES, path,
+                       fixed={"counter_width": 2})
+
+
+def _with_iqr(timing):
+    return (f"{format_duration(timing.median)} "
+            f"[{format_duration(timing.q1)}, {format_duration(timing.q3)}]")
 
 
 def test_gshare_history_sweep_gate(gshare_sweep, report_only,
                                    bench_metrics):
-    off, auto = gshare_sweep["off_s"], gshare_sweep["auto_s"]
-    cpu_speedup = gshare_sweep["off_cpu_s"] / gshare_sweep["auto_cpu_s"]
-    speedup = off / auto
-    bench_metrics["gshare_per_unit_s"] = off
-    bench_metrics["gshare_batched_s"] = auto
+    off, auto = gshare_sweep["off"], gshare_sweep["auto"]
+    speedup = off.median / auto.median
+    bench_metrics.update(gshare_sweep["metrics"])
+    bench_metrics["gshare_per_unit_s"] = off.median
+    bench_metrics["gshare_batched_s"] = auto.median
     bench_metrics["gshare_batched_speedup"] = speedup
-    bench_metrics["gshare_batched_cpu_speedup"] = cpu_speedup
     bench_metrics["gshare_points"] = len(GSHARE_VALUES)
     emit_report("sweep_batching_gshare", format_table(
         headers=["Sweep dispatch", "Time", "Speedup"],
         rows=[
             [f"per-unit ({len(GSHARE_VALUES)} vectorized runs)",
-             format_duration(off), "1.0 x"],
+             _with_iqr(off), "1.0 x"],
             ["config-batched (one stacked pass)",
-             format_duration(auto), f"{speedup:.2f} x"],
+             _with_iqr(auto), f"{speedup:.2f} x"],
         ],
         title=(f"GShare history sweep - {len(GSHARE_VALUES)} points x "
                f"{GSHARE_BRANCHES} branches ({GSHARE_PROFILE})"),
     ))
     # The acceptance gate: sharing one context and stacking all 16
     # same-shape kernels must be at least a 3x win over per-unit runs.
-    assert cpu_speedup >= 3.0, (
-        f"batched {gshare_sweep['auto_cpu_s']:.3f}s CPU vs per-unit "
-        f"{gshare_sweep['off_cpu_s']:.3f}s CPU "
-        f"(speedup {cpu_speedup:.2f}x < gate 3.0x)")
+    assert speedup >= 3.0, (
+        f"batched {auto.median:.3f}s vs per-unit {off.median:.3f}s "
+        f"(median speedup {speedup:.2f}x < gate 3.0x)")
 
 
 def test_gshare_sweep_forms_one_group(gshare_sweep, report_only,
                                       bench_metrics):
-    # The telemetry proves *why*: every measured round funneled every
-    # point of the single-trace sweep through one batch group, and the
-    # shared context served repeat derivations (the memoized address
-    # fold) instead of recomputing them per configuration.
-    assert gshare_sweep["batch_groups"] == ROUNDS
-    assert gshare_sweep["batch_units"] == ROUNDS * len(GSHARE_VALUES)
+    # The telemetry proves *why*: every batched call (the warm-up and
+    # each timed one) funneled every point of the single-trace sweep
+    # through one batch group, and the shared context served repeat
+    # derivations (the memoized address fold) instead of recomputing
+    # them per configuration.
+    calls = REPEATS + 1
+    assert gshare_sweep["batch_groups"] == calls
+    assert gshare_sweep["batch_units"] == calls * len(GSHARE_VALUES)
     assert gshare_sweep["context_reuse"] > 0
     bench_metrics["gshare_context_reuse"] = gshare_sweep["context_reuse"]
 
 
 def test_bimodal_size_sweep_report(bimodal_sweep, report_only,
                                    bench_metrics):
-    off, auto = bimodal_sweep["off_s"], bimodal_sweep["auto_s"]
-    speedup = off / auto
-    bench_metrics["bimodal_per_unit_s"] = off
-    bench_metrics["bimodal_batched_s"] = auto
+    off, auto = bimodal_sweep["off"], bimodal_sweep["auto"]
+    speedup = off.median / auto.median
+    bench_metrics.update(bimodal_sweep["metrics"])
+    bench_metrics["bimodal_per_unit_s"] = off.median
+    bench_metrics["bimodal_batched_s"] = auto.median
     bench_metrics["bimodal_batched_speedup"] = speedup
     bench_metrics["bimodal_points"] = len(BIMODAL_VALUES)
     emit_report("sweep_batching_bimodal", format_table(
         headers=["Sweep dispatch", "Time", "Speedup"],
         rows=[
             [f"per-unit ({len(BIMODAL_VALUES)} vectorized runs)",
-             format_duration(off), "1.0 x"],
+             _with_iqr(off), "1.0 x"],
             ["config-batched (shared context)",
-             format_duration(auto), f"{speedup:.2f} x"],
+             _with_iqr(auto), f"{speedup:.2f} x"],
         ],
         title=(f"Bimodal table-size sweep - {len(BIMODAL_VALUES)} points x "
                f"{BIMODAL_BRANCHES} branches ({BIMODAL_PROFILE})"),
     ))
     # Heterogeneous table shapes cannot stack, but the shared context
     # must still keep the batched path from losing to per-unit runs.
-    cpu_speedup = bimodal_sweep["off_cpu_s"] / bimodal_sweep["auto_cpu_s"]
-    bench_metrics["bimodal_batched_cpu_speedup"] = cpu_speedup
-    assert cpu_speedup >= 1.0, (
-        f"batched {bimodal_sweep['auto_cpu_s']:.3f}s CPU vs per-unit "
-        f"{bimodal_sweep['off_cpu_s']:.3f}s CPU "
-        f"(speedup {cpu_speedup:.2f}x < floor 1.0x)")
-    assert bimodal_sweep["batch_groups"] == ROUNDS
-    assert bimodal_sweep["batch_units"] == ROUNDS * len(BIMODAL_VALUES)
+    assert speedup >= 1.0, (
+        f"batched {auto.median:.3f}s vs per-unit {off.median:.3f}s "
+        f"(median speedup {speedup:.2f}x < floor 1.0x)")
+    calls = REPEATS + 1
+    assert bimodal_sweep["batch_groups"] == calls
+    assert bimodal_sweep["batch_units"] == calls * len(BIMODAL_VALUES)

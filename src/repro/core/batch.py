@@ -113,6 +113,15 @@ class TraceFailure:
     details: str = ""
     stage: str = "simulate"
 
+    @classmethod
+    def from_exception(cls, name: str, exc: BaseException,
+                       stage: str = "simulate") -> "TraceFailure":
+        """The failure record of ``exc``, raised at ``stage`` while
+        running ``name``; call it in the ``except`` block, so that
+        ``details`` holds the traceback being handled."""
+        return cls(trace_name=name, error=f"{type(exc).__name__}: {exc}",
+                   details=traceback.format_exc(), stage=stage)
+
     def __str__(self) -> str:
         return f"{self.trace_name}: {self.error}"
 
@@ -214,10 +223,11 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
     ``probe=True`` builds a fresh :class:`repro.probe.PredictionProbe`
     in the worker — one per trace, so process-pool runs never share
     accumulators — and the report travels back on the (picklable)
-    result's ``probe_report``.
+    result's ``probe_report``.  A probed unit always builds a predictor
+    and runs the scalar loop, whose hooks fill the probe.
 
-    A configured factory whose kernel the engine runs builds no
-    predictor: the unit runs from its derivation
+    An unprobed unit of a configured factory whose kernel the engine
+    runs builds no predictor: it runs from its derivation
     (:func:`repro.core.configured.simulation_source`).  A trace that
     cannot be read fails the unit with ``stage="trace"``, and a factory
     that raises with ``stage="predictor"``.  The trace is decoded once
@@ -229,7 +239,8 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
         with reuse_decoded():
             _resolve_trace(trace)
             stage = "predictor"
-            predictor = simulation_source(factory, sim_engine)
+            predictor = simulation_source(
+                factory, "scalar" if probe else sim_engine)
             stage = "simulate"
             run_probe = None
             if probe:
@@ -238,12 +249,8 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
             return simulate(predictor, trace, config, trace_name=name,
                             probe=run_probe, engine=sim_engine)
     except Exception as exc:  # noqa: BLE001 - deliberate fault barrier
-        return TraceFailure(
-            trace_name=name if name is not None else str(trace),
-            error=f"{type(exc).__name__}: {exc}",
-            details=traceback.format_exc(),
-            stage=stage,
-        )
+        return TraceFailure.from_exception(
+            name if name is not None else str(trace), exc, stage)
 
 
 def _resolve_cache(cache: CacheLike) -> "SimulationCache | None":
@@ -309,9 +316,12 @@ def run_suite(factory: PredictorFactory, traces: Sequence[TraceLike],
     probe:
         ``True`` attaches a fresh :class:`repro.probe.PredictionProbe`
         to every *simulated* trace (cache hits carry no probe data) and
-        leaves each report on its result's ``probe_report``.  Off by
-        default; it perturbs simulation time, so leave it off for
-        Table III-style timing runs.
+        leaves each report on its result's ``probe_report``.  A probed
+        trace always runs the scalar loop, whatever ``sim_engine``
+        says (``"vectorized"`` still rejects a predictor without a
+        kernel), and never joins a batched group.  Off by default; it
+        perturbs simulation time, so leave it off for Table III-style
+        timing runs.
     sim_engine:
         Per-trace simulation engine, forwarded to
         :func:`repro.core.simulator.simulate`'s ``engine`` parameter

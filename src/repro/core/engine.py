@@ -56,7 +56,6 @@ import os
 import signal
 import threading
 import time
-import traceback
 import weakref
 from collections import deque
 from contextlib import contextmanager
@@ -71,7 +70,7 @@ import numpy as np
 
 from ..sbbt.trace import TraceData
 from ..telemetry.instrumentation import FUNNEL_SPANS
-from .errors import SimulationError
+from .errors import SimulationError, TraceFormatError
 from .output import SimulationResult
 from .plan import (WorkPlan, WorkUnit, _trace_identity, chunk_cost_size,
                    normalize_batch, normalize_chunk, run_chunk)
@@ -261,9 +260,7 @@ def _send_record(conn: Connection, chunk_id: int, name: str,
     except Exception as exc:  # noqa: BLE001 - a result that cannot travel
         from .batch import TraceFailure
 
-        failure = TraceFailure(trace_name=name,
-                               error=f"{type(exc).__name__}: {exc}",
-                               details=traceback.format_exc())
+        failure = TraceFailure.from_exception(name, exc)
         payload = ForkingPickler.dumps(
             (chunk_id, position, failure, attached, elapsed, spans))
     conn.send_bytes(payload)
@@ -693,13 +690,16 @@ class ExecutionEngine:
     def publish(self, trace: TraceLike) -> SharedTrace:
         """Ensure ``trace`` is resident in shared memory; return its ref.
 
-        A path is digested from its (decompressed) bytes and decoded at
-        most once per engine; an in-memory :class:`TraceData` is encoded
-        for digesting, then copied into the segment.  Publishing the
-        same content twice — same file, same data, or a file and its
-        in-memory decode — is free after the first call.  Whether this
-        call shipped the trace (created its segment) is left in
-        ``self._shipped.last`` on the calling thread.
+        A path is read once through
+        :func:`~repro.sbbt.reader.read_payload`, so a bad header fails
+        before the body is decompressed and the error names the file;
+        its bytes are digested, and decoded at most once per engine.  An
+        in-memory :class:`TraceData` is encoded for digesting, then
+        copied into the segment.  Publishing the same content twice —
+        same file, same data, or a file and its in-memory decode — is
+        free after the first call.  Whether this call shipped the trace
+        (created its segment) is left in ``self._shipped.last`` on the
+        calling thread.
         """
         self._check_open()
         start = time.perf_counter()
@@ -729,10 +729,8 @@ class ExecutionEngine:
             if cached is not None:
                 return self._published[cached], False
             # One read serves both the digest and (if new) the decode.
-            from ..sbbt.compression import open_compressed
-            from ..sbbt.reader import decode_payload
-            with open_compressed(resolved, "rb") as stream:
-                payload = stream.read()
+            from ..sbbt.reader import read_payload
+            payload = read_payload(trace)
             digest = payload_digest(payload)
 
         ref = self._published.get(digest)
@@ -742,7 +740,11 @@ class ExecutionEngine:
             return ref, False
 
         if data is None:
-            data = decode_payload(payload)
+            from ..sbbt.reader import decode_payload
+            try:
+                data = decode_payload(payload)
+            except TraceFormatError as exc:  # named as read_trace names it
+                raise TraceFormatError(f"{Path(trace)}: {exc}") from exc
 
         segment = shared_memory.SharedMemory(
             create=True, size=_segment_size(len(data)))
@@ -902,12 +904,8 @@ class ExecutionEngine:
                     ref = published[identity] = self.publish(unit.trace)
                     tally["trace_ship"] += self._shipped.last
                 except Exception as exc:  # noqa: BLE001 - caller-facing
-                    done.append((index, TraceFailure(
-                        trace_name=unit.name,
-                        error=f"{type(exc).__name__}: {exc}",
-                        details=traceback.format_exc(),
-                        stage="trace",
-                    )))
+                    done.append((index, TraceFailure.from_exception(
+                        unit.name, exc, stage="trace")))
                     continue
             refs[index] = ref
         if use_batch:
@@ -977,10 +975,8 @@ class ExecutionEngine:
                         if traced:
                             _close_unit(i, status="error",
                                         extra={"error": type(exc).__name__})
-                        done.append((i, TraceFailure(
-                            trace_name=plan[i].name,
-                            error=f"{type(exc).__name__}: {exc}",
-                            details=traceback.format_exc())))
+                        done.append((i, TraceFailure.from_exception(
+                            plan[i].name, exc)))
                     continue
                 try:
                     worker.conn.send_bytes(payload)

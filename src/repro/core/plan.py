@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import time
-import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
@@ -261,16 +260,18 @@ def _partition(units: Sequence[WorkUnit], batch: bool,
     """How :func:`run_chunk` splits ``units``: ``(groups, loose)``, as
     positions into ``units``.
 
-    With ``batch``, units whose ``sim_engine`` admits the vectorized
-    engine (``"vectorized"`` or ``"auto"``) are bucketed by trace
-    (:func:`_trace_identity`); a bucket of two or more is a group, worth
-    one batched pass over a shared trace context.  Every other unit is
-    loose, and ``loose`` is in chunk order.
+    With ``batch``, unprobed units whose ``sim_engine`` admits the
+    vectorized engine (``"vectorized"`` or ``"auto"``) are bucketed by
+    trace (:func:`_trace_identity`); a bucket of two or more is a group,
+    worth one batched pass over a shared trace context.  Every other
+    unit is loose, and ``loose`` is in chunk order: a probed unit runs
+    the scalar loop, which no group shares.
     """
     buckets: dict[Any, list[int]] = {}
     loose: list[int] = []
     for position, unit in enumerate(units):
-        if batch and unit.sim_engine in ("vectorized", "auto"):
+        if batch and not unit.probe \
+                and unit.sim_engine in ("vectorized", "auto"):
             buckets.setdefault(_trace_identity(unit.trace),
                                []).append(position)
         else:
@@ -323,11 +324,9 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
         except Exception as exc:  # noqa: BLE001 - per-unit isolation
             span.set_status("error")
             for position in members:
-                report(position, TraceFailure(
-                    trace_name=units[position].name,
-                    error=f"{type(exc).__name__}: {exc}",
-                    details=traceback.format_exc(), stage="trace",
-                ), 0.0, False, batched)
+                report(position, TraceFailure.from_exception(
+                    units[position].name, exc, stage="trace"),
+                    0.0, False, batched)
             return
         start = time.perf_counter()
         if batched:
@@ -337,7 +336,7 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
 
             outcomes, group = run_unit_group(trace, [
                 (units[p].factory, units[p].config, units[p].name,
-                 units[p].probe, units[p].sim_engine) for p in members])
+                 units[p].sim_engine) for p in members])
             reuse = int(group.get("context_reuse", 0))
             info["context_reuse"] += reuse
             if reuse:
@@ -418,9 +417,9 @@ def execute_plan(plan: WorkPlan, *,
     backends run units through :func:`run_chunk`: inline over every
     cache miss at once, on the engine once per chunk in a worker.
 
-    With ``batch="auto"`` (the default), units that share a trace and
-    admit the vectorized engine are evaluated in *batched groups*: the
-    trace is resolved once per group and
+    With ``batch="auto"`` (the default), unprobed units that share a
+    trace and admit the vectorized engine are evaluated in *batched
+    groups*: the trace is resolved once per group and
     :func:`repro.core.vectorized.run_unit_group` runs every config over
     the shared trace context in stacked numpy passes.  Each unit still
     produces its own outcome and cache entry, byte-identical (up to
@@ -503,11 +502,6 @@ def execute_plan(plan: WorkPlan, *,
             digests[identity] = digest
         return digest
 
-    def _fail(i: int, exc: Exception, stage: str) -> None:
-        slots[i] = TraceFailure(trace_name=plan[i].name,
-                                error=f"{type(exc).__name__}: {exc}",
-                                details=traceback.format_exc(), stage=stage)
-
     def _scan(todo: list[int], pending: list[int],
               waiting: list[tuple[int, "InflightClaim"]],
               parent: Any) -> None:
@@ -521,12 +515,14 @@ def execute_plan(plan: WorkPlan, *,
                 try:
                     keyed = unit.factory.derivation()
                 except Exception as exc:  # noqa: BLE001 - bad configuration
-                    _fail(i, exc, "predictor")
+                    slots[i] = TraceFailure.from_exception(
+                        unit.name, exc, stage="predictor")
                     continue
                 try:
                     key = keyed.cache_key(_digest(unit.trace), unit.config)
                 except Exception as exc:  # noqa: BLE001 - bad trace
-                    _fail(i, exc, "trace")
+                    slots[i] = TraceFailure.from_exception(
+                        unit.name, exc, stage="trace")
                     continue
                 keys[i] = key
                 # Claim before reading: no other plan can store and

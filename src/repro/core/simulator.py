@@ -158,6 +158,8 @@ def simulate(predictor: Predictor, trace: TraceLike,
     :class:`~repro.core.errors.EngineNotSupportedError` when
     ``predictor.vector_kernel()`` is ``None``); ``"auto"`` uses the
     vectorized engine when a kernel exists and this loop otherwise.
+    A run with a ``probe`` always takes this loop: the predictor's own
+    hooks are what fill the probe, and kernels compute results only.
 
     ``tracer`` (a :class:`~repro.tracing.SpanRecorder`; the run's
     "trace_read", "simulate_loop" and "finalize" spans nest under its
@@ -174,13 +176,14 @@ def simulate(predictor: Predictor, trace: TraceLike,
             f"unknown engine {engine!r}; expected 'scalar', 'vectorized' "
             "or 'auto'")
     if engine != "scalar":
-        from .vectorized import simulate_vectorized
-
         if predictor.vector_kernel() is not None:
-            return simulate_vectorized(
-                predictor, trace, config, trace_name=trace_name,
-                tracer=tracer, telemetry=telemetry, probe=probe)
-        if engine == "vectorized":
+            if probe is None:
+                from .vectorized import simulate_vectorized
+
+                return simulate_vectorized(
+                    predictor, trace, config, trace_name=trace_name,
+                    tracer=tracer, telemetry=telemetry)
+        elif engine == "vectorized":
             from .errors import EngineNotSupportedError
 
             raise EngineNotSupportedError(

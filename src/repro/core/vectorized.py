@@ -29,8 +29,8 @@ composition — computable with a segmented Hillis-Steele scan in
 Those reusable passes — history/index derivation
 (:func:`global_history_windows`, :func:`segmented_history_windows`,
 :func:`xor_fold_array`, :func:`skew_hash_array`), the segmented
-clamped-walk scan (:func:`clamped_walk_states`), per-table finish/count,
-and a two-stream chooser combinator (:class:`TournamentKernel`) —
+clamped-walk scan (:func:`clamped_walk_states`), per-unit counting and
+a two-stream chooser combinator (:class:`TournamentKernel`) —
 compose into *kernels* covering the whole table-indexed catalog:
 bimodal, GShare, two-level, local, tournament, 2bc-gskew, YAGS and the
 hashed perceptron.
@@ -52,19 +52,16 @@ Observability: :func:`simulate_vectorized` accepts an optional
 ``tracer`` (:mod:`repro.tracing`) and records the standard simulator's
 spans ("trace_read", "simulate_loop", "finalize"), so manifests and
 phase folds are engine-independent.  The default is off and adds no
-calls, matching the standard simulator's contract.  It likewise
-accepts an optional ``probe`` (:class:`repro.probe.PredictionProbe`),
-filled post-hoc from the prediction arrays via the bulk hooks —
-per-component attribution (including override accounting for
-arbitrated predictors), the full per-branch profile, and the final
-tables' structural statistics reconstructed from the scans.
+calls, matching the standard simulator's contract.  Kernels compute
+results only: a run with a :class:`repro.probe.PredictionProbe` takes
+the scalar loop (:func:`repro.core.simulator.simulate`), whose
+predictor hooks are the one source of component attribution.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -75,7 +72,6 @@ from .configured import fresh_copy, simulation_source
 from .errors import EngineNotSupportedError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..probe import PredictionProbe
     from ..telemetry.interval import IntervalRecorder
     from ..tracing.span import Tracer
     from .configured import Derivation
@@ -302,26 +298,6 @@ def skew_hash_array(v1: np.ndarray, v2: np.ndarray, bank: int,
     return (a ^ b ^ keep) & mask
 
 
-def _final_table_values(indices_sorted: np.ndarray, before: np.ndarray,
-                        steps: np.ndarray, lo: int, hi: int,
-                        size: int) -> np.ndarray:
-    """Table contents *after* the whole run, reconstructed from the scan.
-
-    ``before`` is the scan output (state seen by each element);
-    applying each segment's last step to its own ``before`` yields the
-    entry's final state.  Untouched entries stay at the reset value 0.
-    """
-    values = np.zeros(size, dtype=np.int64)
-    if len(indices_sorted):
-        is_last = np.empty(len(indices_sorted), dtype=bool)
-        is_last[-1] = True
-        np.not_equal(indices_sorted[1:], indices_sorted[:-1],
-                     out=is_last[:-1])
-        final = np.clip(before[is_last] + steps[is_last], lo, hi)
-        values[indices_sorted[is_last].astype(np.int64)] = final
-    return values
-
-
 # ----------------------------------------------------------------------
 # The batched table-op evaluator: per-predictor kernels and the driver.
 # ----------------------------------------------------------------------
@@ -389,9 +365,9 @@ class _VectorContext:
     def branch_base(self, warmup: int, measured: np.ndarray) -> tuple:
         """Outcome-independent half of the per-branch profile.
 
-        Returns ``(ips_list, inverse, bins, occurrences, taken_counts)``
-        for the measured region of the given warmup; only the
-        per-config ``wrong_counts`` bincount remains for the caller.
+        Returns ``(ips_list, inverse, bins, occurrences)`` for the
+        measured region of the given warmup; only the per-config
+        ``wrong_counts`` bincount remains for the caller.
         """
         entry = self._branch_cache.get(warmup)
         if entry is None:
@@ -399,11 +375,8 @@ class _VectorContext:
                                             return_inverse=True)
             bins = len(unique_ips)
             occurrences = np.bincount(inverse, minlength=bins)
-            taken_counts = np.bincount(inverse,
-                                       weights=self.taken[measured],
-                                       minlength=bins)
             entry = (unique_ips.tolist(), inverse, bins,
-                     occurrences.tolist(), taken_counts.tolist())
+                     occurrences.tolist())
             self._branch_cache[warmup] = entry
         return entry
 
@@ -526,45 +499,16 @@ class KernelRun:
     """One kernel evaluation over a :class:`_VectorContext`.
 
     ``predictions`` is per conditional branch in trace order.
-    ``fill_attribution(probe_like, measured)`` replays the predictor's
-    measured-region ``probe.record`` accounting through the bulk hooks
-    (``probe_like`` is the root probe or a scoped view).
-    ``structure()`` rebuilds the end-of-run ``probe_stats()`` snapshot
-    from the kernel's final table states.  ``stats(counted)``, for
-    kernels of predictors whose ``metadata_stats()`` or
-    ``execution_stats()`` change during a run, returns both as the
-    scalar run would leave them, with event counters taken over the
-    ``counted`` branches; ``None`` reads both from the predictor.
+    ``stats(counted)``, for kernels of predictors whose
+    ``metadata_stats()`` or ``execution_stats()`` change during a run,
+    returns both as the scalar run would leave them, with event
+    counters taken over the ``counted`` branches; ``None`` reads both
+    from the predictor.
     """
 
     predictions: np.ndarray
-    fill_attribution: Callable[[Any, np.ndarray], None]
-    structure: Callable[[], dict[str, Any]]
     stats: Callable[[np.ndarray], tuple[dict[str, Any],
                                         dict[str, Any]]] | None = None
-
-
-def _fill_component(probe_like: Any, ctx: _VectorContext, component: str,
-                    provided_mask: np.ndarray, correct: np.ndarray,
-                    overrides_mask: np.ndarray | None = None,
-                    overridden: int = 0) -> None:
-    """Replay one component's scalar ``record`` stream as bulk counts."""
-    provided = int(provided_mask.sum())
-    if overrides_mask is None:
-        overrides = override_correct = 0
-    else:
-        overrides = int(overrides_mask.sum())
-        override_correct = int((overrides_mask & correct).sum())
-    probe_like.record_component_bulk(
-        component, provided, int((provided_mask & correct).sum()),
-        overrides=overrides, override_correct=override_correct,
-        overridden=overridden)
-    histogram = getattr(probe_like, "record_histogram_bulk", None)
-    if histogram is not None and provided:
-        unique_ips, counts = np.unique(ctx.ips[provided_mask],
-                                       return_counts=True)
-        for ip, count in zip(unique_ips.tolist(), counts.tolist()):
-            histogram(int(ip), component, int(count))
 
 
 class SaturatingTableKernel:
@@ -578,25 +522,17 @@ class SaturatingTableKernel:
     from the *tracked* outcome stream, the same kernel also serves as a
     tournament's chooser via :meth:`run_masked` (trained only on
     disagreement branches, toward a synthetic outcome).
-
-    ``component`` names the probe component recorded during ``train``
-    (``None`` for predictors that record nothing); ``table_size`` sizes
-    the structural snapshot (``None`` for predictors whose
-    ``probe_stats`` is empty).
     """
 
-    __slots__ = ("index_fn", "lo", "hi", "component", "table_size")
+    __slots__ = ("index_fn", "lo", "hi")
 
     def __init__(self, index_fn: Callable[[_VectorContext], np.ndarray],
-                 counter_width: int, *, component: str | None = None,
-                 table_size: int | None = None):
+                 counter_width: int):
         if counter_width < 1:
             raise SimulationError("counter_width must be >= 1")
         self.index_fn = index_fn
         self.lo = -(1 << (counter_width - 1))
         self.hi = (1 << (counter_width - 1)) - 1
-        self.component = component
-        self.table_size = table_size
 
     def run(self, ctx: _VectorContext) -> KernelRun:
         return self.run_masked(ctx, ctx.taken, None)
@@ -614,53 +550,11 @@ class SaturatingTableKernel:
         if train_mask is not None:
             steps = np.where(train_mask, steps, 0)
         order = np.argsort(indices, kind="stable")
-        sorted_indices = indices[order]
-        sorted_steps = steps[order]
-        before = clamped_walk_states(sorted_indices, sorted_steps,
+        before = clamped_walk_states(indices[order], steps[order],
                                      self.lo, self.hi)
         predictions = np.empty(ctx.n, dtype=bool)
         predictions[order] = before >= 0
-        return self._make_run(ctx, outcomes, train_mask, predictions,
-                              lambda: (sorted_indices, before,
-                                       sorted_steps))
-
-    def _make_run(self, ctx: _VectorContext, outcomes: np.ndarray,
-                  train_mask: np.ndarray | None, predictions: np.ndarray,
-                  scan_arrays: Callable[[], tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray]]
-                  ) -> KernelRun:
-        """Build the :class:`KernelRun` from a finished scan.
-
-        Shared by :meth:`run_masked` and the stacked batch path
-        (:func:`stacked_saturating_runs`) — both produce closures over
-        value-identical arrays and stay bit-exact by construction.
-        ``scan_arrays`` is a thunk returning ``(sorted_indices, before,
-        sorted_steps)``: only ``structure()`` (the probe path) reads
-        them, so the stacked path can defer materialising per-row
-        copies until a probe actually asks.
-        """
-
-        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
-            if self.component is None:
-                return
-            trained = (measured if train_mask is None
-                       else measured & train_mask)
-            _fill_component(probe_like, ctx, self.component, trained,
-                            predictions == outcomes)
-
-        def structure() -> dict[str, Any]:
-            if self.table_size is None:
-                return {}
-            from ..utils.tables import distribution_stats
-
-            sorted_indices, before, sorted_steps = scan_arrays()
-            values = _final_table_values(sorted_indices, before,
-                                         sorted_steps, self.lo, self.hi,
-                                         self.table_size)
-            return {self.component or "table":
-                    distribution_stats(values, self.lo, self.hi)}
-
-        return KernelRun(predictions, fill_attribution, structure)
+        return KernelRun(predictions)
 
 
 #: Above this many python-loop iterations the time-stepped grouped
@@ -677,8 +571,7 @@ _GROUPED_TAIL_WIDTH = 32
 
 
 def _grouped_walk_states(segments: np.ndarray, steps: np.ndarray,
-                         lo: int, hi: int) -> tuple[np.ndarray,
-                                                    Callable[[], np.ndarray]]:
+                         lo: int, hi: int) -> np.ndarray:
     """Time-step-parallel resolution of a stack of segmented ±1 walks.
 
     The doubling scan in :func:`clamped_walk_states` costs
@@ -697,19 +590,15 @@ def _grouped_walk_states(segments: np.ndarray, steps: np.ndarray,
     carries each survivor's current state — and resolved by the doubling
     scan, whose passes are exact for any integer step size.
 
-    Returns ``(predictions_sorted, before_fn)`` where
-    ``predictions_sorted`` is the boolean ``state >= 0`` stream in
-    sorted order and ``before_fn()`` materialises the full int64
-    before-state array on demand (only the probe path needs it).
+    Returns the boolean ``state >= 0`` stream (each element's
+    prediction) in sorted order.
     """
     shape = segments.shape
     n = shape[-1]
     if n == 0:
-        before = np.zeros(shape, dtype=np.int64)
-        return before >= 0, lambda: before
+        return np.ones(shape, dtype=bool)
     if not -128 <= lo <= hi <= 127:
-        before = clamped_walk_states(segments, steps, lo, hi)
-        return before >= 0, lambda: before
+        return clamped_walk_states(segments, steps, lo, hi) >= 0
     is_start = np.empty(shape, dtype=bool)
     is_start[..., 0] = True
     np.not_equal(segments[..., 1:], segments[..., :-1], out=is_start[..., 1:])
@@ -729,8 +618,7 @@ def _grouped_walk_states(segments: np.ndarray, steps: np.ndarray,
     cutoff = int(np.searchsorted(-active, -_GROUPED_TAIL_WIDTH))
     loop_depth = longest if longest - cutoff < 64 else cutoff
     if loop_depth > _GROUPED_WALK_LIMIT:
-        before = clamped_walk_states(segments, steps, lo, hi)
-        return before >= 0, lambda: before
+        return clamped_walk_states(segments, steps, lo, hi) >= 0
     # Rank segments by length descending: every segment alive at depth p
     # (length > p) then outranks every dead one, so the live states are
     # always a contiguous prefix of the rank-ordered state array.  A
@@ -790,12 +678,7 @@ def _grouped_walk_states(segments: np.ndarray, steps: np.ndarray,
         rows = np.broadcast_to(row, (k, tail + 1))
         dense_before = clamped_walk_states(rows, dense_steps, lo, hi)
         grouped_before[idx[valid]] = dense_before[:, 1:][valid]
-    predictions = np.take(grouped_before >= 0, dest).reshape(shape)
-
-    def before_fn() -> np.ndarray:
-        return np.take(grouped_before.astype(np.int64), dest).reshape(shape)
-
-    return predictions, before_fn
+    return np.take(grouped_before >= 0, dest).reshape(shape)
 
 
 def stacked_saturating_runs(ctx: _VectorContext,
@@ -838,26 +721,10 @@ def stacked_saturating_runs(ctx: _VectorContext,
     sorted_keys = np.take_along_axis(sort_keys, order, axis=-1)
     steps = np.where(ctx.taken, np.int8(1), np.int8(-1))
     sorted_steps = np.take(steps, order)
-    pred_sorted, before_fn = _grouped_walk_states(sorted_keys, sorted_steps,
-                                                  lo, hi)
+    pred_sorted = _grouped_walk_states(sorted_keys, sorted_steps, lo, hi)
     predictions = np.empty(sort_keys.shape, dtype=bool)
     np.put_along_axis(predictions, order, pred_sorted, axis=-1)
-    # The probe path is the only consumer of the scan arrays; share one
-    # lazily materialised before-state stack across all rows.
-    lazy: dict[str, np.ndarray] = {}
-
-    def row_arrays(row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        before = lazy.get("before")
-        if before is None:
-            before = lazy["before"] = before_fn()
-        return (sorted_keys[row].astype(np.int64), before[row],
-                sorted_steps[row].astype(np.int64))
-
-    return [
-        kernel._make_run(ctx, ctx.taken, None, predictions[row],
-                         lambda row=row: row_arrays(row))
-        for row, kernel in enumerate(kernels)
-    ]
+    return [KernelRun(row) for row in predictions]
 
 
 class TournamentKernel:
@@ -894,37 +761,10 @@ class TournamentKernel:
         meta_run = self.meta.run_masked(ctx, synthetic, disagreed)
         chooser = meta_run.predictions
         final = np.where(chooser, p1, p0)
-
-        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
-            correct = final == ctx.taken
-            for name, chose in (("predictor_0", ~chooser),
-                                ("predictor_1", chooser)):
-                provided_mask = measured & chose
-                _fill_component(
-                    probe_like, ctx, name, provided_mask, correct,
-                    overrides_mask=provided_mask & disagreed,
-                    overridden=int((measured & ~chose & disagreed).sum()))
-            meta_run.fill_attribution(probe_like.scoped("metapredictor"),
-                                      measured)
-            run0.fill_attribution(probe_like.scoped("predictor_0"),
-                                  measured)
-            run1.fill_attribution(probe_like.scoped("predictor_1"),
-                                  measured)
-
-        def structure() -> dict[str, Any]:
-            stats: dict[str, Any] = {}
-            for role, sub in (("metapredictor", meta_run),
-                              ("predictor_0", run0),
-                              ("predictor_1", run1)):
-                sub_stats = sub.structure()
-                if sub_stats:
-                    stats[role] = sub_stats
-            return stats
-
         roles = (("metapredictor", meta_run), ("predictor_0", run0),
                  ("predictor_1", run1))
         if all(sub.stats is None for _, sub in roles):
-            return KernelRun(final, fill_attribution, structure)
+            return KernelRun(final)
 
         def stats(counted: np.ndarray) -> tuple[dict[str, Any],
                                                  dict[str, Any]]:
@@ -940,7 +780,7 @@ class TournamentKernel:
                     execution[role] = sub_execution
             return metadata, execution
 
-        return KernelRun(final, fill_attribution, structure, stats)
+        return KernelRun(final, stats)
 
 
 class GskewKernel:
@@ -984,8 +824,6 @@ class GskewKernel:
         g1 = [0] * size
         meta = [0] * size
         finals = []
-        used_gskew = []
-        disagreements = []
         for i in range(ctx.n):
             bi = bim_idx[i]
             i0 = g0_idx[i]
@@ -998,10 +836,7 @@ class GskewKernel:
             use_gskew = meta[bi] >= 0
             final = majority if use_gskew else bim_pred
             finals.append(final)
-            used_gskew.append(use_gskew)
-            disagreed = bim_pred != majority
-            disagreements.append(disagreed)
-            if disagreed:
+            if bim_pred != majority:
                 v = meta[bi]
                 if majority == taken:
                     if v < 1:
@@ -1046,32 +881,7 @@ class GskewKernel:
                             table[index] = v + 1
                     elif v > -2:
                         table[index] = v - 1
-        predictions = np.array(finals, dtype=bool)
-        gskew_provided = np.array(used_gskew, dtype=bool)
-        disagreed = np.array(disagreements, dtype=bool)
-
-        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
-            correct = predictions == ctx.taken
-            for name, provided in (("gskew", gskew_provided),
-                                   ("bimodal", ~gskew_provided)):
-                provided_mask = measured & provided
-                _fill_component(
-                    probe_like, ctx, name, provided_mask, correct,
-                    overrides_mask=provided_mask & disagreed,
-                    overridden=int((measured & ~provided
-                                    & disagreed).sum()))
-
-        def structure() -> dict[str, Any]:
-            from ..utils.tables import distribution_stats
-
-            return {
-                "bimodal": distribution_stats(bim, -2, 1),
-                "g0": distribution_stats(g0, -2, 1),
-                "g1": distribution_stats(g1, -2, 1),
-                "meta": distribution_stats(meta, -2, 1),
-            }
-
-        return KernelRun(predictions, fill_attribution, structure)
+        return KernelRun(np.array(finals, dtype=bool))
 
 
 class YagsKernel:
@@ -1111,9 +921,6 @@ class YagsKernel:
         not_taken_tags = [-1] * cache_size
         not_taken_ctrs = [0] * cache_size
         finals = []
-        # 0 = choice provided, 1 = taken_cache, 2 = not_taken_cache.
-        providers = []
-        overrode_choice = []
         for i in range(ctx.n):
             ci = choice_idx[i]
             ki = cache_idx[i]
@@ -1127,8 +934,6 @@ class YagsKernel:
             hit = entry_tags[ki] == tag
             final = (entry_ctrs[ki] >= 0) if hit else bias_taken
             finals.append(final)
-            providers.append((2 if bias_taken else 1) if hit else 0)
-            overrode_choice.append(hit and final != bias_taken)
             if not (bias_taken != taken and hit and final == taken):
                 value = choice[ci] + (1 if taken else -1)
                 choice[ci] = min(1, max(-2, value))
@@ -1139,39 +944,7 @@ class YagsKernel:
                 else:
                     value = entry_ctrs[ki] + (1 if taken else -1)
                     entry_ctrs[ki] = min(1, max(-2, value))
-        predictions = np.array(finals, dtype=bool)
-        provider_codes = np.array(providers, dtype=np.int8)
-        overrides = np.array(overrode_choice, dtype=bool)
-
-        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
-            correct = predictions == ctx.taken
-            _fill_component(probe_like, ctx, "choice",
-                            measured & (provider_codes == 0), correct,
-                            overridden=int((measured & overrides).sum()))
-            for name, code in (("taken_cache", 1), ("not_taken_cache", 2)):
-                provided_mask = measured & (provider_codes == code)
-                _fill_component(probe_like, ctx, name, provided_mask,
-                                correct,
-                                overrides_mask=provided_mask & overrides)
-
-        def structure() -> dict[str, Any]:
-            from ..utils.tables import distribution_stats
-
-            def cache_stats(entry_tags: list[int],
-                            entry_ctrs: list[int]) -> dict[str, Any]:
-                stats = distribution_stats(entry_ctrs, -2, 1)
-                live = sum(1 for tag in entry_tags if tag != -1)
-                stats["live_fraction"] = live / len(entry_tags)
-                return stats
-
-            return {
-                "choice": distribution_stats(choice, -2, 1),
-                "taken_cache": cache_stats(taken_tags, taken_ctrs),
-                "not_taken_cache": cache_stats(not_taken_tags,
-                                               not_taken_ctrs),
-            }
-
-        return KernelRun(predictions, fill_attribution, structure)
+        return KernelRun(np.array(finals, dtype=bool))
 
 
 class PerceptronKernel:
@@ -1247,20 +1020,18 @@ class PerceptronKernel:
                 block[:, tables] ^= folded
             yield block.view(np.int64) + offsets
 
-    def _walk(self, ctx: _VectorContext,
-              ) -> tuple[list[int], np.ndarray, list[int], int]:
+    def _walk(self, ctx: _VectorContext) -> tuple[list[int], int]:
         """The scalar weight loop.
 
-        Returns ``(weights, entries, codes, theta)``.  Weights are kept
-        compact: ``weights[k]`` is the final weight at flat index
-        ``entries[k]``, and indices no branch reads stay at 0.
-        ``codes[i]`` is branch ``i``'s prediction plus 2 when it trained
-        on a low-confidence sum.
+        Returns ``(codes, theta)``: ``codes[i]`` is branch ``i``'s
+        prediction plus 2 when it trained on a low-confidence sum, and
+        ``theta`` is the final threshold.  Weights are kept compact: a
+        flat index gets the next slot of the weight list the first time
+        a branch reads it.
         """
         space = len(self.history_lengths) << self.log_table_size
         known = np.zeros(space, dtype=bool)
         slots = np.empty(space, dtype=np.int64)  # read only where known
-        entries = [np.zeros(0, dtype=np.int64)]
         weights: list[int] = []
         weight = weights.__getitem__
         w_max = (1 << (self.weight_width - 1)) - 1
@@ -1278,7 +1049,6 @@ class PerceptronKernel:
             fresh = np.flatnonzero(seen & ~known)
             known[fresh] = True
             slots[fresh] = np.arange(len(weights), len(weights) + len(fresh))
-            entries.append(fresh)
             weights.extend([0] * len(fresh))
             for row, taken in zip(zip(*slots[block.T].tolist()), outcomes):
                 total = sum(map(weight, row))
@@ -1313,57 +1083,14 @@ class PerceptronKernel:
                             if theta > 1:
                                 theta -= 1
                             tc = 0
-        return weights, np.concatenate(entries), codes, theta
-
-    def _dominant(self, ctx: _VectorContext,
-                  trained: np.ndarray) -> np.ndarray:
-        """The table of each branch's largest-magnitude weight.
-
-        The first such table on ties: the component the scalar
-        predictor's probe records.  The weights are replayed from zero over full-size
-        tables, with :meth:`_walk`'s update applied on every ``trained``
-        branch.
-        """
-        weights = [0] * (len(self.history_lengths) << self.log_table_size)
-        w_max = (1 << (self.weight_width - 1)) - 1
-        w_min = -(1 << (self.weight_width - 1))
-        dominant: list[int] = []
-        steps = zip(ctx.taken.tolist(), trained.tolist())
-        for block in self.index_blocks(ctx):
-            for row, (taken, train) in zip(block.tolist(), steps):
-                values = [weights[i] for i in row]
-                dominant.append(values.index(max(values, key=abs)))
-                if not train:
-                    continue
-                bound, delta = (w_max, 1) if taken else (w_min, -1)
-                for i in row:
-                    if weights[i] != bound:
-                        weights[i] += delta
-        return np.array(dominant, dtype=np.int64)
+        return codes, theta
 
     def run(self, ctx: _VectorContext) -> KernelRun:
-        weights, entries, codes, theta = self._walk(ctx)
+        codes, theta = self._walk(ctx)
         code_array = np.array(codes, dtype=np.int8)
         predictions = (code_array & 1).astype(bool)
         mispredicted = predictions != ctx.taken
         threshold_trained = code_array >= 2
-
-        def fill_attribution(probe_like: Any, measured: np.ndarray) -> None:
-            dominant = self._dominant(ctx, mispredicted | threshold_trained)
-            correct = ~mispredicted
-            for table in range(len(self.history_lengths)):
-                _fill_component(probe_like, ctx, f"T{table}",
-                                measured & (dominant == table), correct)
-
-        def structure() -> dict[str, Any]:
-            from ..utils.tables import distribution_stats
-
-            tables = np.zeros((len(self.history_lengths),
-                               1 << self.log_table_size), dtype=np.int64)
-            tables.ravel()[entries] = weights
-            w_max = (1 << (self.weight_width - 1)) - 1
-            return {f"T{t}": distribution_stats(table, -w_max - 1, w_max)
-                    for t, table in enumerate(tables)}
 
         def stats(counted: np.ndarray) -> tuple[dict[str, Any],
                                                  dict[str, Any]]:
@@ -1374,7 +1101,7 @@ class PerceptronKernel:
                 "final_theta": theta,
             }
 
-        return KernelRun(predictions, fill_attribution, structure, stats)
+        return KernelRun(predictions, stats)
 
 
 def _plan_accounting(data: TraceData, limit: int | None,
@@ -1417,14 +1144,13 @@ def _finish_unit(source: "Predictor | Derivation", name: str,
                  run: KernelRun, numbers: np.ndarray, included: int,
                  instructions: int, exhausted: bool, start: float,
                  telemetry: "IntervalRecorder | None",
-                 probe: "PredictionProbe | None",
                  ) -> "SimulationResult":
     """Turn one finished kernel run into a :class:`SimulationResult`.
 
     The single finisher shared by :func:`simulate_vectorized` and the
     config-batched path (:func:`run_unit_group`): measured-region
-    counting, interval-telemetry replay, probe fill, ``most_failed`` and
-    result assembly all live here, so a batched unit's result is
+    counting, interval-telemetry replay, ``most_failed`` and result
+    assembly all live here, so a batched unit's result is
     byte-identical to a per-unit one by construction.  ``start`` is the
     unit's simulation start time (``simulation_time`` runs from it to
     the end of the telemetry replay, matching the standalone engine).
@@ -1470,32 +1196,12 @@ def _finish_unit(source: "Predictor | Derivation", name: str,
 
     measured_instructions = max(0, instructions - warmup)
 
-    per_branch = None
-    wrong_counts = None
-    ips_list = occurrences = None
-    if (probe is not None or config.collect_most_failed) and measured.any():
-        ips_list, inverse, bins, occurrences, taken_counts = \
-            ctx.branch_base(warmup, measured)
+    most_failed = []
+    if config.collect_most_failed and mispredictions:
+        ips_list, inverse, bins, occurrences = ctx.branch_base(warmup,
+                                                               measured)
         wrong_counts = np.bincount(inverse, weights=wrong[measured],
                                    minlength=bins)
-        per_branch = (ips_list, occurrences, taken_counts,
-                      wrong_counts.tolist())
-
-    probe_report = None
-    if probe is not None:
-        probe.start()
-        run.fill_attribution(probe, measured)
-        if per_branch is not None:
-            for ip, occ, taken_count, wrong_count in zip(*per_branch):
-                probe.record_branch_bulk(int(ip), int(occ),
-                                         int(taken_count),
-                                         int(wrong_count))
-        probe.set_structure(run.structure())
-        probe_report = probe.report()
-
-    most_failed = []
-    if config.collect_most_failed and wrong_counts is not None \
-            and mispredictions:
         # Vectorized equivalent of :func:`metrics.most_failed_branches`:
         # rank by (-mispredictions, ip) — ``ips_list`` is ascending from
         # ``np.unique``, so a stable sort on the negated counts breaks
@@ -1540,7 +1246,6 @@ def _finish_unit(source: "Predictor | Derivation", name: str,
         predictor_metadata=metadata,
         predictor_statistics=statistics,
         most_failed=most_failed,
-        probe_report=probe_report,
     )
 
 
@@ -1549,15 +1254,16 @@ def simulate_vectorized(predictor: "Predictor | Derivation", trace: Any,
                         trace_name: str | None = None,
                         tracer: "Tracer | None" = None,
                         telemetry: "IntervalRecorder | None" = None,
-                        probe: "PredictionProbe | None" = None
                         ) -> "SimulationResult":
     """Vectorized counterpart of :func:`repro.core.simulator.simulate`.
 
     Evaluates ``predictor``'s vector kernel over the whole trace and
     returns a :class:`~repro.core.output.SimulationResult` byte-identical
     (up to wall-clock ``simulation_time``) to the scalar engine's —
-    including warmup/``max_instructions`` accounting, ``most_failed``,
-    interval telemetry records and the probe report.  Raises
+    including warmup/``max_instructions`` accounting, ``most_failed``
+    and interval telemetry records.  It takes no probe: a probed run
+    belongs to the scalar loop, which
+    :func:`~repro.core.simulator.simulate` picks for it.  Raises
     :class:`~repro.core.errors.EngineNotSupportedError` when the
     predictor has no kernel.  The predictor instance itself is never
     trained — only its configuration is read — so a configuration's
@@ -1587,7 +1293,7 @@ def simulate_vectorized(predictor: "Predictor | Derivation", trace: Any,
     run = kernel.run(ctx)
     result = _finish_unit(predictor, name, config, ctx, run, numbers,
                           included, instructions, exhausted, start,
-                          telemetry, probe)
+                          telemetry)
     if tracer is not None:
         # ``simulation_time`` is the loop phase; finalize is the rest.
         end = time.perf_counter()
@@ -1604,13 +1310,13 @@ def run_unit_group(trace: Any, units: Sequence[tuple],
                    ) -> tuple[list[Any], dict[str, int]]:
     """Evaluate several configs over one trace in batched passes.
 
-    ``units`` is a sequence of ``(factory, config, name, probe,
-    sim_engine)`` tuples — the fields of a
-    :class:`~repro.core.plan.WorkUnit`.  A configured factory's unit
-    runs its derivation's kernel and builds no predictor
-    (:func:`~repro.core.configured.simulation_source`); a factory that
-    raises fails its unit with ``stage="predictor"``.  The trace
-    context is built once per
+    ``units`` is a sequence of ``(factory, config, name, sim_engine)``
+    tuples — fields of a :class:`~repro.core.plan.WorkUnit`; a probed
+    unit never comes here, it runs alone on the scalar loop.  A
+    configured factory's unit runs its derivation's kernel and builds
+    no predictor (:func:`~repro.core.configured.simulation_source`); a
+    factory that raises fails its unit with ``stage="predictor"``.  The
+    trace context is built once per
     ``(max_instructions, track_only_conditional)`` combination, derived
     history windows are memoized across configs inside it, and
     same-bounds :class:`SaturatingTableKernel` units are stacked into a
@@ -1639,32 +1345,28 @@ def run_unit_group(trace: Any, units: Sequence[tuple],
 
     data, _ = _resolve_trace(trace)
     outcomes: list[Any] = [None] * len(units)
-    prepared: dict[int, tuple[Any, Any, Any, str, bool]] = {}
+    prepared: dict[int, tuple[Any, Any, Any, str]] = {}
     accts: dict[Any, tuple] = {}
     ctxs: dict[Any, _VectorContext] = {}
     stacks: dict[Any, list[int]] = {}
     singles: list[int] = []
 
-    def failure(name: str, exc: BaseException,
-                stage: str = "simulate") -> "TraceFailure":
-        return TraceFailure(name, error=f"{type(exc).__name__}: {exc}",
-                            details=traceback.format_exc(), stage=stage)
-
     for position, unit in enumerate(units):
-        factory, config, name, probe, sim_engine = unit
+        factory, config, name, sim_engine = unit
         if sim_engine not in ("vectorized", "auto"):
             outcomes[position] = _run_one(factory, trace, config, name,
-                                          probe, sim_engine=sim_engine)
+                                          sim_engine=sim_engine)
             continue
         try:
             source = simulation_source(factory, sim_engine)
         except Exception as exc:
-            outcomes[position] = failure(name, exc, "predictor")
+            outcomes[position] = TraceFailure.from_exception(
+                name, exc, stage="predictor")
             continue
         try:
             kernel = source.vector_kernel()
         except Exception as exc:
-            outcomes[position] = failure(name, exc)
+            outcomes[position] = TraceFailure.from_exception(name, exc)
             continue
         if kernel is None:
             # No batchable kernel, so ``source`` is a cold predictor:
@@ -1673,11 +1375,10 @@ def run_unit_group(trace: Any, units: Sequence[tuple],
             # EngineNotSupportedError wrapping for
             # sim_engine="vectorized".
             outcomes[position] = _run_one(lambda: source, trace, config,
-                                          name, probe,
-                                          sim_engine=sim_engine)
+                                          name, sim_engine=sim_engine)
             continue
         cfg = config or SimulationConfig()
-        prepared[position] = (source, kernel, cfg, name, probe)
+        prepared[position] = (source, kernel, cfg, name)
         ctx_key = (cfg.max_instructions, cfg.track_only_conditional)
         if isinstance(kernel, SaturatingTableKernel):
             stacks.setdefault((ctx_key, kernel.lo, kernel.hi),
@@ -1700,27 +1401,21 @@ def run_unit_group(trace: Any, units: Sequence[tuple],
 
     def finish(position: int, ctx: _VectorContext, run: KernelRun,
                start: float) -> "SimulationResult":
-        source, _kernel, cfg, name, probe = prepared[position]
+        source, _kernel, cfg, name = prepared[position]
         _work, numbers, included, instructions, exhausted = (
             accts[cfg.max_instructions])
-        probe_obj = None
-        if probe:
-            from ..probe import PredictionProbe
-
-            probe_obj = PredictionProbe()
         return _finish_unit(source, name, cfg, ctx, run, numbers,
-                            included, instructions, exhausted, start,
-                            None, probe_obj)
+                            included, instructions, exhausted, start, None)
 
     def run_alone(position: int) -> None:
-        _source, kernel, cfg, name, _probe = prepared[position]
+        _source, kernel, cfg, name = prepared[position]
         try:
             ctx = context_for(cfg)
             start = time.perf_counter()
             outcomes[position] = finish(position, ctx, kernel.run(ctx),
                                         start)
         except Exception as exc:
-            outcomes[position] = failure(name, exc)
+            outcomes[position] = TraceFailure.from_exception(name, exc)
 
     for (ctx_key, _lo, _hi), members in stacks.items():
         cfg = prepared[members[0]][2]
@@ -1728,7 +1423,8 @@ def run_unit_group(trace: Any, units: Sequence[tuple],
             ctx = context_for(cfg)
         except Exception as exc:
             for position in members:
-                outcomes[position] = failure(prepared[position][3], exc)
+                outcomes[position] = TraceFailure.from_exception(
+                    prepared[position][3], exc)
             continue
         shared_start = time.perf_counter()
         try:
@@ -1747,7 +1443,8 @@ def run_unit_group(trace: Any, units: Sequence[tuple],
                 outcomes[position] = finish(
                     position, ctx, run, time.perf_counter() - share)
             except Exception as exc:
-                outcomes[position] = failure(prepared[position][3], exc)
+                outcomes[position] = TraceFailure.from_exception(
+                    prepared[position][3], exc)
 
     for position in singles:
         run_alone(position)

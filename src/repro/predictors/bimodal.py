@@ -108,5 +108,4 @@ class Bimodal(Predictor):
         index_mask = np.uint64(self._index_mask)
         return SaturatingTableKernel(
             lambda ctx: (ctx.ips >> shift) & index_mask,
-            self.counter_width, component="table",
-            table_size=1 << self.log_table_size)
+            self.counter_width)

@@ -128,5 +128,4 @@ class GShare(Predictor):
             lambda ctx: ctx.folded_ips(log_table_size)
             ^ xor_fold_array(ctx.global_history(history_length),
                              log_table_size),
-            self.counter_width, component="table",
-            table_size=1 << log_table_size)
+            self.counter_width)

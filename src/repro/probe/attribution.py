@@ -96,7 +96,7 @@ class PredictionProbe:
                 self._structure = stats
 
     def set_structure(self, structure: dict[str, Any]) -> None:
-        """Install structural statistics directly (vectorized engines)."""
+        """Install structural statistics directly, with no predictor."""
         self._structure = dict(structure)
 
     # -- event hooks (called from predictors' train paths) ------------
@@ -147,51 +147,6 @@ class PredictionProbe:
             cell[1] += 1
         if mispredicted:
             cell[2] += 1
-
-    # -- bulk hooks (vectorized engines) ------------------------------
-
-    def record_component_bulk(self, provider: str, provided: int,
-                              correct: int, *, overrides: int = 0,
-                              override_correct: int = 0,
-                              overridden: int = 0,
-                              scope: str = "") -> None:
-        """Attribute a component's aggregate counts, overrides included.
-
-        ``provided``/``correct`` count the component's predictions and
-        how many were right; for arbitrated predictors
-        ``overrides``/``override_correct`` count the provider's wins over
-        a disagreeing loser, ``overridden`` its own losses.  Mirrors
-        :meth:`record` cell semantics — a component that neither
-        provided nor was overridden gets no cell, and only provided
-        predictions advance the scope total.
-        """
-        if not self._armed or (provided <= 0 and overridden <= 0):
-            return
-        components = self._scopes.setdefault(scope, {})
-        if provided > 0:
-            self._scope_totals[scope] = (
-                self._scope_totals.get(scope, 0) + provided)
-        cell = components.setdefault(provider, [0, 0, 0, 0, 0])
-        cell[_PROVIDED] += provided
-        cell[_CORRECT] += correct
-        cell[_OVERRIDES] += overrides
-        cell[_OVERRIDE_CORRECT] += override_correct
-        cell[_OVERRIDDEN] += overridden
-
-    def record_histogram_bulk(self, ip: int, component: str,
-                              count: int) -> None:
-        """Count ``count`` root-scope provisions of ``component`` at ``ip``.
-
-        Feeds the dominant-component labelling of the top-offenders
-        table.  Deliberately absent from :class:`ScopedProbe`: only
-        root-scope :meth:`record` events feed the histogram, so bulk
-        fillers probing ``hasattr`` skip it inside scopes exactly like
-        the scalar path does.
-        """
-        if not self._armed or count <= 0:
-            return
-        histogram = self._branch_components.setdefault(ip, {})
-        histogram[component] = histogram.get(component, 0) + count
 
     def record_branch_bulk(self, ip: int, occurrences: int, taken: int,
                            mispredictions: int,
@@ -284,17 +239,6 @@ class ScopedProbe:
                overrode: str | None = None, scope: str = "") -> None:
         path = f"{self._scope}/{scope}" if scope else self._scope
         self._probe.record(ip, provider, correct, overrode, scope=path)
-
-    def record_component_bulk(self, provider: str, provided: int,
-                              correct: int, *, overrides: int = 0,
-                              override_correct: int = 0,
-                              overridden: int = 0,
-                              scope: str = "") -> None:
-        path = f"{self._scope}/{scope}" if scope else self._scope
-        self._probe.record_component_bulk(
-            provider, provided, correct, overrides=overrides,
-            override_correct=override_correct, overridden=overridden,
-            scope=path)
 
     def scoped(self, name: str) -> "ScopedProbe":
         return ScopedProbe(self._probe, f"{self._scope}/{name}")

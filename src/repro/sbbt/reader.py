@@ -3,10 +3,11 @@
 Two read paths mirror the writer:
 
 * :func:`read_trace` — bulk: validate the header, decompress the body it
-  promises, then decode every 128-bit packet in one vectorized numpy
-  pass into a :class:`~repro.sbbt.trace.TraceData`.  This is the fast
-  path the simulators use and the reproduction's stand-in for MBPlib's
-  stream parsing (no per-record text parsing, no graph lookups).
+  promises (:func:`read_payload`), then decode every 128-bit packet in
+  one vectorized numpy pass into a :class:`~repro.sbbt.trace.TraceData`.
+  This is the fast path the simulators use and the reproduction's
+  stand-in for MBPlib's stream parsing (no per-record text parsing, no
+  graph lookups).
 * :class:`SbbtReader` — streaming: yields one
   :class:`~repro.sbbt.packet.SbbtPacket` at a time with bounded memory,
   for tools that inspect or filter huge traces.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 from types import TracebackType
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .header import HEADER_SIZE, SbbtHeader
 from .packet import PACKET_SIZE, SbbtPacket
 from .trace import TraceData
 
-__all__ = ["read_trace", "decode_payload", "SbbtReader"]
+__all__ = ["read_trace", "read_payload", "decode_payload", "SbbtReader"]
 
 _META_MASK = np.uint64((1 << 12) - 1)
 _RESERVED_MASK = np.uint64(0b0111_1111_0000)
@@ -39,30 +40,16 @@ _ADDR_SHIFT = 12
 _READ_BLOCK = 1 << 20
 
 
-def decode_payload(payload: bytes, *, validate: bool = True) -> TraceData:
+def decode_payload(payload: bytes | bytearray, *,
+                   validate: bool = True) -> TraceData:
     """Decode a full SBBT byte payload (header + packets) into arrays.
 
     With ``validate=True`` the reserved bits, opcode range and the two
     semantic rules of the format are checked on whole columns.
     """
-    return _decode_body(SbbtHeader.decode(payload), payload[HEADER_SIZE:],
-                        validate)
-
-
-def _decode_body(header: SbbtHeader, body: bytes | bytearray,
-                 validate: bool) -> TraceData:
-    """Decode the packets that follow ``header`` (see
-    :func:`decode_payload`)."""
-    expected = header.num_branches * PACKET_SIZE
-    if len(body) < expected:
-        raise TraceFormatError(
-            f"trace body truncated: header promises {header.num_branches} "
-            f"packets ({expected} bytes) but only {len(body)} bytes follow"
-        )
-    if len(body) > expected:
-        raise TraceFormatError(
-            f"{len(body) - expected} trailing bytes after the last packet"
-        )
+    header = SbbtHeader.decode(payload)
+    body = memoryview(payload)[HEADER_SIZE:]
+    _check_body_size(header, len(body))
     blocks = np.frombuffer(body, dtype="<u8").reshape(-1, 2)
     # numpy may return a big-endian-unfriendly view on exotic platforms;
     # ascontiguousarray also detaches us from the immutable bytes buffer.
@@ -122,34 +109,56 @@ def _validate_columns(block1: np.ndarray, opcodes: np.ndarray,
         )
 
 
-def read_trace(path: str | os.PathLike, *, validate: bool = True) -> TraceData:
-    """Read, decompress and bulk-decode the SBBT trace at ``path``.
+def _check_body_size(header: SbbtHeader, size: int) -> None:
+    """Refuse a body of ``size`` bytes that is not what ``header``
+    promises."""
+    expected = header.num_branches * PACKET_SIZE
+    if size < expected:
+        raise TraceFormatError(
+            f"trace body truncated: header promises {header.num_branches} "
+            f"packets ({expected} bytes) but only {size} bytes follow"
+        )
+    if size > expected:
+        raise TraceFormatError(
+            f"{size - expected} trailing bytes after the last packet"
+        )
+
+
+def read_payload(path: str | os.PathLike) -> bytearray:
+    """Read and decompress the SBBT payload (header + packets) at
+    ``path``, checked against its header but not decoded.
 
     The header is read and validated before the body, and the body read
     stops one byte past the packets the header promises, so a bad
     signature or a lying header never decompresses the rest of the file.
     That one byte detects trailing bytes; their reported count is then
-    1, however many follow.
+    1, however many follow.  Format errors name ``path``.
     """
     with open_compressed(path, "rb") as stream:
         try:
-            header = SbbtHeader.read_from(stream)
-            body = _read_at_most(
-                stream, header.num_branches * PACKET_SIZE + 1)
-            return _decode_body(header, body, validate)
+            payload = bytearray(stream.read(HEADER_SIZE))
+            header = SbbtHeader.decode(payload)
+            size = HEADER_SIZE + header.num_branches * PACKET_SIZE + 1
+            while len(payload) < size:
+                block = stream.read(min(size - len(payload), _READ_BLOCK))
+                if not block:
+                    break
+                payload += block
+            _check_body_size(header, len(payload) - HEADER_SIZE)
         except TraceFormatError as exc:
             raise TraceFormatError(f"{Path(path)}: {exc}") from exc
+    return payload
 
 
-def _read_at_most(stream: BinaryIO, size: int) -> bytearray:
-    """Up to ``size`` bytes of ``stream``, read in bounded blocks."""
-    data = bytearray()
-    while len(data) < size:
-        block = stream.read(min(size - len(data), _READ_BLOCK))
-        if not block:
-            break
-        data += block
-    return data
+def read_trace(path: str | os.PathLike, *, validate: bool = True) -> TraceData:
+    """Read, decompress and bulk-decode the SBBT trace at ``path``
+    (:func:`read_payload`, then :func:`decode_payload`).  Format errors
+    name ``path``."""
+    payload = read_payload(path)
+    try:
+        return decode_payload(payload, validate=validate)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{Path(path)}: {exc}") from exc
 
 
 class SbbtReader:

@@ -41,6 +41,21 @@ def exploding_factory() -> ExplodingPredictor:
     return ExplodingPredictor()
 
 
+def test_failure_record_from_the_handled_exception():
+    try:
+        raise ValueError("bad value")
+    except ValueError as exc:
+        failure = TraceFailure.from_exception("t.sbbt", exc, stage="trace")
+        default = TraceFailure.from_exception("t.sbbt", exc)
+    assert failure.trace_name == "t.sbbt"
+    assert failure.error == "ValueError: bad value"
+    assert failure.stage == "trace"
+    assert failure.details.startswith("Traceback (most recent call last)")
+    assert failure.details.rstrip().endswith("ValueError: bad value")
+    assert default.stage == "simulate"
+    assert str(failure) == "t.sbbt: ValueError: bad value"
+
+
 @pytest.fixture(scope="module")
 def good_traces(tmp_path_factory):
     directory = tmp_path_factory.mktemp("failure-traces")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -82,13 +83,22 @@ def check_sweep_shape(name: str, seed: int) -> None:
                          conditional_fraction=rng.choice([0.5, 0.8, 1.0]))
     config = random_config(rng, trace)
     plan = WorkPlan.for_points(factories, [trace], config,
-                               probe=rng.random() < 0.5,
                                sim_engine="auto")
+    if rng.random() < 0.5:
+        # A probed unit runs the scalar loop on its own, outside the
+        # group its neighbours form.
+        units = list(plan.units)
+        probed = rng.randrange(len(units))
+        units[probed] = replace(units[probed], probe=True)
+        plan = WorkPlan(units=tuple(units))
+    grouped = sum(not unit.probe for unit in plan)
     batched, timers = execute_folded(plan, batch="auto")
     per_unit = execute_plan(plan, batch="off")
     assert_outcomes_identical(batched, per_unit)
-    assert timers.counters.get("batch_groups") == 1
-    assert timers.counters.get("batch_units") == len(plan)
+    assert timers.counters.get("batch_groups") == \
+        (1 if grouped >= 2 else None)
+    assert timers.counters.get("batch_units") == \
+        (grouped if grouped >= 2 else None)
 
 
 if HAVE_HYPOTHESIS:
@@ -348,8 +358,6 @@ class TestEngineBatching:
         # batch groups with loose scalar and singleton units gives the
         # same result JSON and the same batch counts inline and as one
         # chunk on a one-worker engine.
-        from dataclasses import replace
-
         from repro.core.engine import ExecutionEngine
         from repro.sbbt.writer import write_trace
         from repro.traces.synth import generate_trace

@@ -219,7 +219,7 @@ class TestNoConstruction:
         factories = [configure(counted, {"history_length": h,
                                          "log_table_size": 10})
                      for h in (3, 5, 7)]
-        units = [(factory, SimulationConfig(), f"h{i}", False, "vectorized")
+        units = [(factory, SimulationConfig(), f"h{i}", "vectorized")
                  for i, factory in enumerate(factories)]
         first, _ = run_unit_group(traces[0], units)
         assert counted.built == len(factories)  # one derivation each

@@ -25,12 +25,13 @@ import pytest
 from repro.cache import SimulationCache
 from repro.core.batch import TraceFailure, run_suite
 from repro.core.engine import ExecutionEngine
-from repro.core.errors import SimulationError
+from repro.core.errors import SimulationError, TraceFormatError
 from repro.core.output import SimulationResult
 from repro.core.plan import WorkPlan, WorkUnit, execute_plan
 from repro.core.predictor import derive_spec
 from repro.core.simulator import SimulationConfig
 from repro.predictors import Bimodal, GShare
+from repro.sbbt.header import HEADER_SIZE
 from repro.sbbt.writer import write_trace
 from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
@@ -297,6 +298,45 @@ class TestAccounting:
             assert as_memory.digest == first.digest
             assert engine.stats.traces_published == 1
             assert engine.resident_traces == 1
+
+    def test_publish_rejects_a_bomb_in_bounded_memory(self, tmp_path):
+        """A bad signature in front of 64 MiB of zeros (~10 KB of xz):
+        publish reads the header first, so the error comes before the
+        body is decompressed, and it names the file."""
+        import tracemalloc
+
+        from tests.sbbt.test_robustness import TestFileFailureInjection
+
+        bomb = str(TestFileFailureInjection._xz_bomb(
+            tmp_path / "bomb.sbbt.xz"))
+        with ExecutionEngine(workers=1) as engine:
+            tracemalloc.start()
+            try:
+                with pytest.raises(TraceFormatError,
+                                   match="signature") as excinfo:
+                    engine.publish(bomb)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert engine.resident_traces == 0
+        assert peak < 2 << 20
+        assert str(excinfo.value).startswith(f"{bomb}: ")
+
+    def test_publish_names_a_file_as_read_trace_does(self, tmp_path):
+        from repro.sbbt.reader import read_trace
+        from tests.sbbt.test_robustness import _valid_payload
+
+        payload = bytearray(_valid_payload())
+        payload[HEADER_SIZE] |= 0b0001_0000  # a reserved bit of packet 0
+        path = tmp_path / "reserved.sbbt"
+        path.write_bytes(bytes(payload))
+        with pytest.raises(TraceFormatError) as inline:
+            read_trace(str(path))
+        with ExecutionEngine(workers=1) as engine:
+            with pytest.raises(TraceFormatError) as published:
+                engine.publish(str(path))
+        assert "reserved bits" in str(inline.value)
+        assert str(published.value) == str(inline.value)
 
     def test_run_plan_publishes_each_trace_once_per_call(
             self, tmp_path, traces, trace_files):

@@ -8,9 +8,8 @@ Covers the ISSUE-4 acceptance properties:
   warmup and under warmup;
 * with the probe disabled the ``SimulationResult`` JSON is byte-
   identical to a probe-less run — the hooks are invisible when off;
-* the vectorized engine fills a probe whose attribution, branch
-  profile and structural statistics match the scalar simulator's
-  exactly;
+* a probed run takes the scalar loop under every engine setting and
+  in every plan backend, so its report is the scalar simulator's;
 * ``run_suite(probe=True)`` attaches one fresh probe per trace on both
   the inline and the process-pool paths, and
   ``get_or_simulate(probe=...)`` observes misses only;
@@ -19,14 +18,16 @@ Covers the ISSUE-4 acceptance properties:
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
 from repro.cache import SimulationCache
 from repro.core.batch import run_suite
+from repro.core.errors import EngineNotSupportedError
+from repro.core.plan import WorkPlan
 from repro.core.simulator import SimulationConfig, simulate
-from repro.core.vectorized import simulate_vectorized
 from repro.predictors import (
     Batage,
     Bimodal,
@@ -236,43 +237,6 @@ class TestZeroOverheadContract:
         assert predictor._probe is None
 
 
-class TestVectorizedProbe:
-    def test_bimodal_matches_scalar_probe(self, server_trace):
-        scalar = PredictionProbe(top_branches=10 ** 9)
-        scalar_result = simulate(Bimodal(log_table_size=10), server_trace,
-                                 SimulationConfig(), probe=scalar)
-        vectorized = PredictionProbe(top_branches=10 ** 9)
-        vec_result = simulate_vectorized(
-            Bimodal(log_table_size=10), server_trace, probe=vectorized)
-        a, b = scalar.report(), vectorized.report()
-        assert a["attribution"] == b["attribution"]
-        assert a["branches"] == b["branches"]
-        assert a["structure"] == b["structure"]
-        assert probe_consistent_with(b, vec_result)
-        assert scalar_result.mispredictions == vec_result.mispredictions
-
-    def test_gshare_matches_scalar_probe(self, server_trace):
-        scalar = PredictionProbe(top_branches=10 ** 9)
-        config = SimulationConfig(track_only_conditional=False)
-        simulate(GShare(log_table_size=10, history_length=8), server_trace,
-                 config, probe=scalar)
-        vectorized = PredictionProbe(top_branches=10 ** 9)
-        simulate_vectorized(GShare(log_table_size=10, history_length=8),
-                            server_trace, config, probe=vectorized)
-        assert scalar.report() == vectorized.report()
-
-    def test_warmup_region_excluded(self, server_trace):
-        scalar = PredictionProbe(top_branches=10 ** 9)
-        config = SimulationConfig(warmup_instructions=5000)
-        simulate(Bimodal(log_table_size=10), server_trace, config,
-                 probe=scalar)
-        vectorized = PredictionProbe(top_branches=10 ** 9)
-        result = simulate_vectorized(Bimodal(log_table_size=10),
-                                     server_trace, config, probe=vectorized)
-        assert scalar.report() == vectorized.report()
-        assert probe_consistent_with(vectorized.report(), result)
-
-
 class TestSuiteAndCacheThreading:
     def test_run_suite_probe_inline(self, small_trace, server_trace):
         batch = run_suite(Bimodal, [small_trace, server_trace], probe=True)
@@ -345,11 +309,15 @@ class TestProbeThroughTelemetry:
 
 
 class TestVectorizedCatalogProbe:
-    """``simulate(engine="vectorized")`` probe parity for every predictor
-    with a vector kernel: attribution, branch profile and structural
-    snapshot must serialize identically to the scalar engine's report."""
+    """A probed run takes the scalar loop under every engine setting, so
+    ``simulate(engine="vectorized")`` with a probe gives, for every
+    predictor with a vector kernel, a report (attribution, branch
+    profile and structural snapshot) that serializes identically to the
+    scalar engine's; a predictor without a kernel is still refused, and
+    a probed unit of a batched plan runs alone."""
 
-    VECTORIZABLE = ["bimodal", "gshare", "tournament", "gskew", "yags"]
+    VECTORIZABLE = ["bimodal", "gshare", "tournament", "gskew", "yags",
+                    "perceptron"]
 
     @pytest.mark.parametrize("name", VECTORIZABLE)
     def test_report_matches_scalar(self, name, server_trace):
@@ -387,3 +355,47 @@ class TestVectorizedCatalogProbe:
         a, b = scalar.report(), vectorized.report()
         assert list(a["structure"]) == list(b["structure"])
         assert a["structure"] == b["structure"]
+
+    def test_kernel_less_predictor_still_rejected(self, server_trace):
+        predictor = PREDICTOR_FACTORIES["gehl"]()
+        assert predictor.vector_kernel() is None
+        with pytest.raises(EngineNotSupportedError, match="vector kernel"):
+            simulate(predictor, server_trace, engine="vectorized",
+                     probe=PredictionProbe())
+
+    def test_probed_unit_runs_loose_in_a_batched_plan(self, tmp_path,
+                                                      server_trace):
+        """Inline and on a one-worker engine, a probed unit stays out of
+        the batch group over its trace and reports as the scalar loop
+        does, while its unprobed neighbours still batch."""
+        from repro.core.engine import ExecutionEngine
+        from repro.sbbt.writer import write_trace
+        from tests.conftest import execute_folded
+        from tests.core.test_vectorized_catalog import comparable_document
+
+        path = str(tmp_path / "server.sbbt")
+        write_trace(path, server_trace)
+        factories = [(h, functools.partial(GShare, history_length=h,
+                                           log_table_size=10))
+                     for h in (4, 6, 8)]
+        batched = WorkPlan.for_points(factories, [path],
+                                      sim_engine="auto")
+        probed = WorkPlan.for_points(factories[-1:], [path], probe=True,
+                                     sim_engine="auto")
+        plan = WorkPlan(units=batched.units[:2] + probed.units
+                        + batched.units[2:])
+        expected = simulate(GShare(history_length=8, log_table_size=10),
+                            path, probe=PredictionProbe())
+        inline = execute_folded(plan, batch="auto")
+        with ExecutionEngine(workers=1) as engine:
+            worker = execute_folded(plan, engine=engine, chunk=len(plan),
+                                    batch="auto")
+        for outcomes, timers in (inline, worker):
+            assert timers.counters["batch_groups"] == 1
+            assert timers.counters["batch_units"] == 3
+            assert [r.probe_report is not None for r in outcomes] == \
+                [False, False, True, False]
+            assert (comparable_document(outcomes[2])
+                    == comparable_document(expected))
+            assert (json.dumps(outcomes[2].probe_report)
+                    == json.dumps(expected.probe_report))
