@@ -39,15 +39,14 @@ import json
 import os
 import tempfile
 import threading
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Union
+from typing import Any, Union
 
 from .core.errors import CacheError
 from .core.output import SIMULATOR_NAME, SIMULATOR_VERSION, SimulationResult
-from .core.predictor import Predictor, canonical_spec, derive_spec
-from .core.simulator import SimulationConfig, simulate
+from .core.predictor import Predictor, canonical_spec
+from .core.simulator import SimulationConfig
 from .sbbt.digest import payload_digest, trace_digest
 from .sbbt.trace import TraceData
 
@@ -379,69 +378,6 @@ class SimulationCache:
         if waiter is not None:
             waiter.wait()
         return claim.outcome
-
-    def get_or_simulate(self, factory: Callable[[], Predictor],
-                        trace: TraceLike,
-                        config: SimulationConfig | None = None, *,
-                        trace_name: str | None = None,
-                        tracer: Any = None,
-                        telemetry: Any = None,
-                        probe: Any = None,
-                        engine: str = "scalar") -> SimulationResult:
-        """Serve from cache, or simulate once and remember the result.
-
-        ``factory`` is called **at most once**.  A configured factory
-        (:class:`~repro.core.configured.ConfiguredFactory`, as
-        :func:`repro.registry.predictor_factory` returns) is the
-        cheap-spec case of :func:`repro.core.predictor.derive_spec`: it
-        derives its spec once per process from a cold instance it does
-        not keep, and is called only on a miss.  For any other factory
-        without a cheap-spec hook, the instance built for key derivation
-        is cold and is the one simulated on a miss.  The trace name is
-        display-only and deliberately not part of the key, so a hit is
-        renamed to the caller's current spelling.
-
-        ``tracer`` / ``telemetry`` are the standard simulator's
-        observability hooks (:mod:`repro.tracing`,
-        :mod:`repro.telemetry`): the key derivation and lookup are
-        recorded as a "cache_lookup" span carrying ``cache_hit`` or
-        ``cache_miss``; on a miss both hooks are forwarded to
-        :func:`~repro.core.simulator.simulate`.  A hit emits no
-        interval telemetry — the stored result has no timeseries — which
-        the run manifest makes visible via its ``cache`` section.
-
-        ``probe`` (a :class:`repro.probe.PredictionProbe`) is likewise
-        forwarded only on a miss: attribution is observed *during*
-        simulation, so a hit returns with ``probe_report=None`` — the
-        entry format (and the key) never carry probe data.
-
-        ``engine`` selects the simulation engine used on a miss
-        (``"scalar"``, ``"vectorized"`` or ``"auto"``).  It is *not*
-        part of the cache key: both engines produce identical results,
-        so runs with different engines share entries.
-        """
-        config = config or SimulationConfig()
-        lookup_start = time.perf_counter() if tracer is not None else 0.0
-        spec, prebuilt = derive_spec(factory)
-        key = self.make_key(trace_digest(trace), spec, config)
-        cached = self.get(key)
-        if tracer is not None:
-            outcome = "cache_hit" if cached is not None else "cache_miss"
-            tracer.add_span("cache_lookup",
-                            time.perf_counter() - lookup_start,
-                            attributes={outcome: 1})
-        if cached is not None:
-            if trace_name is not None:
-                cached.trace_name = trace_name
-            elif not isinstance(trace, TraceData):
-                cached.trace_name = str(trace)
-            return cached
-        predictor = prebuilt if prebuilt is not None else factory()
-        result = simulate(predictor, trace, config, trace_name=trace_name,
-                          tracer=tracer, telemetry=telemetry, probe=probe,
-                          engine=engine)
-        self.put(key, result)
-        return result
 
     # ------------------------------------------------------------------
     # Maintenance.

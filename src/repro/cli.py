@@ -46,7 +46,6 @@ import sys
 from contextlib import contextmanager
 from typing import Sequence
 
-from .core.errors import EngineNotSupportedError
 from .core.predictor import Predictor
 from .core.simulator import SimulationConfig, simulate
 # The predictor catalog lives in repro.registry (one table shared with
@@ -457,7 +456,12 @@ DEFAULT_TELEMETRY_INTERVAL = 100_000
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """One-unit plan through :func:`~repro.core.plan.execute_plan`, the
+    funnel ``suite``, ``sweep`` and the serve daemon share: same key,
+    same lookup, with or without ``--cache-dir``."""
     from .cache import resolve_cache_dir
+    from .core.output import SimulationResult
+    from .core.plan import WorkPlan, WorkUnit, execute_plan
 
     config = SimulationConfig(warmup_instructions=args.warmup,
                               max_instructions=args.max_instructions)
@@ -465,51 +469,35 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise SystemExit("--interval requires --telemetry")
     if args.probe and args.telemetry is None:
         raise SystemExit("--probe requires --telemetry")
-    recorder = probe = spans = None
+    interval = None
     if args.telemetry is not None:
-        from .telemetry import IntervalRecorder
-
-        recorder = IntervalRecorder(
-            args.interval if args.interval is not None
-            else DEFAULT_TELEMETRY_INTERVAL)
-    if args.probe:
-        from .probe import PredictionProbe
-
-        probe = PredictionProbe()
+        interval = (args.interval if args.interval is not None
+                    else DEFAULT_TELEMETRY_INTERVAL)
+    plan = WorkPlan((WorkUnit(
+        factory=predictor_factory(args.predictor), trace=args.trace,
+        name=args.trace, config=config, probe=args.probe,
+        sim_engine=args.engine, interval=interval),))
     cache_dir = resolve_cache_dir(args.cache_dir)
-    cache_used = cache_dir is not None
     with _tracing(args, "simulate") as (tracer, root_context):
-        with tracer.span("simulate", parent=root_context,
-                         attributes={"unit": args.trace,
-                                     "predictor": args.predictor}) as span:
-            if args.telemetry is not None or tracer.enabled:
-                from .tracing import SpanRecorder
+        spans = tracer
+        if args.telemetry is not None and not tracer.enabled:
+            from .tracing import SpanRecorder
 
-                spans = SpanRecorder(root=span.context,
-                                     sink=getattr(tracer, "sink", None))
-            try:
-                if cache_used:
-                    from .cache import SimulationCache
-
-                    cache = SimulationCache(cache_dir)
-                    result = cache.get_or_simulate(
-                        lambda: make_predictor(args.predictor), args.trace,
-                        config, engine=args.engine, tracer=spans,
-                        telemetry=recorder, probe=probe)
-                else:
-                    result = simulate(make_predictor(args.predictor),
-                                      args.trace, config, engine=args.engine,
-                                      tracer=spans, telemetry=recorder,
-                                      probe=probe)
-            except EngineNotSupportedError as exc:
-                raise SystemExit(str(exc)) from None
-            if tracer.enabled:
-                span.set_attribute("from_cache", bool(result.from_cache))
+            spans = SpanRecorder()
+        (result,) = execute_plan(plan, cache=cache_dir, tracer=spans,
+                                 trace_parent=root_context)
+    if not isinstance(result, SimulationResult):
+        raise SystemExit(f"mbp simulate: {result.stage} stage failed: "
+                         f"{result}")
     if args.telemetry is not None:
         from .telemetry import PhaseTimers, build_manifest, write_telemetry
 
         timers = PhaseTimers.from_spans(spans.spans)
-        series = recorder.series  # None on a cache hit (nothing simulated)
+        # The lookup span counts both outcomes; report the one that
+        # happened.
+        counters = {name: n for name, n in timers.counters.items()
+                    if n} or None
+        series = result.intervals  # None on a cache hit
         if series is None and args.telemetry.lower().endswith(".csv"):
             raise SystemExit(
                 "cache hit produced no interval series; CSV telemetry "
@@ -518,13 +506,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         manifest = build_manifest(
             result, trace=args.trace,
             predictor=make_predictor(args.predictor), config=config,
-            phases=timers.phases, counters=timers.counters or None,
-            cache_used=cache_used)
+            phases=timers.phases, counters=counters,
+            cache_used=cache_dir is not None)
         write_telemetry(args.telemetry, manifest=manifest,
-                        phases=timers.phases,
-                        counters=timers.counters or None,
-                        intervals=series,
-                        probe=result.probe_report)
+                        phases=timers.phases, counters=counters,
+                        intervals=series, probe=result.probe_report)
     if args.compact:
         print(result.summary())
     else:

@@ -210,7 +210,9 @@ class BatchResult:
 def _run_one(factory: PredictorFactory, trace: TraceLike,
              config: SimulationConfig, name: str | None,
              probe: bool = False,
-             sim_engine: str = "scalar"
+             sim_engine: str = "scalar",
+             interval: int | None = None,
+             tracer: Any = None,
              ) -> SimulationResult | TraceFailure:
     """Simulate one trace with a freshly constructed predictor.
 
@@ -224,7 +226,10 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
     in the worker — one per trace, so process-pool runs never share
     accumulators — and the report travels back on the (picklable)
     result's ``probe_report``.  A probed unit always builds a predictor
-    and runs the scalar loop, whose hooks fill the probe.
+    and runs the scalar loop, whose hooks fill the probe.  Likewise an
+    ``interval`` records a fresh
+    :class:`repro.telemetry.IntervalRecorder`'s series on the result's
+    ``intervals``.  ``tracer`` is handed to ``simulate``.
 
     An unprobed unit of a configured factory whose kernel the engine
     runs builds no predictor: it runs from its derivation
@@ -242,12 +247,19 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
             predictor = simulation_source(
                 factory, "scalar" if probe else sim_engine)
             stage = "simulate"
-            run_probe = None
+            run_probe = recorder = None
             if probe:
                 from ..probe import PredictionProbe
                 run_probe = PredictionProbe()
-            return simulate(predictor, trace, config, trace_name=name,
-                            probe=run_probe, engine=sim_engine)
+            if interval is not None:
+                from ..telemetry.interval import IntervalRecorder
+                recorder = IntervalRecorder(interval)
+            result = simulate(predictor, trace, config, trace_name=name,
+                              probe=run_probe, engine=sim_engine,
+                              tracer=tracer, telemetry=recorder)
+            if recorder is not None:
+                result.intervals = recorder.series
+            return result
     except Exception as exc:  # noqa: BLE001 - deliberate fault barrier
         return TraceFailure.from_exception(
             name if name is not None else str(trace), exc, stage)

@@ -299,7 +299,7 @@ def _engine_worker(conn: Connection) -> None:
 
     Each message from the parent is ``(chunk id, items, wires, batch)``
     or ``None`` (stop): each item holds a :class:`WorkUnit`'s fields in
-    order up to ``sim_engine`` (a plain tuple pickles several times
+    order up to ``interval`` (a plain tuple pickles several times
     faster), with a :class:`SharedTrace` ref as the trace, and ``wires``
     holds each unit's trace context (``None`` when tracing is off).
     :func:`~repro.core.plan.run_chunk` runs the units, resolving each
@@ -960,7 +960,8 @@ class ExecutionEngine:
                                 tracer.child(dispatch_span.context),
                                 time.time(), time.perf_counter())
                 items = [(plan[i].factory, refs[i], plan[i].name,
-                          plan[i].config, plan[i].probe, plan[i].sim_engine)
+                          plan[i].config, plan[i].probe, plan[i].sim_engine,
+                          plan[i].interval)
                          for i in indices]
                 wires = [unit_meta[i][0].to_wire() if traced else None
                          for i in indices]

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .metrics import MostFailedEntry, accuracy, mpki
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..telemetry.interval import IntervalSeries
 
 __all__ = ["SIMULATOR_NAME", "SIMULATOR_VERSION", "SimulationResult"]
 
@@ -64,6 +67,11 @@ class SimulationResult:
     #: perturb cache keys or golden outputs.  Run manifests
     #: (:func:`repro.telemetry.build_manifest`) pick it up by default.
     probe_report: dict[str, Any] | None = field(default=None, compare=False)
+    #: Interval telemetry series of the run, when its work unit set an
+    #: ``interval`` (:class:`repro.core.plan.WorkUnit`).  Handled like
+    #: ``probe_report``: never serialized or cached, so a cache hit has
+    #: none.
+    intervals: IntervalSeries | None = field(default=None, compare=False)
 
     def __reduce__(self) -> tuple:
         # Rebuilt from positional fields: a third of the cost of the

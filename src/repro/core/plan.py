@@ -12,9 +12,9 @@ This module is the single funnel they all lower into:
 
 * :class:`WorkUnit` — one schedulable simulation: a predictor factory, a
   trace, a display name, the simulation config, the probe flag, the
-  simulation engine, and an opaque integer ``tag`` callers use to group
-  units back into higher-level results (the sweep point index, the
-  search candidate index, ...).
+  simulation engine, the interval-telemetry window, and an opaque
+  integer ``tag`` callers use to group units back into higher-level
+  results (the sweep point index, the search candidate index, ...).
 * :class:`WorkPlan` — an ordered, immutable sequence of work units with
   lowering constructors (:meth:`WorkPlan.for_suite`,
   :meth:`WorkPlan.for_points`) and grouping helpers.
@@ -110,9 +110,12 @@ def normalize_batch(batch: str | bool) -> bool:
 class WorkUnit:
     """One schedulable simulation of the pipeline IR.
 
-    ``tag`` is an opaque grouping key owned by the caller that lowered
-    the plan — sweep point index, search candidate index, request slot —
-    and travels untouched through every backend.
+    ``probe=True`` and ``interval`` (a window in instructions) ask for
+    the run's component attribution and interval telemetry; they come
+    back on the result's ``probe_report`` and ``intervals``, on fresh
+    simulations only.  ``tag`` is an opaque grouping key owned by the
+    caller that lowered the plan — sweep point index, search candidate
+    index, request slot — and travels untouched through every backend.
     """
 
     factory: PredictorFactory
@@ -121,6 +124,7 @@ class WorkUnit:
     config: SimulationConfig
     probe: bool = False
     sim_engine: str = "scalar"
+    interval: int | None = None
     tag: int = 0
 
 
@@ -260,17 +264,18 @@ def _partition(units: Sequence[WorkUnit], batch: bool,
     """How :func:`run_chunk` splits ``units``: ``(groups, loose)``, as
     positions into ``units``.
 
-    With ``batch``, unprobed units whose ``sim_engine`` admits the
-    vectorized engine (``"vectorized"`` or ``"auto"``) are bucketed by
-    trace (:func:`_trace_identity`); a bucket of two or more is a group,
-    worth one batched pass over a shared trace context.  Every other
-    unit is loose, and ``loose`` is in chunk order: a probed unit runs
-    the scalar loop, which no group shares.
+    With ``batch``, units without a probe or an interval whose
+    ``sim_engine`` admits the vectorized engine (``"vectorized"`` or
+    ``"auto"``) are bucketed by trace (:func:`_trace_identity`); a
+    bucket of two or more is a group, worth one batched pass over a
+    shared trace context.  Every other unit is loose, and ``loose`` is
+    in chunk order: a probed unit runs the scalar loop, which no group
+    shares, and a group records no interval series.
     """
     buckets: dict[Any, list[int]] = {}
     loose: list[int] = []
     for position, unit in enumerate(units):
-        if batch and not unit.probe \
+        if batch and not unit.probe and unit.interval is None \
                 and unit.sim_engine in ("vectorized", "auto"):
             buckets.setdefault(_trace_identity(unit.trace),
                                []).append(position)
@@ -308,7 +313,10 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
     ``tracer`` receives the inline span tree under ``parent``: one
     ``batch_eval`` span carrying ``batch_groups`` / ``batch_units`` /
     ``context_reuse`` over one ``batch_group`` span per group, and one
-    ``unit`` span per loose unit.  Returns the same three counts.
+    ``unit`` span per loose unit.  Each group and loose unit times its
+    ``resolve`` as a ``trace_read`` span, and a loose unit's simulator
+    spans (:func:`~repro.core.simulator.simulate`) nest under its
+    ``unit`` span.  Returns the same three counts.
     """
     from .batch import TraceFailure, _run_one
 
@@ -320,7 +328,8 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
         first = units[members[0]]
         batched = len(members) > 1
         try:
-            trace, first_touch = resolve(first.trace)
+            with tracer.span("trace_read", parent=span.context):
+                trace, first_touch = resolve(first.trace)
         except Exception as exc:  # noqa: BLE001 - per-unit isolation
             span.set_status("error")
             for position in members:
@@ -342,9 +351,17 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
             if reuse:
                 span.set_attribute("context_reuse", reuse)
         else:
+            spans = None
+            if tracer.enabled:
+                from ..tracing.span import SpanRecorder
+
+                spans = SpanRecorder(root=span.context)
             outcomes = [_run_one(first.factory, trace, first.config,
                                  first.name, first.probe,
-                                 sim_engine=first.sim_engine)]
+                                 sim_engine=first.sim_engine,
+                                 interval=first.interval, tracer=spans)]
+            if spans is not None:
+                tracer.record_wire([s.to_json() for s in spans.spans])
         share = (time.perf_counter() - start) / len(members)
         failed = 0
         for position, outcome in zip(members, outcomes):
@@ -417,11 +434,11 @@ def execute_plan(plan: WorkPlan, *,
     backends run units through :func:`run_chunk`: inline over every
     cache miss at once, on the engine once per chunk in a worker.
 
-    With ``batch="auto"`` (the default), unprobed units that share a
-    trace and admit the vectorized engine are evaluated in *batched
-    groups*: the trace is resolved once per group and
-    :func:`repro.core.vectorized.run_unit_group` runs every config over
-    the shared trace context in stacked numpy passes.  Each unit still
+    With ``batch="auto"`` (the default), units without a probe or an
+    interval that share a trace and admit the vectorized engine are
+    evaluated in *batched groups*: the trace is resolved once per group
+    and :func:`repro.core.vectorized.run_unit_group` runs every config
+    over the shared trace context in stacked numpy passes.  Each unit still
     produces its own outcome and cache entry, byte-identical (up to
     wall clock) to the per-unit path.  ``batch="off"`` forces the
     per-unit path everywhere.  A unit whose trace cannot be read fails
@@ -463,9 +480,10 @@ def execute_plan(plan: WorkPlan, *,
     a ``simulate`` child.  Under ``simulate`` the inline backend emits a
     ``batch_eval`` span carrying ``batch_groups`` / ``batch_units`` /
     ``context_reuse`` with one ``batch_group`` span per group, and one
-    ``unit`` span per loose simulation; the engine backend emits its
-    dispatch/worker span tree (contexts cross the process boundary on
-    the chunk payloads).  Each follower records a ``coalesced`` span
+    ``unit`` span per loose simulation (holding its ``trace_read``,
+    ``simulate_loop`` and ``finalize`` spans); the engine backend emits
+    its dispatch/worker span tree (contexts cross the process boundary
+    on the chunk payloads).  Each follower records a ``coalesced`` span
     whose ``leader_span`` / ``leader_trace`` attributes name the
     ``execute_plan`` span of the call that did the work.  Callers that
     need the numbers trace into a :class:`~repro.tracing.SpanRecorder`

@@ -16,7 +16,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".compression": ("BEST_CODEC_SUFFIX", "CODEC_SUFFIXES",
                      "available_codecs", "codec_for_path", "open_compressed",
-                     "read_all", "write_all"),
+                     "write_all"),
     ".digest": ("DIGEST_ALGORITHM", "payload_digest", "trace_digest"),
     ".header": ("FORMAT_VERSION", "HEADER_SIZE", "SIGNATURE", "SbbtHeader"),
     ".packet": ("MAX_GAP", "PACKET_SIZE", "SbbtPacket", "decode_address",
@@ -29,7 +29,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 
 __all__ = [
     "BEST_CODEC_SUFFIX", "CODEC_SUFFIXES", "available_codecs",
-    "codec_for_path", "open_compressed", "read_all", "write_all",
+    "codec_for_path", "open_compressed", "write_all",
     "DIGEST_ALGORITHM", "payload_digest", "trace_digest",
     "FORMAT_VERSION", "HEADER_SIZE", "SIGNATURE", "SbbtHeader",
     "MAX_GAP", "PACKET_SIZE", "SbbtPacket", "decode_address",

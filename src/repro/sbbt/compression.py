@@ -105,12 +105,6 @@ def open_compressed(path: str | Path, mode: str = "rb") -> BinaryIO:
     raise TraceFormatError(f"unknown codec {codec!r} for {path}")  # pragma: no cover
 
 
-def read_all(path: str | Path) -> bytes:
-    """Read and decompress the whole file at ``path``."""
-    with open_compressed(path, "rb") as stream:
-        return stream.read()
-
-
 def write_all(path: str | Path, payload: bytes) -> int:
     """Compress and write ``payload`` to ``path``; returns on-disk size."""
     with open_compressed(path, "wb") as stream:
@@ -118,4 +112,4 @@ def write_all(path: str | Path, payload: bytes) -> int:
     return Path(path).stat().st_size
 
 
-__all__ += ["read_all", "write_all"]
+__all__ += ["write_all"]

@@ -35,8 +35,7 @@ __all__ = ["FUNNEL_SPANS", "PhaseTimers"]
 #: (:func:`repro.core.plan.execute_plan` and
 #: :meth:`repro.core.engine.ExecutionEngine.run_plan`) and the
 #: simulator's (:func:`repro.core.simulator.simulate`,
-#: :func:`repro.core.vectorized.simulate_vectorized`,
-#: :meth:`repro.cache.SimulationCache.get_or_simulate`).
+#: :func:`repro.core.vectorized.simulate_vectorized`).
 #: :meth:`PhaseTimers.from_spans` folds the durations of these spans
 #: into phases of the same name and these attributes into counters.
 FUNNEL_SPANS: dict[str, tuple[str, ...]] = {
@@ -80,16 +79,23 @@ class PhaseTimers:
         Every span named in :data:`FUNNEL_SPANS` adds its duration to
         the phase of its name and its listed integer attributes to the
         counters (an attribute recorded as 0 still creates its counter).
-        Worker-side spans under a ``unit`` span are unit detail, not
-        funnel phases, even where they share a name (``simulate``).
+        A span under a ``unit`` span is unit detail: a worker's
+        per-unit ``simulate`` span is not the funnel phase of that name
+        and is skipped, and the simulator's phases there add their
+        durations but no counters: the counts are the funnel's own
+        spans', the same on every backend.
         """
         spans = list(spans)
         units = {span.span_id for span in spans if span.name == "unit"}
         timers = cls()
         for span in spans:
             counters = FUNNEL_SPANS.get(span.name)
-            if counters is None or span.parent_id in units:
+            if counters is None:
                 continue
+            if span.parent_id in units:
+                if span.name == "simulate":
+                    continue
+                counters = ()
             timers.add_phase(span.name, span.duration)
             for name in counters:
                 if name in span.attributes:

@@ -28,6 +28,7 @@ from repro.core.batch import run_suite
 from repro.core.configured import KeyedSpec
 from repro.core.errors import CacheError
 from repro.core.output import SimulationResult
+from repro.core.plan import WorkPlan, execute_plan
 from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import Bimodal, GShare
 from repro.registry import predictor_factory
@@ -151,11 +152,14 @@ class TestRepeatedRunsAreFree:
         assert CountingBimodal.predict_calls == before
         assert batch.cache_hits == 1
 
-    def test_get_or_simulate(self, tmp_path, trace_paths, reset_counter):
+    def test_one_unit_plan_hit_simulates_nothing(self, tmp_path,
+                                                 trace_paths, reset_counter):
+        # ``mbp simulate``'s shape: a one-unit plan through the funnel.
         cache = SimulationCache(tmp_path / "c")
-        first = cache.get_or_simulate(counting_factory, trace_paths[0])
+        plan = WorkPlan.for_suite(counting_factory, trace_paths[:1])
+        (first,) = execute_plan(plan, cache=cache)
         before = CountingBimodal.predict_calls
-        again = cache.get_or_simulate(counting_factory, trace_paths[0])
+        (again,) = execute_plan(plan, cache=cache)
         assert CountingBimodal.predict_calls == before
         assert again.from_cache and not first.from_cache
         assert again.to_json() == first.to_json()

@@ -21,6 +21,7 @@ import pytest
 
 from repro.cache import SimulationCache
 from repro.core.branch import OPCODE_COND_JUMP, OPCODE_JUMP, OPCODE_RET
+from repro.core.plan import WorkPlan, execute_plan
 from repro.core.simulator import SimulationConfig, simulate
 from repro.core.vectorized import simulate_vectorized
 from repro.predictors import (
@@ -170,22 +171,34 @@ class TestGShareDifferential:
         assert vectorized.mispredictions == result.mispredictions
 
 
+def _one_unit(factory, trace, name, sim_engine="scalar"):
+    """A one-unit plan, the shape ``mbp simulate`` runs."""
+    return WorkPlan.for_suite(factory, [trace], names=[name],
+                              sim_engine=sim_engine)
+
+
 class TestCachedResultsAreByteIdentical:
     def test_cache_hit_serializes_identically(self, tmp_path, trace):
         cache = SimulationCache(tmp_path / "c")
-        fresh = cache.get_or_simulate(lambda: GShare(10, 9), trace,
-                                      trace_name="t")
-        cached = cache.get_or_simulate(lambda: GShare(10, 9), trace,
-                                       trace_name="t")
+        (fresh,) = execute_plan(
+            _one_unit(lambda: GShare(10, 9), trace, "t", "vectorized"),
+            cache=cache)
+        # The engine is not in the key: a scalar run hits the entry the
+        # vectorized run stored.
+        (cached,) = execute_plan(
+            _one_unit(lambda: GShare(10, 9), trace, "t"), cache=cache)
         assert cached.from_cache and not fresh.from_cache
         assert cached.to_json_string() == fresh.to_json_string()
 
     def test_cache_hit_matches_plain_simulation(self, tmp_path, trace):
         cache = SimulationCache(tmp_path / "c")
         plain = simulate(Bimodal(9), trace, trace_name="t")
-        cache.get_or_simulate(lambda: Bimodal(9), trace, trace_name="t")
-        served = cache.get_or_simulate(lambda: Bimodal(9), trace,
-                                       trace_name="t")
+        execute_plan(_one_unit(lambda: Bimodal(9), trace, "stored"),
+                     cache=cache)
+        (served,) = execute_plan(_one_unit(lambda: Bimodal(9), trace, "t"),
+                                 cache=cache)
+        # The hit is renamed to this caller's trace name.
+        assert served.from_cache and served.trace_name == "t"
         # Identical up to wall-clock time, which is run-specific by nature.
         a, b = served.to_json(), plain.to_json()
         del a["metrics"]["simulation_time"], b["metrics"]["simulation_time"]

@@ -748,6 +748,10 @@ class TestConcurrentRunPlan:
                 thread.start()
             for thread in threads:
                 thread.join()
+            # When nothing was waiting at the crash and no chunk checked
+            # out after it, the replacement is not started yet; a plan of
+            # more chunks than live workers checks out and starts it.
+            extra = dict(engine.run_plan(healthy[0], chunk=1))
             assert engine.stats.pool_restarts == 1
         assert not errors, errors
         assert len(started) == 3  # two workers, one replacement
@@ -757,6 +761,7 @@ class TestConcurrentRunPlan:
         for k in (1, 2):
             assert [_comparable(outcomes[k][i])
                     for i in range(len(local))] == inline
+        assert [_comparable(extra[i]) for i in range(len(local))] == inline
 
     @staticmethod
     def _wait_until(predicate, timeout=30.0):

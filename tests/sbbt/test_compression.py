@@ -8,7 +8,6 @@ from repro.sbbt.compression import (
     available_codecs,
     codec_for_path,
     open_compressed,
-    read_all,
     write_all,
 )
 
@@ -43,7 +42,8 @@ class TestRoundTrips:
         path = tmp_path / f"blob{suffix}"
         size = write_all(path, self.PAYLOAD)
         assert size == path.stat().st_size
-        assert read_all(path) == self.PAYLOAD
+        with open_compressed(path, "rb") as stream:
+            assert stream.read() == self.PAYLOAD
 
     @pytest.mark.parametrize("suffix", [".gz", ".xz", ".bz2"])
     def test_compression_reduces_redundant_payload(self, tmp_path, suffix):

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import SimulationCache
+from repro.core.plan import WorkPlan, execute_plan
 from repro.core.simulator import SimulationConfig, simulate
 from repro.cli import PREDICTOR_CHOICES
+from repro.registry import predictor_factory
 from repro.sbbt.writer import write_trace
 from repro.serve import MbpClient, ServeConfig, ServeError, start_in_thread
 from repro.serve.protocol import encode_frame
@@ -221,9 +222,10 @@ class TestFidelity:
         cache_dir = tmp_path / "shared-cache"
         direct_json: dict[str, str] = {}
         for name in PREDICTORS_UNDER_TEST:
-            cache = SimulationCache(cache_dir)
-            result = cache.get_or_simulate(
-                PREDICTOR_CHOICES[name], trace_files[0], SimulationConfig())
+            (result,) = execute_plan(
+                WorkPlan.for_suite(predictor_factory(name),
+                                   [trace_files[0]], SimulationConfig()),
+                cache=cache_dir)
             direct_json[name] = result.to_json_string()
 
         handle = serve(cache_dir=str(cache_dir))

@@ -81,6 +81,29 @@ class TestSimulateCommand:
                   "--cache-dir", str(tmp_path / "cache")])
         assert "vector kernel" in str(excinfo.value)
 
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("defect", ["missing", "truncated"])
+    def test_unreadable_trace_clean_error(self, small_trace, tmp_path,
+                                          capsys, defect, cached):
+        # No traceback: a trace that cannot be read ends the command
+        # with one line naming the file and the stage that failed.
+        path = tmp_path / f"{defect}.sbbt.xz"
+        if defect == "truncated":
+            write_trace(path, small_trace)
+            raw = path.read_bytes()
+            path.write_bytes(raw[:len(raw) // 2])
+        argv = ["simulate", str(path)]
+        if cached:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert str(path) in message
+        assert "trace stage failed" in message
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_engine_auto_falls_back(self, trace_file, capsys):
         assert main(["simulate", str(trace_file), "--predictor", "tage",
                      "--engine", "auto"]) == 0

@@ -287,14 +287,17 @@ class TestReportGolden:
         assert "Interval telemetry (interval=5000" in out
         assert "simulate_loop" in out
 
+    #: A fresh run's phases: the plan funnel's and the simulator's.
+    RUN = {"execute_plan", "simulate", "trace_read", "simulate_loop",
+           "finalize"}
+
     @pytest.mark.parametrize("extra, runs, phases, counters", [
-        ([], 1, {"trace_read", "simulate_loop", "finalize"}, None),
-        (["--cache-dir", "{tmp}"], 1,
-         {"cache_lookup", "trace_read", "simulate_loop", "finalize"},
+        ([], 1, RUN, None),
+        (["--cache-dir", "{tmp}"], 1, {"cache_lookup", *RUN},
          {"cache_miss": 1}),
-        (["--cache-dir", "{tmp}"], 2, {"cache_lookup"}, {"cache_hit": 1}),
-        (["--engine", "auto"], 1,
-         {"trace_read", "simulate_loop", "finalize"}, None),
+        (["--cache-dir", "{tmp}"], 2, {"execute_plan", "cache_lookup"},
+         {"cache_hit": 1}),
+        (["--engine", "auto"], 1, RUN, None),
     ], ids=["no-cache", "cache-miss", "cache-hit", "engine-auto"])
     def test_simulate_telemetry_document_phases(self, trace_file, tmp_path,
                                                 capsys, extra, runs,

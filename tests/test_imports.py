@@ -64,10 +64,12 @@ class TestImportFootprint:
             "predictor_factory('tage'); predictor_factory('gshare')")
         assert {"repro.core.plan", "repro.predictors.tage",
                 "repro.predictors.gshare"} <= modules
+        # The interval recorder and the probe load only for a unit that
+        # asks for them.
         for idle in ("repro.core.engine", "repro.core.vectorized",
                      "repro.cache", "repro.serve", "repro.analysis",
-                     "repro.baselines", "multiprocessing",
-                     "concurrent.futures"):
+                     "repro.baselines", "repro.telemetry", "repro.probe",
+                     "multiprocessing", "concurrent.futures"):
             assert not loaded(modules, idle), idle
         other_predictors = {
             name for name in all_module_names()

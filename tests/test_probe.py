@@ -11,8 +11,8 @@ Covers the ISSUE-4 acceptance properties:
 * a probed run takes the scalar loop under every engine setting and
   in every plan backend, so its report is the scalar simulator's;
 * ``run_suite(probe=True)`` attaches one fresh probe per trace on both
-  the inline and the process-pool paths, and
-  ``get_or_simulate(probe=...)`` observes misses only;
+  the inline and the process-pool paths, and a probed unit of a cached
+  plan observes misses only;
 * probe reports survive the manifest / telemetry-document round trip.
 """
 
@@ -26,7 +26,7 @@ import pytest
 from repro.cache import SimulationCache
 from repro.core.batch import run_suite
 from repro.core.errors import EngineNotSupportedError
-from repro.core.plan import WorkPlan
+from repro.core.plan import WorkPlan, execute_plan
 from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import (
     Batage,
@@ -263,11 +263,10 @@ class TestSuiteAndCacheThreading:
     def test_cache_hit_returns_no_probe_report(self, small_trace,
                                                tmp_path):
         cache = SimulationCache(tmp_path / "cache")
-        fresh = cache.get_or_simulate(Bimodal, small_trace,
-                                      probe=PredictionProbe())
+        plan = WorkPlan.for_suite(Bimodal, [small_trace], probe=True)
+        (fresh,) = execute_plan(plan, cache=cache)
         assert fresh.probe_report is not None
-        hit = cache.get_or_simulate(Bimodal, small_trace,
-                                    probe=PredictionProbe())
+        (hit,) = execute_plan(plan, cache=cache)
         assert hit.from_cache
         assert hit.probe_report is None
         # The probe never changed what went on disk.

@@ -15,14 +15,17 @@ Covers the ISSUE-2 acceptance properties:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cache import SimulationCache
 from repro.core.batch import run_suite
 from repro.core.errors import TelemetryError
+from repro.core.plan import WorkPlan, execute_plan
 from repro.core.simulator import SimulationConfig, simulate
 from repro.predictors import Bimodal, GShare
+from repro.sbbt.writer import write_trace
 from repro.telemetry import (
     CsvFileSink,
     IntervalRecorder,
@@ -38,6 +41,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.interval import CSV_COLUMNS
 from repro.tracing import SpanRecorder
+from tests.conftest import execute_folded
 
 
 class RaisingSink:
@@ -325,30 +329,33 @@ class TestSuiteTelemetry:
             batch.timing.total)
 
 
+def one_unit(factory, trace, **fields):
+    """A one-unit plan, the shape ``mbp simulate`` runs."""
+    (unit,) = WorkPlan.for_suite(factory, [trace])
+    return WorkPlan((replace(unit, **fields),))
+
+
 class TestCacheTelemetry:
     def test_hit_and_miss_counters(self, small_trace, tmp_path):
         cache = SimulationCache(tmp_path / "cache")
+        plan = one_unit(Bimodal, small_trace, interval=1000)
         tracer = SpanRecorder()
-        recorder = IntervalRecorder(interval=1000)
-        fresh = cache.get_or_simulate(Bimodal, small_trace, tracer=tracer,
-                                      telemetry=recorder)
+        (fresh,) = execute_plan(plan, cache=cache, tracer=tracer)
         timers = fold(tracer)
-        assert timers.counters == {"cache_miss": 1}
+        assert timers.counters == {"cache_hit": 0, "cache_miss": 1}
         assert list(timers.phases) == ["cache_lookup", "trace_read",
-                                       "simulate_loop", "finalize"]
-        assert recorder.series is not None
-        assert recorder.series.consistent_with(fresh)
+                                       "simulate_loop", "finalize",
+                                       "simulate", "execute_plan"]
+        assert fresh.intervals is not None
+        assert fresh.intervals.consistent_with(fresh)
 
         hit_tracer = SpanRecorder()
-        hit_recorder = IntervalRecorder(interval=1000)
-        cached = cache.get_or_simulate(Bimodal, small_trace,
-                                       tracer=hit_tracer,
-                                       telemetry=hit_recorder)
+        (cached,) = execute_plan(plan, cache=cache, tracer=hit_tracer)
         assert cached.from_cache
         hit_timers = fold(hit_tracer)
-        assert hit_timers.counters == {"cache_hit": 1}
-        assert list(hit_timers.phases) == ["cache_lookup"]
-        assert hit_recorder.series is None  # a hit simulates nothing
+        assert hit_timers.counters == {"cache_hit": 1, "cache_miss": 0}
+        assert list(hit_timers.phases) == ["cache_lookup", "execute_plan"]
+        assert cached.intervals is None  # a hit simulates nothing
 
     def test_cache_hit_still_yields_valid_manifest(self, small_trace,
                                                    tmp_path):
@@ -356,10 +363,9 @@ class TestCacheTelemetry:
         # section records the hit, and run-only artifacts (interval
         # series, probe report) are simply absent, not fabricated.
         cache = SimulationCache(tmp_path / "cache")
-        cache.get_or_simulate(Bimodal, small_trace)
-        hit_recorder = IntervalRecorder(interval=1000)
-        cached = cache.get_or_simulate(Bimodal, small_trace,
-                                       telemetry=hit_recorder)
+        execute_plan(one_unit(Bimodal, small_trace), cache=cache)
+        (cached,) = execute_plan(
+            one_unit(Bimodal, small_trace, interval=1000), cache=cache)
         assert cached.from_cache
         manifest = build_manifest(cached, trace=small_trace,
                                   cache_used=True, environment={},
@@ -369,13 +375,49 @@ class TestCacheTelemetry:
         document = manifest.to_json()
         assert "probe" not in document
         assert RunManifest.from_json(document) == manifest
-        assert hit_recorder.series is None
+        assert cached.intervals is None
         path = write_telemetry(tmp_path / "telemetry.json",
                                manifest=manifest)
         loaded = read_telemetry(path)
         assert loaded["manifest"]["cache"] == {"used": True, "hit": True}
         assert loaded["intervals"] is None
         assert "probe" not in loaded
+
+
+class TestIntervalUnits:
+    """A plan unit with ``interval`` returns its series on the result."""
+
+    @pytest.fixture()
+    def trace_path(self, small_trace, tmp_path):
+        path = tmp_path / "t.sbbt"
+        write_trace(path, small_trace)
+        return str(path)
+
+    def test_same_series_inline_and_on_an_engine(self, trace_path):
+        from repro.core.engine import ExecutionEngine
+
+        # Two kernel units over one trace would batch; with an interval
+        # they stay loose, so each records its own series.
+        plan = WorkPlan.for_suite(GShare, [trace_path, trace_path],
+                                  sim_engine="auto")
+        plan = WorkPlan(tuple(replace(unit, interval=700)
+                              for unit in plan))
+        inline, timers = execute_folded(plan)
+        assert "batch_groups" not in timers.counters
+        with ExecutionEngine(workers=1) as engine:
+            worker = execute_plan(plan, engine=engine)
+        for a, b in zip(inline, worker):
+            assert a.intervals is not None
+            assert a.intervals.consistent_with(a)
+            assert a.intervals.to_json() == b.intervals.to_json()
+
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
+    def test_series_matches_a_direct_recorder(self, trace_path, engine):
+        recorder = IntervalRecorder(700)
+        simulate(GShare(), trace_path, telemetry=recorder, engine=engine)
+        (result,) = execute_plan(one_unit(GShare, trace_path, interval=700,
+                                          sim_engine=engine))
+        assert result.intervals.records == recorder.series.records
 
 
 class TestSinksAndDocuments:
@@ -538,14 +580,13 @@ class TestVectorizedEngineTelemetry:
                           tracer=SpanRecorder())
         assert untimed(plain) == untimed(traced)
         cache = SimulationCache(tmp_path / "cache")
-        stored = cache.get_or_simulate(factory, small_trace, engine=engine,
-                                       tracer=SpanRecorder())
+        plan = WorkPlan.for_suite(factory, [small_trace], names=["<memory>"],
+                                  sim_engine=engine)
+        (stored,) = execute_plan(plan, cache=cache, tracer=SpanRecorder())
         assert untimed(stored) == untimed(plain)
-        plain_hit = cache.get_or_simulate(factory, small_trace,
-                                          engine=engine)
-        traced_hit = cache.get_or_simulate(factory, small_trace,
-                                           engine=engine,
-                                           tracer=SpanRecorder())
+        (plain_hit,) = execute_plan(plan, cache=cache)
+        (traced_hit,) = execute_plan(plan, cache=cache,
+                                     tracer=SpanRecorder())
         assert traced_hit.from_cache
         assert (plain_hit.to_json_string() == traced_hit.to_json_string()
                 == stored.to_json_string())

@@ -45,12 +45,15 @@ class TestTraceDirFlag:
         (log,) = spans_dir.glob("trace-*.jsonl")
         spans = read_spans([log])
         assert {s.name for s in spans} == {
-            "mbp_simulate", "simulate", "trace_read", "simulate_loop",
-            "finalize"}
-        # The simulator's phases nest under the CLI's simulate span.
+            "mbp_simulate", "execute_plan", "simulate", "unit",
+            "trace_read", "simulate_loop", "finalize"}
+        # The run is a one-unit plan under the command's root span, and
+        # the simulator's phases nest under its unit span.
         by_name = {s.name: s for s in spans}
+        assert (by_name["execute_plan"].parent_id
+                == by_name["mbp_simulate"].span_id)
         for phase in ("trace_read", "simulate_loop", "finalize"):
-            assert by_name[phase].parent_id == by_name["simulate"].span_id
+            assert by_name[phase].parent_id == by_name["unit"].span_id
         # The announced trace id matches the log file name.
         trace_id = log.stem.removeprefix("trace-")
         assert trace_id in err
@@ -62,17 +65,18 @@ class TestTraceDirFlag:
         argv = ["simulate", str(trace_file), "--cache-dir", str(cache)]
         assert main([*argv, "--trace-dir", str(tmp_path / "miss")]) == 0
         assert main([*argv, "--trace-dir", str(tmp_path / "hit")]) == 0
-        for run, phases, outcome in [
-                ("miss", {"cache_lookup", "trace_read", "simulate_loop",
-                          "finalize"}, "cache_miss"),
-                ("hit", {"cache_lookup"}, "cache_hit")]:
+        for run, names, hits in [
+                ("miss", {"simulate", "unit", "trace_read",
+                          "simulate_loop", "finalize"}, 0),
+                ("hit", set(), 1)]:
             spans = read_spans([tmp_path / run])
             by_name = {s.name: s for s in spans}
-            assert set(by_name) == {"mbp_simulate", "simulate", *phases}
-            for phase in phases:
-                assert (by_name[phase].parent_id
-                        == by_name["simulate"].span_id)
-            assert by_name["cache_lookup"].attributes == {outcome: 1}
+            assert set(by_name) == {"mbp_simulate", "execute_plan",
+                                    "cache_lookup", *names}
+            assert (by_name["cache_lookup"].parent_id
+                    == by_name["execute_plan"].span_id)
+            assert by_name["cache_lookup"].attributes == {
+                "cache_hit": hits, "cache_miss": 1 - hits}
 
     def test_suite_span_tree(self, trace_pair, tmp_path, capsys):
         spans_dir = tmp_path / "spans"
