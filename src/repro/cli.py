@@ -46,6 +46,7 @@ import sys
 from contextlib import contextmanager
 from typing import Sequence
 
+from .core.errors import CacheError
 from .core.predictor import Predictor
 from .core.simulator import SimulationConfig, simulate
 # The predictor catalog lives in repro.registry (one table shared with
@@ -1191,7 +1192,10 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by the ``mbp`` console script."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except CacheError as exc:  # a caller mistake such as a bad --cache-dir
+        raise SystemExit(f"mbp {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -44,8 +44,7 @@ from .errors import SimulationError
 from .output import SimulationResult
 from .plan import WorkPlan, execute_plan
 from .predictor import Predictor
-from .simulator import (SimulationConfig, _resolve_trace, reuse_decoded,
-                        simulate)
+from .simulator import SimulationConfig, _resolve_trace, simulate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..cache import SimulationCache
@@ -236,30 +235,29 @@ def _run_one(factory: PredictorFactory, trace: TraceLike,
     (:func:`repro.core.configured.simulation_source`).  A trace that
     cannot be read fails the unit with ``stage="trace"``, and a factory
     that raises with ``stage="predictor"``.  The trace is decoded once
-    (:func:`~repro.core.simulator.reuse_decoded`) and ``simulate`` still
+    (:data:`~repro.sbbt.store.STORE` keeps it) and ``simulate`` still
     receives it as given.
     """
     stage = "trace"
     try:
-        with reuse_decoded():
-            _resolve_trace(trace)
-            stage = "predictor"
-            predictor = simulation_source(
-                factory, "scalar" if probe else sim_engine)
-            stage = "simulate"
-            run_probe = recorder = None
-            if probe:
-                from ..probe import PredictionProbe
-                run_probe = PredictionProbe()
-            if interval is not None:
-                from ..telemetry.interval import IntervalRecorder
-                recorder = IntervalRecorder(interval)
-            result = simulate(predictor, trace, config, trace_name=name,
-                              probe=run_probe, engine=sim_engine,
-                              tracer=tracer, telemetry=recorder)
-            if recorder is not None:
-                result.intervals = recorder.series
-            return result
+        _resolve_trace(trace)
+        stage = "predictor"
+        predictor = simulation_source(
+            factory, "scalar" if probe else sim_engine)
+        stage = "simulate"
+        run_probe = recorder = None
+        if probe:
+            from ..probe import PredictionProbe
+            run_probe = PredictionProbe()
+        if interval is not None:
+            from ..telemetry.interval import IntervalRecorder
+            recorder = IntervalRecorder(interval)
+        result = simulate(predictor, trace, config, trace_name=name,
+                          probe=run_probe, engine=sim_engine,
+                          tracer=tracer, telemetry=recorder)
+        if recorder is not None:
+            result.intervals = recorder.series
+        return result
     except Exception as exc:  # noqa: BLE001 - deliberate fault barrier
         return TraceFailure.from_exception(
             name if name is not None else str(trace), exc, stage)

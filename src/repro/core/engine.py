@@ -68,12 +68,13 @@ from typing import Any, Iterator, Union
 
 import numpy as np
 
+from ..sbbt.store import STORE
 from ..sbbt.trace import TraceData
 from ..telemetry.instrumentation import FUNNEL_SPANS
-from .errors import SimulationError, TraceFormatError
+from .errors import SimulationError
 from .output import SimulationResult
-from .plan import (WorkPlan, WorkUnit, _trace_identity, chunk_cost_size,
-                   normalize_batch, normalize_chunk, run_chunk)
+from .plan import (WorkPlan, WorkUnit, chunk_cost_size, normalize_batch,
+                   normalize_chunk, run_chunk)
 
 __all__ = ["EngineStats", "ExecutionEngine", "SharedTrace",
            "default_workers", "engine_scope"]
@@ -543,9 +544,6 @@ class ExecutionEngine:
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         #: digest -> task descriptor for everything ever published.
         self._published: dict[str, SharedTrace] = {}
-        #: (resolved path, mtime_ns, size) -> digest, so re-publishing
-        #: the same file across sweep points skips the decode entirely.
-        self._path_index: dict[tuple[str, int, int], str] = {}
         #: Per-thread: did the last :meth:`publish` create a segment?
         self._shipped = threading.local()
         self._closed = False
@@ -690,16 +688,16 @@ class ExecutionEngine:
     def publish(self, trace: TraceLike) -> SharedTrace:
         """Ensure ``trace`` is resident in shared memory; return its ref.
 
-        A path is read once through
-        :func:`~repro.sbbt.reader.read_payload`, so a bad header fails
-        before the body is decompressed and the error names the file;
-        its bytes are digested, and decoded at most once per engine.  An
-        in-memory :class:`TraceData` is encoded for digesting, then
+        The trace's digest and decode come from
+        :data:`~repro.sbbt.store.STORE`: a file is read once for both,
+        a bad header fails before the body is decompressed and the
+        error names the file, and an unchanged file is not read again.
+        An in-memory :class:`TraceData` is encoded for digesting, then
         copied into the segment.  Publishing the same content twice —
-        same file, same data, or a file and its in-memory decode — is
-        free after the first call.  Whether this call shipped the trace
-        (created its segment) is left in ``self._shipped.last`` on the
-        calling thread.
+        same file, a copy of it, same data, or a file and its in-memory
+        decode — ships nothing after the first call.  Whether this call
+        shipped the trace (created its segment) is left in
+        ``self._shipped.last`` on the calling thread.
         """
         self._check_open()
         start = time.perf_counter()
@@ -713,39 +711,11 @@ class ExecutionEngine:
 
     def _publish_locked(self, trace: TraceLike,
                         ) -> tuple[SharedTrace, bool]:
-        from ..sbbt.digest import payload_digest
-
-        data: TraceData | None = None
-        path_key: tuple[str, int, int] | None = None
-        if isinstance(trace, TraceData):
-            from ..sbbt.writer import encode_payload
-            data = trace
-            digest = payload_digest(encode_payload(trace))
-        else:
-            resolved = Path(trace).resolve()
-            stat = resolved.stat()
-            path_key = (str(resolved), stat.st_mtime_ns, stat.st_size)
-            cached = self._path_index.get(path_key)
-            if cached is not None:
-                return self._published[cached], False
-            # One read serves both the digest and (if new) the decode.
-            from ..sbbt.reader import read_payload
-            payload = read_payload(trace)
-            digest = payload_digest(payload)
-
+        digest = STORE.digest(trace)
         ref = self._published.get(digest)
         if ref is not None:
-            if path_key is not None:
-                self._path_index[path_key] = digest
             return ref, False
-
-        if data is None:
-            from ..sbbt.reader import decode_payload
-            try:
-                data = decode_payload(payload)
-            except TraceFormatError as exc:  # named as read_trace names it
-                raise TraceFormatError(f"{Path(trace)}: {exc}") from exc
-
+        data = STORE.load(trace)
         segment = shared_memory.SharedMemory(
             create=True, size=_segment_size(len(data)))
         try:
@@ -760,8 +730,6 @@ class ExecutionEngine:
                           nbytes=segment.size)
         self._segments[digest] = segment
         self._published[digest] = ref
-        if path_key is not None:
-            self._path_index[path_key] = digest
         self.stats.traces_published += 1
         self.stats.shared_bytes += segment.size
         return ref, True
@@ -891,13 +859,13 @@ class ExecutionEngine:
         # Publish per unit, not en masse: one unreadable trace becomes
         # that unit's TraceFailure (matching the inline path's isolation
         # contract) instead of aborting the whole plan.  Units over the
-        # same trace (same object or path) share one successful publish;
-        # a failed one is retried, so each of its units records its own.
+        # same trace object share one successful publish; a failed one
+        # is retried, so each of its units records its own.
         refs: dict[int, SharedTrace] = {}
-        published: dict[tuple[str, Any], SharedTrace] = {}
+        published: dict[int, SharedTrace] = {}
         done: deque[tuple[int, Any]] = deque()
         for index, unit in enumerate(plan):
-            identity = _trace_identity(unit.trace)
+            identity = id(unit.trace)
             ref = published.get(identity)
             if ref is None:
                 try:

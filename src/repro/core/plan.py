@@ -41,12 +41,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
+from ..sbbt.store import STORE
 from ..sbbt.trace import TraceData
 from ..tracing import NULL_TRACER
 from .output import SimulationResult
 from .configured import ColdHandOff, ConfiguredFactory
 from .predictor import Predictor
-from .simulator import SimulationConfig, reuse_decoded
+from .simulator import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import InflightClaim
@@ -225,16 +226,6 @@ class WorkPlan:
 # ----------------------------------------------------------------------
 
 
-def _trace_identity(trace: TraceLike) -> tuple[str, Any]:
-    """What "the same trace" means within one :func:`execute_plan` call:
-    the same :class:`~repro.sbbt.trace.TraceData` object, or the same
-    path string (in an engine worker, the same published trace).  Batch
-    grouping and digest reuse both key on it."""
-    if isinstance(trace, TraceData):
-        return ("data", id(trace))
-    return ("path", str(trace))
-
-
 def _keyable(plan: WorkPlan) -> WorkPlan:
     """``plan`` with each plain-callable factory object wrapped in one
     :class:`~repro.core.configured.ColdHandOff`, so that every unit
@@ -252,7 +243,21 @@ def _keyable(plan: WorkPlan) -> WorkPlan:
     return WorkPlan(tuple(units)) if wrapped else plan
 
 
-#: ``resolve(trace) -> (what the units run on, first_touch)``.
+def _content(trace: Any) -> int | str | None:
+    """What a batch group shares: one in-memory trace object, or the
+    digest of a file or of a worker's shared trace; ``None`` for a file
+    that cannot be digested (its units' resolves report why)."""
+    if isinstance(trace, TraceData):
+        return id(trace)
+    if hasattr(trace, "segment"):  # an engine worker's SharedTrace
+        return trace.digest
+    try:
+        return STORE.digest(trace)
+    except Exception:  # noqa: BLE001 - its units' resolves report it
+        return None
+
+
+#: ``resolve(trace) -> (decoded trace, first_touch)``.
 Resolve = Callable[[Any], tuple[Any, bool]]
 
 #: ``report(position, outcome, seconds, first_touch, batched)``.
@@ -266,7 +271,7 @@ def _partition(units: Sequence[WorkUnit], batch: bool,
 
     With ``batch``, units without a probe or an interval whose
     ``sim_engine`` admits the vectorized engine (``"vectorized"`` or
-    ``"auto"``) are bucketed by trace (:func:`_trace_identity`); a
+    ``"auto"``) are bucketed by trace content (:func:`_content`); a
     bucket of two or more is a group, worth one batched pass over a
     shared trace context.  Every other unit is loose, and ``loose`` is
     in chunk order: a probed unit runs the scalar loop, which no group
@@ -275,12 +280,14 @@ def _partition(units: Sequence[WorkUnit], batch: bool,
     buckets: dict[Any, list[int]] = {}
     loose: list[int] = []
     for position, unit in enumerate(units):
+        content = None
         if batch and not unit.probe and unit.interval is None \
                 and unit.sim_engine in ("vectorized", "auto"):
-            buckets.setdefault(_trace_identity(unit.trace),
-                               []).append(position)
-        else:
+            content = _content(unit.trace)
+        if content is None:
             loose.append(position)
+        else:
+            buckets.setdefault(content, []).append(position)
     groups = [members for members in buckets.values() if len(members) >= 2]
     loose.extend(members[0] for members in buckets.values()
                  if len(members) == 1)
@@ -300,10 +307,10 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
     in order, through :func:`repro.core.batch._run_one`.
 
     Each group and each loose unit first resolves its trace through
-    ``resolve``: inline, :func:`_decode_path`; in a worker, the attach
-    of the shared segment.  A trace that cannot be resolved fails every
-    unit it covers with ``stage="trace"``, and the next unit on it
-    resolves it again, so each records its own failure.
+    ``resolve``: inline, :meth:`~repro.sbbt.store.TraceStore.load`; in
+    a worker, the attach of the shared segment.  A trace that cannot be
+    resolved fails every unit it covers with ``stage="trace"``, and the
+    next unit on it resolves it again, so each records its own failure.
 
     ``report(position, outcome, seconds, first_touch, batched)`` is
     called once per unit: ``seconds`` is the unit's run time (a group's
@@ -337,6 +344,9 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
                     units[position].name, exc, stage="trace"),
                     0.0, False, batched)
             return
+        if isinstance(first.trace, (str, Path)):
+            # simulate() still sees the path; the store serves its decode.
+            trace = first.trace
         start = time.perf_counter()
         if batched:
             # Imported here: a plan without groups never loads the
@@ -394,20 +404,6 @@ def run_chunk(units: Sequence[WorkUnit], batch: bool, resolve: Resolve,
     return info
 
 
-def _decode_path(trace: TraceLike) -> tuple[TraceLike, bool]:
-    """The inline resolver: decode ``trace`` now, so an unreadable file
-    fails with ``stage="trace"``, and hand the units ``trace`` itself.
-
-    Inside :func:`~repro.core.simulator.reuse_decoded`, every
-    ``simulate()`` that follows reuses this decode while it still
-    receives the path, so what a run reports and traces is unchanged.
-    """
-    from .simulator import _resolve_trace
-
-    _resolve_trace(trace)
-    return trace, False
-
-
 def execute_plan(plan: WorkPlan, *,
                  workers: int = 1,
                  engine: "ExecutionEngine | None" = None,
@@ -454,10 +450,10 @@ def execute_plan(plan: WorkPlan, *,
     its first inline simulation's predictor
     (:class:`~repro.core.configured.ColdHandOff`).  Cache hits and
     kernel units of configured factories build no predictor at all.
-    Traces are digested once per distinct trace (same object or same
-    path) per call; a digest that fails is not remembered, so every unit
-    on that trace retries it and records its own failure.  Nothing
-    carries over between calls, so a rewritten file is digested afresh.
+    Traces are digested through :data:`~repro.sbbt.store.STORE`: a
+    file once while its stat key holds, across calls, and an in-memory
+    trace once per call.  A digest that fails is not remembered, so
+    every unit on that trace retries it and records its own failure.
     A unit whose spec cannot be derived (a bad predictor configuration)
     fails with ``stage="predictor"``, one whose trace cannot be digested
     with ``stage="trace"``.
@@ -503,23 +499,6 @@ def execute_plan(plan: WorkPlan, *,
     slots: list[Outcome | None] = [None] * len(plan)
     keys: list[str | None] = [None] * len(plan)
 
-    # Per-trace content digests: _trace_identity(trace) -> hex digest.
-    # Only successful digests are stored; the plan keeps every trace
-    # alive, so ``id``-based identities are stable for this call.
-    digests: dict[tuple[str, Any], str] = {}
-
-    def _digest(trace: TraceLike) -> str:
-        identity = _trace_identity(trace)
-        digest = digests.get(identity)
-        if digest is None:
-            # Imported here, on the cache path only; called through the
-            # module so a patched trace_digest is seen.
-            from ..sbbt import digest as sbbt_digest
-
-            digest = sbbt_digest.trace_digest(trace)
-            digests[identity] = digest
-        return digest
-
     def _scan(todo: list[int], pending: list[int],
               waiting: list[tuple[int, "InflightClaim"]],
               parent: Any) -> None:
@@ -528,7 +507,8 @@ def execute_plan(plan: WorkPlan, *,
         caller), keys claimed elsewhere go to ``waiting``."""
         hits = 0
         with trc.span("cache_lookup", parent=parent) as lookup_span:
-            for i in todo:
+            digests = STORE.digests(plan[i].trace for i in todo)
+            for i, digest in zip(todo, digests):
                 unit = plan[i]
                 try:
                     keyed = unit.factory.derivation()
@@ -537,7 +517,9 @@ def execute_plan(plan: WorkPlan, *,
                         unit.name, exc, stage="predictor")
                     continue
                 try:
-                    key = keyed.cache_key(_digest(unit.trace), unit.config)
+                    if isinstance(digest, Exception):
+                        raise digest
+                    key = keyed.cache_key(digest, unit.config)
                 except Exception as exc:  # noqa: BLE001 - bad trace
                     slots[i] = TraceFailure.from_exception(
                         unit.name, exc, stage="trace")
@@ -578,9 +560,9 @@ def execute_plan(plan: WorkPlan, *,
             def fill(position: int, outcome: Outcome, *_: Any) -> None:
                 slots[pending[position]] = outcome
 
-            with reuse_decoded():
-                run_chunk(plan.subset(pending).units, use_batch,
-                          _decode_path, fill, trc, sim.context)
+            run_chunk(plan.subset(pending).units, use_batch,
+                      lambda trace: (STORE.load(trace), False), fill, trc,
+                      sim.context)
 
     def _join(waiting: list[tuple[int, "InflightClaim"]],
               parent: Any) -> list[int]:

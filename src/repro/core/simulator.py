@@ -34,14 +34,12 @@ timeline.
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Union
 
-from ..sbbt.reader import read_trace
+from ..sbbt.store import STORE
 from ..sbbt.trace import TraceData
 from .errors import SimulationError
 from .metrics import BranchStats, most_failed_branches
@@ -96,44 +94,13 @@ class SimulationConfig:
             raise SimulationError("max_instructions must be non-negative")
 
 
-#: Per thread: ``[path string, decoded trace]`` while a
-#: :func:`reuse_decoded` block is open.
-_reuse = threading.local()
-
-
-@contextmanager
-def reuse_decoded() -> Iterator[None]:
-    """Within the block, on this thread, a trace file resolved again
-    right after itself is decoded once.
-
-    Only the last decoded trace is kept, so memory stays bounded; a file
-    that fails to decode is not remembered, so each caller records its
-    own failure.  Callers still pass the path, so what a run reports and
-    traces is unchanged.  A block opened inside another joins it.
-    """
-    if getattr(_reuse, "last", None) is not None:
-        yield
-        return
-    _reuse.last = [None, None]
-    try:
-        yield
-    finally:
-        _reuse.last = None
-
-
 def _resolve_trace(trace: TraceLike) -> tuple[TraceData, str]:
-    """Accept in-memory data or a path; return (data, display name)."""
+    """Accept in-memory data or a path; return (data, display name).
+    A path is decoded through :data:`~repro.sbbt.store.STORE`, which
+    keeps the last decoded trace."""
     if isinstance(trace, TraceData):
         return trace, "<memory>"
-    name = str(trace)
-    last = getattr(_reuse, "last", None)
-    if last is None:
-        return read_trace(trace), name
-    if last[0] != name:
-        last[:] = [None, None]  # drop the previous trace before decoding
-        last[1] = read_trace(trace)
-        last[0] = name
-    return last[1], name
+    return STORE.load(trace), str(trace)
 
 
 def simulate(predictor: Predictor, trace: TraceLike,

@@ -1329,9 +1329,8 @@ def run_unit_group(trace: Any, units: Sequence[tuple],
     unaffected.
 
     ``trace`` is a decoded trace or a path; the per-unit fallbacks
-    receive it as given, so a file's runs report its path.  Call with
-    a path inside :func:`~repro.core.simulator.reuse_decoded` so they
-    reuse this call's decode.
+    receive it as given, so a file's runs report its path, and reuse
+    this call's decode (:data:`~repro.sbbt.store.STORE` keeps it).
 
     Returns ``(outcomes, info)``: one
     :class:`~repro.core.output.SimulationResult` or ``TraceFailure``

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bz2
 import gzip
 import lzma
+import os
 from pathlib import Path
 from typing import BinaryIO
 
@@ -106,10 +107,23 @@ def open_compressed(path: str | Path, mode: str = "rb") -> BinaryIO:
 
 
 def write_all(path: str | Path, payload: bytes) -> int:
-    """Compress and write ``payload`` to ``path``; returns on-disk size."""
-    with open_compressed(path, "wb") as stream:
-        stream.write(payload)
-    return Path(path).stat().st_size
+    """Compress and write ``payload`` to ``path``; returns on-disk size.
+    The file is written in a fresh directory beside ``path`` and renamed
+    into place: readers never see half a file, a rewrite makes a new
+    inode, and a failed write leaves the old file."""
+    import tempfile
+
+    path = Path(path)
+    staging = Path(tempfile.mkdtemp(prefix=".", dir=path.parent))
+    temp = staging / path.name
+    try:
+        with open_compressed(temp, "wb") as stream:
+            stream.write(payload)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+        staging.rmdir()
+    return path.stat().st_size
 
 
 __all__ += ["write_all"]

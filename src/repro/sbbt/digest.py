@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-from pathlib import Path
 from typing import Union
 
-from .compression import open_compressed
 from .trace import TraceData
-from .writer import encode_payload
 
 __all__ = ["payload_digest", "trace_digest"]
 
@@ -48,14 +45,12 @@ def payload_digest(payload: bytes) -> str:
 def trace_digest(trace: TraceLike) -> str:
     """Canonical content digest of a trace (path or in-memory data).
 
-    A path is decompressed and digested without decoding the packets; an
-    in-memory trace is encoded to its canonical payload first.  Both
-    spellings of the same trace produce the same digest.
+    A path's payload is read and checked against its header, not
+    decoded, and its digest is kept while the file is unchanged
+    (:data:`~repro.sbbt.store.STORE`); an in-memory trace is encoded to
+    its canonical payload first.  Both spellings of the same trace
+    produce the same digest.
     """
-    if isinstance(trace, TraceData):
-        return payload_digest(encode_payload(trace))
-    with open_compressed(Path(trace), "rb") as stream:
-        digest = hashlib.sha256()
-        while chunk := stream.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
+    from .store import STORE
+
+    return STORE.digest(trace)

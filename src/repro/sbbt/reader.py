@@ -28,7 +28,8 @@ from .header import HEADER_SIZE, SbbtHeader
 from .packet import PACKET_SIZE, SbbtPacket
 from .trace import TraceData
 
-__all__ = ["read_trace", "read_payload", "decode_payload", "SbbtReader"]
+__all__ = ["read_trace", "read_payload", "decode_payload",
+           "decode_file_payload", "SbbtReader"]
 
 _META_MASK = np.uint64((1 << 12) - 1)
 _RESERVED_MASK = np.uint64(0b0111_1111_0000)
@@ -150,15 +151,22 @@ def read_payload(path: str | os.PathLike) -> bytearray:
     return payload
 
 
-def read_trace(path: str | os.PathLike, *, validate: bool = True) -> TraceData:
-    """Read, decompress and bulk-decode the SBBT trace at ``path``
-    (:func:`read_payload`, then :func:`decode_payload`).  Format errors
-    name ``path``."""
-    payload = read_payload(path)
+def decode_file_payload(payload: bytes | bytearray,
+                        path: str | os.PathLike, *,
+                        validate: bool = True) -> TraceData:
+    """:func:`decode_payload` of a payload read from ``path``; format
+    errors name ``path``."""
     try:
         return decode_payload(payload, validate=validate)
     except TraceFormatError as exc:
         raise TraceFormatError(f"{Path(path)}: {exc}") from exc
+
+
+def read_trace(path: str | os.PathLike, *, validate: bool = True) -> TraceData:
+    """Read, decompress and bulk-decode the SBBT trace at ``path``
+    (:func:`read_payload`, then :func:`decode_payload`).  Format errors
+    name ``path``."""
+    return decode_file_payload(read_payload(path), path, validate=validate)
 
 
 class SbbtReader:

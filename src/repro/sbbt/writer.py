@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.branch import Branch
 from ..core.errors import TraceValidationError
-from .compression import open_compressed
+from .compression import write_all
 from .header import SbbtHeader
 from .packet import MAX_GAP, SbbtPacket, is_encodable_address
 from .trace import TraceData
@@ -78,14 +78,12 @@ def encode_payload(trace: TraceData) -> bytes:
 
 
 def write_trace(path: str | os.PathLike, trace: TraceData) -> int:
-    """Encode ``trace`` and write it to ``path`` (codec from the suffix).
-
-    Returns the compressed on-disk size in bytes.
+    """Encode ``trace`` and write it to ``path`` (codec from the suffix)
+    with :func:`~repro.sbbt.compression.write_all`: the old file is
+    replaced whole or not at all.  Returns the compressed on-disk size
+    in bytes.
     """
-    payload = encode_payload(trace)
-    with open_compressed(path, "wb") as stream:
-        stream.write(payload)
-    return Path(path).stat().st_size
+    return write_all(path, encode_payload(trace))
 
 
 class SbbtWriter:
@@ -152,11 +150,7 @@ class SbbtWriter:
         self._closed = True
         header = SbbtHeader(num_instructions=self._num_instructions,
                             num_branches=self._num_branches)
-        with open_compressed(self._path, "wb") as stream:
-            stream.write(header.encode())
-            for block in self._blocks:
-                stream.write(block)
-        return self._path.stat().st_size
+        return write_all(self._path, header.encode() + b"".join(self._blocks))
 
     def __enter__(self) -> "SbbtWriter":
         return self

@@ -24,6 +24,15 @@ from repro.traces.synth import generate_trace
 from repro.traces.workloads import PROFILES
 
 
+@pytest.fixture(autouse=True)
+def _empty_trace_store():
+    """Each test starts with an empty process-wide trace store, so the
+    reads and digests a test counts do not depend on test order."""
+    from repro.sbbt.store import STORE
+
+    STORE.clear()
+
+
 def execute_folded(plan, **kwargs):
     """Run :func:`execute_plan` traced into a fresh recorder; return the
     outcomes and the phases/counters folded from its spans."""

@@ -354,10 +354,14 @@ class TestEngineBatching:
         assert_outcomes_identical(batched, per_unit)
 
     def test_inline_and_engine_worker_run_alike(self, tmp_path):
-        # Both backends run units through one runner: a plan mixing two
-        # batch groups with loose scalar and singleton units gives the
-        # same result JSON and the same batch counts inline and as one
-        # chunk on a one-worker engine.
+        # Both backends run units through one runner and know a trace
+        # by its content: a plan mixing two batch groups with loose
+        # scalar and singleton units, and a plan with one more unit on
+        # a byte-identical copy of the first trace (it joins that
+        # trace's group), each give the same result JSON and the same
+        # batch counts inline and as one chunk on a one-worker engine.
+        import shutil
+
         from repro.core.engine import ExecutionEngine
         from repro.sbbt.writer import write_trace
         from repro.traces.synth import generate_trace
@@ -372,19 +376,24 @@ class TestEngineBatching:
         single = tmp_path / "single.sbbt"
         write_trace(single, generate_trace(PROFILES["short_server"],
                                            seed=30, num_branches=2000))
-        plan = WorkPlan(units=plan.units + loose.units
-                        + (replace(plan[0], trace=str(single)),))
-        inline, inline_timers = execute_folded(plan, batch="auto")
-        with ExecutionEngine(workers=1) as engine:
-            worker, worker_timers = execute_folded(
-                plan, engine=engine, chunk=len(plan), batch="auto")
-        assert all(isinstance(r, SimulationResult) for r in inline)
-        assert [comparable_document(r) for r in inline] == \
-            [comparable_document(r) for r in worker]
-        counts = ("batch_groups", "batch_units", "context_reuse")
-        assert [inline_timers.counters[n] for n in counts] == \
-            [worker_timers.counters[n] for n in counts]
-        assert inline_timers.counters["batch_groups"] == 2
+        copy = shutil.copy(plan[0].trace, tmp_path / "copy.sbbt")
+        mixed = WorkPlan(units=plan.units + loose.units
+                         + (replace(plan[0], trace=str(single)),))
+        copied = WorkPlan(units=plan.units
+                          + (replace(plan[0], trace=str(copy)),))
+        for plan, groups, units in ((mixed, 2, 8), (copied, 2, 9)):
+            inline, inline_timers = execute_folded(plan, batch="auto")
+            with ExecutionEngine(workers=1) as engine:
+                worker, worker_timers = execute_folded(
+                    plan, engine=engine, chunk=len(plan), batch="auto")
+            assert all(isinstance(r, SimulationResult) for r in inline)
+            assert [comparable_document(r) for r in inline] == \
+                [comparable_document(r) for r in worker]
+            counts = ("batch_groups", "batch_units", "context_reuse")
+            assert [inline_timers.counters[n] for n in counts] == \
+                [worker_timers.counters[n] for n in counts]
+            assert inline_timers.counters["batch_groups"] == groups
+            assert inline_timers.counters["batch_units"] == units
 
     def test_batch_off_dispatches_per_unit(self, tmp_path):
         from repro.core.engine import ExecutionEngine

@@ -355,11 +355,14 @@ class TestAccounting:
 
             engine.publish = counting_publish
             outcomes = dict(engine.run_plan(plan))
-        # One publish per distinct trace (a path and its string are
-        # one); the missing file is tried again by each of its units,
-        # and each records its own failure.
+            shipped = engine.stats.traces_published
+        # One publish per distinct trace object: a path and its string
+        # publish apart but ship one segment, as their content is one.
+        # The missing file is tried again by each of its units, and
+        # each records its own failure.
         assert sorted(calls) == sorted(
-            [str(trace_files[0]), "<memory>"] + [str(missing)] * 2)
+            [str(trace_files[0])] * 2 + ["<memory>"] + [str(missing)] * 2)
+        assert shipped == 2
         for index, unit in enumerate(plan):
             if unit.trace is missing:
                 assert outcomes[index].stage == "trace"

@@ -16,13 +16,14 @@ from collections import Counter
 import pytest
 
 import repro.sbbt.digest as sbbt_digest
+import repro.sbbt.reader as sbbt_reader
 from repro.cache import SimulationCache
 from repro.core.batch import TraceFailure, run_suite
 from repro.core.engine import ExecutionEngine
 from repro.core.output import SimulationResult
-from repro.core.plan import (WorkPlan, WorkUnit, _trace_identity,
-                             chunk_cost_size, default_trace_names,
-                             execute_plan, normalize_chunk)
+from repro.core.plan import (WorkPlan, WorkUnit, chunk_cost_size,
+                             default_trace_names, execute_plan,
+                             normalize_chunk)
 from repro.core.simulator import SimulationConfig
 from repro.predictors import Bimodal, GShare
 from repro.sbbt.writer import write_trace
@@ -394,15 +395,35 @@ def _sweep_factories(points=16):
 
 @pytest.fixture
 def digest_calls(monkeypatch):
-    """Count ``trace_digest`` calls per trace (reset by the test)."""
+    """Count the content digests computed, per digest (reset by the
+    test); a memo hit computes none."""
     calls = Counter()
-    original = sbbt_digest.trace_digest
+    original = sbbt_digest.payload_digest
 
-    def spy(trace):
-        calls[_trace_identity(trace)] += 1
-        return original(trace)
+    def spy(payload):
+        digest = original(payload)
+        calls[digest] += 1
+        return digest
 
-    monkeypatch.setattr(sbbt_digest, "trace_digest", spy)
+    monkeypatch.setattr(sbbt_digest, "payload_digest", spy)
+    return calls
+
+
+@pytest.fixture
+def read_calls(monkeypatch):
+    """Count the decompressing reads of each ``.xz`` trace, attempts
+    included, per path string (reset by the test)."""
+    import lzma
+
+    calls = Counter()
+    original = lzma.open
+
+    def spy(path, mode="rb", **kwargs):
+        if mode == "rb":
+            calls[str(path)] += 1
+        return original(path, mode, **kwargs)
+
+    monkeypatch.setattr(lzma, "open", spy)
     return calls
 
 
@@ -494,7 +515,8 @@ class TestEventStreamAccounting:
 
 
 class TestDigestOncePerPlan:
-    """The cache scan digests each distinct trace once per call."""
+    """Each file is digested once while it is unchanged, across calls;
+    an in-memory trace once per call."""
 
     @pytest.mark.parametrize("batch", ["auto", "off"])
     def test_one_digest_per_trace_and_identical_keys(
@@ -510,17 +532,19 @@ class TestDigestOncePerPlan:
         assert len(plan) == 48
         cache = SimulationCache(tmp_path / "cache")
         keys = _record_keys(monkeypatch, cache)
-        expected_calls = {_trace_identity(t): 1 for t in suite}
+        digests = [sbbt_digest.trace_digest(t) for t in traces[:3]]
+        digest_calls.clear()
 
         cold = execute_plan(plan, cache=cache, batch=batch)
-        assert dict(digest_calls) == expected_calls
+        assert dict(digest_calls) == {digest: 1 for digest in digests}
         assert cache.misses == len(plan)
         cold_keys = list(keys)
 
         digest_calls.clear()
         keys.clear()
         warm = execute_plan(plan, cache=cache, batch=batch)
-        assert dict(digest_calls) == expected_calls
+        # The files are unchanged: only the in-memory trace is digested.
+        assert dict(digest_calls) == {digests[2]: 1}
         assert cache.hits == len(plan)
         assert keys == cold_keys
 
@@ -535,7 +559,7 @@ class TestDigestOncePerPlan:
 
     @pytest.mark.parametrize("batch", ["auto", "off"])
     def test_failed_digest_is_per_unit_and_never_memoized(
-            self, traces, tmp_path, digest_calls, batch):
+            self, traces, tmp_path, digest_calls, read_calls, batch):
         good = tmp_path / "good.sbbt.xz"
         write_trace(good, traces[0])
         missing = tmp_path / "missing.sbbt.xz"
@@ -550,6 +574,7 @@ class TestDigestOncePerPlan:
                 sbbt_digest.trace_digest(bad)
             expected_errors[str(bad)] = \
                 f"{type(info.value).__name__}: {info.value}"
+        good_digest = sbbt_digest.trace_digest(traces[0])
         digest_calls.clear()
 
         suite = [good, missing, truncated]
@@ -559,7 +584,7 @@ class TestDigestOncePerPlan:
                                           plan) if unit.trace == good]
         cache = SimulationCache(tmp_path / "cache")
         for pass_name in ("cold", "warm"):
-            digest_calls.clear()
+            read_calls.clear()
             outcomes, timers = execute_folded(plan, cache=cache, batch=batch)
             counters = timers.counters
             assert (counters.get("cache_hit", 0)
@@ -567,11 +592,10 @@ class TestDigestOncePerPlan:
                     + counters.get("trace_failure", 0)) == len(plan), \
                 pass_name
             assert counters["trace_failure"] == 8
-            # The good trace is digested once; each bad-trace unit
-            # retries its own digest and records its own failure.
-            assert digest_calls[_trace_identity(good)] == 1
-            assert digest_calls[_trace_identity(missing)] == 4
-            assert digest_calls[_trace_identity(truncated)] == 4
+            # Each bad-trace unit retries its own digest (one read) and
+            # records its own failure.
+            assert read_calls[str(missing)] == 4
+            assert read_calls[str(truncated)] == 4
             good_outcomes = []
             for unit, outcome in zip(plan, outcomes):
                 if unit.trace == good:
@@ -584,21 +608,100 @@ class TestDigestOncePerPlan:
             assert [_comparable(o) for o in good_outcomes] == \
                 [_comparable(o) for o in reference]
         assert counters["cache_hit"] == 4
+        # The good trace is digested once, by the first call that needed
+        # its digest, and never again while it is unchanged.
+        assert digest_calls == {good_digest: 1}
+
+
+class TestTraceStoreReads:
+    """A file is decompressed once for its digest and its decode, and
+    not at all while its cached results stay valid."""
+
+    def test_cold_cached_unit_reads_its_file_once(self, traces, tmp_path,
+                                                  read_calls):
+        path = tmp_path / "t.sbbt.xz"
+        write_trace(path, traces[0])
+        plan = WorkPlan.for_suite(gshare_factory, [path])
+        cache = SimulationCache(tmp_path / "cache")
+        (cold,) = execute_plan(plan, cache=cache)
+        assert read_calls == {str(path): 1}
+        read_calls.clear()
+        (warm,) = execute_plan(plan, cache=cache)
+        assert read_calls == {}
+        assert warm.from_cache
+        assert _comparable(warm) == _comparable(cold)
+
+    def test_batch_grouping_reads_each_file_once(self, traces, tmp_path,
+                                                 read_calls):
+        # Grouping digests every file before the first group decodes
+        # one; the decodes reuse those reads.
+        paths = []
+        for i, data in enumerate(traces[:3]):
+            path = tmp_path / f"t{i}.sbbt.xz"
+            write_trace(path, data)
+            paths.append(path)
+        plan = WorkPlan.for_points(_sweep_factories(2), paths,
+                                   sim_engine="auto")
+        outcomes, timers = execute_folded(plan)
+        assert timers.counters["batch_groups"] == 3
+        assert read_calls == {str(path): 1 for path in paths}
+        assert all(isinstance(o, SimulationResult) for o in outcomes)
+
+    @pytest.mark.parametrize("rewrite", ["replace", "utime"])
+    @pytest.mark.parametrize("backend", ["inline", "engine"])
+    def test_rewritten_trace_is_digested_afresh(
+            self, traces, tmp_path, digest_calls, backend, rewrite):
+        import os
+        from contextlib import nullcontext
+
+        from repro.sbbt.writer import encode_payload
+
+        path = tmp_path / "t.sbbt"
+        write_trace(path, traces[0])
+        factories = [(h, functools.partial(GShare, history_length=h,
+                                           log_table_size=10))
+                     for h in range(1, 5)]  # picklable for the worker
+        plan = WorkPlan.for_points(factories, [path], sim_engine="auto")
+        new_digest = sbbt_digest.trace_digest(traces[1])
+        cache = SimulationCache(tmp_path / "cache")
+        with (ExecutionEngine(workers=1) if backend == "engine"
+              else nullcontext()) as engine:
+            execute_plan(plan, cache=cache, engine=engine)
+            if rewrite == "replace":
+                inode = path.stat().st_ino
+                write_trace(path, traces[1])
+                assert path.stat().st_ino != inode
+            else:
+                # In place, to the same size, with a new mtime.
+                before = path.stat()
+                payload = encode_payload(traces[1])
+                assert len(payload) == before.st_size
+                with open(path, "r+b") as stream:
+                    stream.write(payload)
+                os.utime(path, ns=(before.st_atime_ns,
+                                   before.st_mtime_ns + 10**9))
+            digest_calls.clear()
+            again = execute_plan(plan, cache=cache, engine=engine)
+        assert digest_calls == {new_digest: 1}
+        # What a process that never saw the old file computes.
+        fresh = execute_plan(WorkPlan.for_points(
+            factories, [traces[1]], names=[str(path)], sim_engine="auto"))
+        assert not any(o.from_cache for o in again)
+        assert [_comparable(o) for o in again] == \
+            [_comparable(o) for o in fresh]
 
 
 @pytest.fixture
 def decode_calls(monkeypatch):
     """Count ``read_trace`` calls on the inline path, per trace."""
-    import repro.core.simulator as simulator
-
     calls = Counter()
-    original = simulator.read_trace
+    original = sbbt_reader.read_trace
 
     def spy(path, *args, **kwargs):
         calls[str(path)] += 1
         return original(path, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "read_trace", spy)
+    monkeypatch.setattr(sbbt_reader, "read_trace", spy)
     return calls
 
 

@@ -63,6 +63,44 @@ class TestBulkRoundTrip:
         assert size == path.stat().st_size
         assert read_trace(path) == trace
 
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        path = tmp_path / "trace.sbbt.xz"
+        write_trace(path, make_trace([0x4000], [True]))
+        inode = path.stat().st_ino
+        new = make_trace([0x4000, 0x4010], [True, False])
+        write_trace(path, new)
+        assert path.stat().st_ino != inode
+        assert read_trace(path) == new
+
+    def test_failed_write_keeps_the_old_trace(self, tmp_path, monkeypatch):
+        import repro.sbbt.compression as compression
+
+        old = make_trace([0x4000, 0x4010], [True, False])
+        path = tmp_path / "trace.sbbt.xz"
+        write_trace(path, old)
+        original = compression.open_compressed
+
+        class Failing:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.stream.close()
+
+            def write(self, payload):
+                self.stream.write(payload[:len(payload) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(compression, "open_compressed",
+                            lambda p, mode: Failing(original(p, mode)))
+        with pytest.raises(OSError, match="disk full"):
+            write_trace(path, make_trace([0x5000], [True]))
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert read_trace(path) == old
+
     def test_empty_trace_round_trip(self, tmp_path):
         trace = TraceData.empty()
         path = tmp_path / "empty.sbbt"

@@ -166,20 +166,23 @@ class TestOnePassFunnel:
             self, serve, trace_files, tmp_path, monkeypatch):
         import repro.sbbt.digest as sbbt_digest
 
+        from repro.sbbt.reader import read_trace
+
+        digest = sbbt_digest.trace_digest(read_trace(trace_files[0]))
         calls = []
-        original = sbbt_digest.trace_digest
+        original = sbbt_digest.payload_digest
 
-        def counting(trace):
-            calls.append(str(trace))
-            return original(trace)
+        def counting(payload):
+            calls.append(original(payload))
+            return calls[-1]
 
-        monkeypatch.setattr(sbbt_digest, "trace_digest", counting)
+        monkeypatch.setattr(sbbt_digest, "payload_digest", counting)
         handle = serve(cache_dir=str(tmp_path / "cache"))
         with MbpClient(socket_path=handle.socket_path) as client:
             first = client.sweep([trace_files[0]], "gshare",
                                  "history_length", [2, 4, 8])
             stats = client.stats()
-            assert calls == [trace_files[0]]
+            assert calls == [digest]
             repeat = client.sweep([trace_files[0]], "gshare",
                                   "history_length", [2, 4, 8])
         units = stats["counters"]["serve_units"]

@@ -104,6 +104,24 @@ class TestSimulateCommand:
         assert "trace stage failed" in message
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["suite"],
+        ["sweep", "--parameter", "history_length", "--values", "4"]],
+        ids=["simulate", "suite", "sweep"])
+    def test_cache_dir_naming_a_file_clean_error(self, trace_file, tmp_path,
+                                                 capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = [command[0], str(trace_file), *command[1:],
+                "--cache-dir", str(afile)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert message.startswith(f"mbp {command[0]}: ")
+        assert str(afile) in message
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_engine_auto_falls_back(self, trace_file, capsys):
         assert main(["simulate", str(trace_file), "--predictor", "tage",
                      "--engine", "auto"]) == 0

@@ -65,11 +65,13 @@ class TestImportFootprint:
         assert {"repro.core.plan", "repro.predictors.tage",
                 "repro.predictors.gshare"} <= modules
         # The interval recorder and the probe load only for a unit that
-        # asks for them.
+        # asks for them; digests (hashlib, the writer's encoder) only
+        # for a plan that keys or batches.
         for idle in ("repro.core.engine", "repro.core.vectorized",
                      "repro.cache", "repro.serve", "repro.analysis",
                      "repro.baselines", "repro.telemetry", "repro.probe",
-                     "multiprocessing", "concurrent.futures"):
+                     "multiprocessing", "concurrent.futures", "hashlib",
+                     "repro.sbbt.digest", "repro.sbbt.writer"):
             assert not loaded(modules, idle), idle
         other_predictors = {
             name for name in all_module_names()
