@@ -22,8 +22,7 @@ from typing import Any, Sequence
 from ..core.branch import Branch
 from ..core.predictor import Predictor
 from ..utils.bits import mask
-from ..utils.folded import FoldedHistory, push_history
-from ..utils.hashing import xor_fold
+from ..utils.folded import FoldedBank
 from ..utils.lfsr import Lfsr
 from .tage import IpFolds, geometric_history_lengths
 
@@ -180,35 +179,19 @@ class Batage(Predictor):
             _DualCounterTable(log_tagged_size, self.tag_widths[i], counter_max)
             for i in range(num_tables)
         ]
-        self._history = 0  # bit i = outcome i branches ago
-        self._history_mask = mask(max(self.history_lengths))
-        self._folded_index = [
-            FoldedHistory(length, log_tagged_size)
-            for length in self.history_lengths
-        ]
-        self._folded_tag0 = [
-            FoldedHistory(length, self.tag_widths[i])
-            for i, length in enumerate(self.history_lengths)
-        ]
-        self._folded_tag1 = [
-            FoldedHistory(length, max(1, self.tag_widths[i] - 1))
-            for i, length in enumerate(self.history_lengths)
-        ]
-        # Per-table lookup lanes, zipped once so the hot path iterates
-        # tuples instead of indexing five lists.
-        self._index_mask = mask(log_tagged_size)
-        self._lanes = tuple(zip(
-            range(num_tables), [3 * t for t in range(num_tables)],
-            self._tables, self._folded_index, self._folded_tag0,
-            self._folded_tag1, [mask(w) for w in self.tag_widths]))
-        self._registers = (self._folded_index + self._folded_tag0
-                           + self._folded_tag1)
-        self._ip_folds = IpFolds(log_tagged_size, self.tag_widths)
+        # As in TAGE, but table t's index is salted with 3t.
+        self._bank = FoldedBank(self.history_lengths, log_tagged_size,
+                                self.tag_widths)
+        self._ip_folds = IpFolds(self._bank,
+                                 [3 * t for t in range(num_tables)])
+        # (t, tags of table t, its tag's lane), longest history first.
+        self._scan = [(t, self._tables[t].tags, num_tables + t)
+                      for t in reversed(range(num_tables))]
         self._path = 0
         self._rng = Lfsr(width=32, seed=lfsr_seed)
         self._cat = 0  # Controlled Allocation Throttling state
         self._cached_ip: int | None = None
-        self._cache: dict[str, Any] = {}
+        self._cache: tuple | None = None
         self._stat_provider_hits = [0] * (num_tables + 1)
         self._stat_allocations = 0
         self._stat_decays = 0
@@ -220,64 +203,40 @@ class Batage(Predictor):
     def _base_index(self, ip: int) -> int:
         return ip & self._base_mask
 
-    def _lookup(self, ip: int) -> dict[str, Any]:
-        # As in TAGE, the table-independent path fold is computed once per
-        # prediction and the ip folds once per static branch; only the
-        # salt (3 * t) differs from TAGE's.
-        ip_index, ip_tags = self._ip_folds[ip]
-        shared = ip_index ^ xor_fold(self._path, self.log_tagged_size)
-        index_mask = self._index_mask
-        indices = []
-        tags = []
-        hits = []
-        for (t, salt, table, fi, f0, f1, tag_mask), ip_tag in zip(
-                self._lanes, ip_tags):
-            index = (shared ^ fi.value ^ salt) & index_mask
-            tag = (ip_tag ^ f0.value ^ (f1.value << 1)) & tag_mask
-            indices.append(index)
-            tags.append(tag)
-            if table.tags[index] == tag:
-                hits.append(t)
+    def _lookup(self, ip: int) -> tuple:
+        # Indices and tags as in TAGE; only the salt (3 * t) differs.
+        lanes = self._bank.read(self._ip_folds[ip], self._path)
+        hits = [t for t, tags, tag in self._scan
+                if tags[lanes[t]] == lanes[tag]]
         base_index = self._base_index(ip)
         base_n1 = self._base.n_taken[base_index]
         base_n0 = self._base.n_not_taken[base_index]
+        base_conf = dual_counter_confidence(base_n1, base_n0)
+        if not hits:
+            return lanes, hits, None, base_conf, base_n1 >= base_n0
 
-        # Scan candidates from the longest history down to the base and
-        # keep the most confident; the scan order makes ties favour the
-        # longer history (strict improvement is required to switch).
-        best_table: int | None = None  # None = the base provides
-        best_conf = dual_counter_confidence(base_n1, base_n0)
-        best_pred = base_n1 >= base_n0
-        first = True
-        for t in reversed(hits):
-            n1 = self._tables[t].n_taken[indices[t]]
-            n0 = self._tables[t].n_not_taken[indices[t]]
+        # Scan hits from the longest history down and keep the most
+        # confident; the scan order makes ties favour the longer history
+        # (strict improvement is required to switch).
+        best_table = best_conf = best_pred = None
+        for t in hits:
+            n1 = self._tables[t].n_taken[lanes[t]]
+            n0 = self._tables[t].n_not_taken[lanes[t]]
             conf = dual_counter_confidence(n1, n0)
-            if first or conf < best_conf:
+            if best_table is None or conf < best_conf:
                 best_table, best_conf, best_pred = t, conf, n1 >= n0
-            first = False
-        if not first:
-            # Base entry competes last: it wins only on strictly better
-            # confidence than every hitting entry.
-            base_conf = dual_counter_confidence(base_n1, base_n0)
-            if base_conf < best_conf:
-                best_table, best_conf = None, base_conf
-                best_pred = base_n1 >= base_n0
-        return {
-            "indices": indices,
-            "tags": tags,
-            "hits": hits,
-            "provider": best_table,
-            "confidence": best_conf,
-            "final": best_pred,
-        }
+        # Base entry competes last: it wins only on strictly better
+        # confidence than every hitting entry.
+        if base_conf < best_conf:
+            return lanes, hits, None, base_conf, base_n1 >= base_n0
+        return lanes, hits, best_table, best_conf, best_pred
 
     def predict(self, ip: int) -> bool:
         """Most confident hitting entry wins; longest history breaks ties."""
         state = self._lookup(ip)
         self._cached_ip = ip
         self._cache = state
-        return state["final"]
+        return state[-1]
 
     # ------------------------------------------------------------------
     # Training.
@@ -285,14 +244,11 @@ class Batage(Predictor):
 
     def train(self, branch: Branch) -> None:
         """Dual-counter updates, confidence-based decay and CAT allocation."""
-        if self._cached_ip != branch.ip or not self._cache:
+        if self._cached_ip != branch.ip or self._cache is None:
             self.predict(branch.ip)
-        state = self._cache
+        lanes, hits, provider, confidence, final = self._cache
         taken = branch.taken
-        indices = state["indices"]
-        hits: list[int] = state["hits"]
-        provider = state["provider"]
-        mispredicted = state["final"] != taken
+        mispredicted = final != taken
 
         self._stat_provider_hits[0 if provider is None else provider + 1] += 1
 
@@ -301,7 +257,7 @@ class Batage(Predictor):
             # The most confident entry provided; when that was not the
             # longest-history hit, confidence ranking overrode it.
             source = "base" if provider is None else f"T{provider + 1}"
-            longest = hits[-1] if hits else None
+            longest = hits[0] if hits else None
             overrode = (f"T{longest + 1}"
                         if longest is not None and provider != longest
                         else None)
@@ -313,21 +269,21 @@ class Batage(Predictor):
         if provider is None:
             self._base.update(self._base_index(branch.ip), taken)
         else:
-            self._tables[provider].update(indices[provider], taken)
-            if state["confidence"] != HIGH:
-                shorter = [t for t in hits if t < provider]
-                if shorter:
-                    t = shorter[-1]
-                    self._tables[t].update(indices[t], taken)
+            self._tables[provider].update(lanes[provider], taken)
+            if confidence != HIGH:
+                shorter = hits.index(provider) + 1
+                if shorter < len(hits):
+                    t = hits[shorter]
+                    self._tables[t].update(lanes[t], taken)
                 else:
                     self._base.update(self._base_index(branch.ip), taken)
 
         if mispredicted:
-            self._allocate(taken, provider, indices, state["tags"])
+            self._allocate(taken, provider, lanes)
         self._cached_ip = None
 
     def _allocate(self, taken: bool, provider: int | None,
-                  indices: list[int], tags: list[int]) -> None:
+                  lanes: tuple[int, ...]) -> None:
         """CAT-throttled allocation in a longer-history table.
 
         The CAT counter tracks how often allocations clobber useful
@@ -346,7 +302,7 @@ class Batage(Predictor):
         table = start + skip
         if table >= self.num_tables:
             return
-        index = indices[table]
+        index = lanes[table]
         entry = self._tables[table]
         n1, n0 = entry.n_taken[index], entry.n_not_taken[index]
         if dual_counter_confidence(n1, n0) == HIGH:
@@ -355,7 +311,7 @@ class Batage(Predictor):
             self._stat_decays += 1
             self._cat = min(self.cat_max - 1, self._cat + 3)
         else:
-            entry.allocate(index, tags[table], taken)
+            entry.allocate(index, lanes[self.num_tables + table], taken)
             self._stat_allocations += 1
             self._cat = max(0, self._cat - 1)
 
@@ -365,8 +321,7 @@ class Batage(Predictor):
 
     def track(self, branch: Branch) -> None:
         """Push the outcome through the global history and folded registers."""
-        self._history = push_history(self._registers, self._history,
-                                     branch.taken, self._history_mask)
+        self._bank.push(branch.taken)
         self._path = ((self._path << 1) ^ (branch.ip & 0xFFFF)) & 0xFFFF
         self._cached_ip = None
 

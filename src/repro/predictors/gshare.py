@@ -13,7 +13,6 @@ from typing import Any
 from ..core.branch import Branch
 from ..core.predictor import Predictor
 from ..utils.bits import mask
-from ..utils.hashing import xor_fold
 
 __all__ = ["GShare"]
 
@@ -48,10 +47,15 @@ class GShare(Predictor):
         self.log_table_size = log_table_size
         self.counter_width = counter_width
         self._history_mask = mask(history_length)
+        self._index_mask = mask(log_table_size)
         self._max = (1 << (counter_width - 1)) - 1
         self._min = -(1 << (counter_width - 1))
         self._table = [0] * (1 << log_table_size)
         self._ghist = 0
+        # The last prediction's (ip, index), reused by train until track
+        # moves the history on.
+        self._cached_ip: int | None = None
+        self._cached_index = 0
 
     @property
     def history(self) -> int:
@@ -59,19 +63,32 @@ class GShare(Predictor):
         return self._ghist
 
     def _hash(self, ip: int) -> int:
-        return xor_fold(ip ^ self._ghist, self.log_table_size)
+        # xor_fold(ip ^ ghist, log_table_size), inlined.
+        value = ip ^ self._ghist
+        width = self.log_table_size
+        chunk = self._index_mask
+        index = 0
+        while value:
+            index ^= value & chunk
+            value >>= width
+        return index
 
     def predict(self, ip: int) -> bool:
         """Non-negative hashed counter means taken."""
-        return self._table[self._hash(ip)] >= 0
+        index = self._hash(ip)
+        self._cached_ip = ip
+        self._cached_index = index
+        return self._table[index] >= 0
 
     def train(self, branch: Branch) -> None:
         """Saturating ±1 update of the hashed counter.
 
         Called before ``track`` by the simulator, so the hash uses the
-        same history the prediction used.
+        same history the prediction used; after a ``predict`` of the
+        same ip it is that prediction's index.
         """
-        i = self._hash(branch.ip)
+        i = (self._cached_index if self._cached_ip == branch.ip
+             else self._hash(branch.ip))
         v = self._table[i]
         probe = self._probe
         if probe is not None:
@@ -87,6 +104,7 @@ class GShare(Predictor):
     def track(self, branch: Branch) -> None:
         """Shift the outcome into the global history register."""
         self._ghist = ((self._ghist << 1) | branch.taken) & self._history_mask
+        self._cached_ip = None
 
     def metadata_stats(self) -> dict[str, Any]:
         """Self-description, shaped like the paper's Listing 1 metadata."""

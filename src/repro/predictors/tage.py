@@ -21,7 +21,7 @@ from typing import Any, Sequence
 from ..core.branch import Branch
 from ..core.predictor import Predictor
 from ..utils.bits import mask
-from ..utils.folded import FoldedHistory, push_history
+from ..utils.folded import FoldedBank
 from ..utils.hashing import xor_fold
 from ..utils.lfsr import Lfsr
 from ..utils.tables import TaggedTable
@@ -55,12 +55,13 @@ def geometric_history_lengths(num_tables: int, min_length: int,
 class IpFolds(dict):
     """Memo of the ``ip``-only terms of a TAGE-shaped lookup.
 
-    Maps an ``ip`` to ``(index_term, tag_terms)``: the index term is
-    ``xor_fold(ip, w) ^ xor_fold(ip >> w, w)`` on the ``w`` index bits,
-    and ``tag_terms[t]`` is ``xor_fold(ip, tag_widths[t])``.  A static
-    branch is folded once, not once per prediction.  The memo is cleared
-    when it holds :attr:`MAX_ENTRIES` entries and a new ``ip`` arrives,
-    so it never holds more (about 1.5 MB for the default TAGE).
+    Maps an ``ip`` to a :meth:`FoldedBank.pack` word: index lane ``t``
+    holds ``xor_fold(ip, w) ^ xor_fold(ip >> w, w) ^ salts[t]`` on the
+    ``w`` index bits, and tag lane ``t`` holds
+    ``xor_fold(ip, tag_widths[t])``.  A static branch is folded once,
+    not once per prediction.  The memo is cleared when it holds
+    :attr:`MAX_ENTRIES` entries and a new ``ip`` arrives, so it never
+    holds more (about 0.5 MB for the default TAGE).
 
     A miss costs a little more than folding inline and a hit saves most
     of a lookup, so the memo pays unless only a small share of lookups
@@ -70,21 +71,23 @@ class IpFolds(dict):
     memo").
     """
 
-    __slots__ = ("_index_width", "_tag_widths")
+    __slots__ = ("_bank", "_salts")
 
     MAX_ENTRIES = 1 << 12
 
-    def __init__(self, index_width: int, tag_widths: Sequence[int]):
+    def __init__(self, bank: FoldedBank, salts: Sequence[int]):
         super().__init__()
-        self._index_width = index_width
-        self._tag_widths = tuple(tag_widths)
+        self._bank = bank
+        self._salts = [salt & mask(bank.index_width) for salt in salts]
 
-    def __missing__(self, ip: int) -> tuple[int, tuple[int, ...]]:
+    def __missing__(self, ip: int) -> int:
         if len(self) >= self.MAX_ENTRIES:
             self.clear()
-        w = self._index_width
-        folds = (xor_fold(ip, w) ^ xor_fold(ip >> w, w),
-                 tuple(xor_fold(ip, width) for width in self._tag_widths))
+        bank = self._bank
+        w = bank.index_width
+        index = xor_fold(ip, w) ^ xor_fold(ip >> w, w)
+        folds = bank.pack([index ^ salt for salt in self._salts],
+                          [xor_fold(ip, width) for width in bank.tag_widths])
         self[ip] = folds
         return folds
 
@@ -155,32 +158,14 @@ class Tage(Predictor):
                         counter_width, useful_width)
             for i in range(num_tables)
         ]
-        # The global history as one integer (bit i = outcome i branches
-        # ago), as long as the longest table's history.
-        self._history = 0
-        self._history_mask = mask(max(self.history_lengths))
-        self._folded_index = [
-            FoldedHistory(length, log_tagged_size)
-            for length in self.history_lengths
-        ]
-        self._folded_tag0 = [
-            FoldedHistory(length, self.tag_widths[i])
-            for i, length in enumerate(self.history_lengths)
-        ]
-        self._folded_tag1 = [
-            FoldedHistory(length, max(1, self.tag_widths[i] - 1))
-            for i, length in enumerate(self.history_lengths)
-        ]
-        # Per-table lookup lanes, zipped once so the hot path iterates
-        # tuples instead of indexing five lists.
-        self._index_mask = mask(log_tagged_size)
-        self._lanes = tuple(zip(
-            range(num_tables), self._tables, self._folded_index,
-            self._folded_tag0, self._folded_tag1,
-            [mask(w) for w in self.tag_widths]))
-        self._registers = (self._folded_index + self._folded_tag0
-                           + self._folded_tag1)
-        self._ip_folds = IpFolds(log_tagged_size, self.tag_widths)
+        # The global history and every table's folded registers; table
+        # t's index is salted with t.
+        self._bank = FoldedBank(self.history_lengths, log_tagged_size,
+                                self.tag_widths)
+        self._ip_folds = IpFolds(self._bank, range(num_tables))
+        # (t, tags of table t, its tag's lane), longest history first.
+        self._scan = [(t, self._tables[t].tags, num_tables + t)
+                      for t in reversed(range(num_tables))]
         self._path = 0
         self._rng = Lfsr(width=32, seed=lfsr_seed)
         self._use_alt_on_na = self.USE_ALT_MAX // 2
@@ -188,7 +173,7 @@ class Tage(Predictor):
         self._u_reset_phase = 0
         # Per-prediction cache (predict-then-train protocol).
         self._cached_ip: int | None = None
-        self._cache: dict[str, Any] = {}
+        self._cache: tuple | None = None
         # Execution statistics.
         self._stat_provider_hits = [0] * (num_tables + 1)  # [0] = base
         self._stat_allocations = 0
@@ -201,65 +186,41 @@ class Tage(Predictor):
     def _base_index(self, ip: int) -> int:
         return ip & self._base_mask
 
-    def _lookup(self, ip: int) -> dict[str, Any]:
+    def _lookup(self, ip: int) -> tuple:
         # Table t's index is fold(ip) ^ fold(ip >> w) ^ fold(path) ^
-        # folded_index[t] ^ t on w = log_tagged_size bits.  The first three
-        # terms do not depend on t: the path term is folded once per
-        # prediction, and the ip terms (with the tags' ip folds) come from
-        # a memo filled once per static branch.
-        ip_index, ip_tags = self._ip_folds[ip]
-        shared = ip_index ^ xor_fold(self._path, self.log_tagged_size)
-        index_mask = self._index_mask
-        indices = []
-        tags = []
-        hits = []
-        for (t, table, fi, f0, f1, tag_mask), ip_tag in zip(self._lanes,
-                                                              ip_tags):
-            index = (shared ^ fi.value ^ t) & index_mask
-            tag = (ip_tag ^ f0.value ^ (f1.value << 1)) & tag_mask
-            indices.append(index)
-            tags.append(tag)
-            if table.tags[index] == tag:
-                hits.append(t)
-        base_pred = self._base[self._base_index(ip)] >= 0
-        provider = hits[-1] if hits else None
-        alt = hits[-2] if len(hits) >= 2 else None
+        # folded_index[t] ^ t on w = log_tagged_size bits; the ip terms
+        # and salts come packed from a memo filled once per static branch.
+        lanes = self._bank.read(self._ip_folds[ip], self._path)
+        provider = alt = None
+        for t, tags, tag in self._scan:
+            if tags[lanes[t]] == lanes[tag]:
+                if provider is not None:
+                    alt = t
+                    break
+                provider = t
 
-        if provider is not None:
-            counter = self._tables[provider].counters[indices[provider]]
-            provider_pred = counter >= 0
-            weak = counter in (0, -1)
+        if alt is None:
+            alt_pred = self._base[self._base_index(ip)] >= 0
+            if provider is None:
+                return (lanes, None, None, alt_pred, alt_pred, False, False,
+                        alt_pred)
         else:
-            provider_pred = base_pred
-            weak = False
-        if alt is not None:
-            alt_counter = self._tables[alt].counters[indices[alt]]
-            alt_pred = alt_counter >= 0
-        else:
-            alt_pred = base_pred
-
-        alt_used = (provider is not None and weak
+            alt_pred = self._tables[alt].counters[lanes[alt]] >= 0
+        counter = self._tables[provider].counters[lanes[provider]]
+        provider_pred = counter >= 0
+        weak = counter in (0, -1)
+        alt_used = (weak
                     and self._use_alt_on_na >= (self.USE_ALT_MAX + 1) // 2)
         final = alt_pred if alt_used else provider_pred
-        return {
-            "indices": indices,
-            "tags": tags,
-            "provider": provider,
-            "alt": alt,
-            "base_pred": base_pred,
-            "provider_pred": provider_pred,
-            "alt_pred": alt_pred,
-            "weak": weak,
-            "alt_used": alt_used,
-            "final": final,
-        }
+        return (lanes, provider, alt, provider_pred, alt_pred, weak,
+                alt_used, final)
 
     def predict(self, ip: int) -> bool:
         """Longest tag match provides; alt prediction covers weak entries."""
         state = self._lookup(ip)
         self._cached_ip = ip
         self._cache = state
-        return state["final"]
+        return state[-1]
 
     # ------------------------------------------------------------------
     # Training.
@@ -276,13 +237,12 @@ class Tage(Predictor):
 
     def train(self, branch: Branch) -> None:
         """Provider/alt counter training, u management and allocation."""
-        if self._cached_ip != branch.ip or not self._cache:
+        if self._cached_ip != branch.ip or self._cache is None:
             self.predict(branch.ip)
-        state = self._cache
+        (lanes, provider, alt, provider_pred, alt_pred, weak, alt_used,
+         final) = self._cache
         taken = branch.taken
-        indices = state["indices"]
-        provider = state["provider"]
-        mispredicted = state["final"] != taken
+        mispredicted = final != taken
 
         self._stat_provider_hits[0 if provider is None else provider + 1] += 1
 
@@ -293,15 +253,12 @@ class Tage(Predictor):
             # weak provider — the alternative (which overrode it).
             if provider is None:
                 source = "base"
-            elif state["alt_used"]:
-                source = ("base" if state["alt"] is None
-                          else f"T{state['alt'] + 1}")
+            elif alt_used:
+                source = "base" if alt is None else f"T{alt + 1}"
             else:
                 source = f"T{provider + 1}"
             overrode = (f"T{provider + 1}"
-                        if state["alt_used"]
-                        and state["alt_pred"] != state["provider_pred"]
-                        else None)
+                        if alt_used and alt_pred != provider_pred else None)
             probe.record(branch.ip, source, not mispredicted,
                          overrode=overrode)
 
@@ -309,10 +266,10 @@ class Tage(Predictor):
             self._update_base(branch.ip, taken)
         else:
             table = self._tables[provider]
-            index = indices[provider]
+            index = lanes[provider]
             # use_alt_on_na learns whether weak entries should be trusted.
-            if state["weak"] and state["provider_pred"] != state["alt_pred"]:
-                if state["alt_pred"] == taken:
+            if weak and provider_pred != alt_pred:
+                if alt_pred == taken:
                     self._use_alt_on_na = min(self.USE_ALT_MAX,
                                               self._use_alt_on_na + 1)
                 else:
@@ -320,19 +277,18 @@ class Tage(Predictor):
             table.update_counter(index, taken)
             # The alt (or base) trains too when the provider was weak and
             # newly allocated — keeps the fallback warm.
-            if state["weak"]:
-                if state["alt"] is not None:
-                    self._tables[state["alt"]].update_counter(
-                        indices[state["alt"]], taken)
+            if weak:
+                if alt is not None:
+                    self._tables[alt].update_counter(lanes[alt], taken)
                 else:
                     self._update_base(branch.ip, taken)
             # u tracks whether the provider beats its alternative.
-            if state["provider_pred"] != state["alt_pred"]:
-                delta = 1 if state["provider_pred"] == taken else -1
-                table.update_useful(index, delta)
+            if provider_pred != alt_pred:
+                table.update_useful(index, 1 if provider_pred == taken
+                                    else -1)
 
         if mispredicted:
-            self._allocate(taken, provider, indices, state["tags"])
+            self._allocate(taken, provider, lanes)
 
         self._train_count += 1
         if self._train_count % self.u_reset_period == 0:
@@ -340,7 +296,7 @@ class Tage(Predictor):
         self._cached_ip = None
 
     def _allocate(self, taken: bool, provider: int | None,
-                  indices: list[int], tags: list[int]) -> None:
+                  lanes: tuple[int, ...]) -> None:
         """Claim an entry in a longer-history table after a mispredict.
 
         Following the original policy: pick a random start among the
@@ -361,16 +317,17 @@ class Tage(Predictor):
                 break
         allocated = False
         for t in range(start + offset, self.num_tables):
-            index = indices[t]
+            index = lanes[t]
             if self._tables[t].useful[index] == 0:
-                self._tables[t].allocate(index, tags[t], taken)
+                self._tables[t].allocate(index, lanes[self.num_tables + t],
+                                         taken)
                 self._stat_allocations += 1
                 allocated = True
                 break
         if not allocated:
             self._stat_allocation_failures += 1
             for t in range(start, self.num_tables):
-                self._tables[t].update_useful(indices[t], -1)
+                self._tables[t].update_useful(lanes[t], -1)
 
     def _graceful_u_reset(self) -> None:
         """Alternately clear the high and low bit of every u counter."""
@@ -386,8 +343,7 @@ class Tage(Predictor):
 
     def track(self, branch: Branch) -> None:
         """Push the outcome through the global history and folded registers."""
-        self._history = push_history(self._registers, self._history,
-                                     branch.taken, self._history_mask)
+        self._bank.push(branch.taken)
         self._path = ((self._path << 1) ^ (branch.ip & 0xFFFF)) & 0xFFFF
         self._cached_ip = None
 

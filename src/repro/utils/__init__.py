@@ -18,7 +18,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
               "rotate_left", "rotate_right", "set_bits", "sign_extend"),
     ".counters": ("CounterArray", "SignedSaturatingCounter",
                   "UnsignedSaturatingCounter", "i2", "u2"),
-    ".folded": ("FoldedHistory", "HistoryWindow"),
+    ".folded": ("FoldedBank", "FoldedHistory", "HistoryWindow"),
     ".hashing": ("gshare_index", "mix64", "path_hash_step", "skew_h",
                  "skew_h_inverse", "skew_hash", "xor_fold"),
     ".history": ("GlobalHistory", "LocalHistoryTable", "PathHistory"),
@@ -35,7 +35,7 @@ __all__ = [
     "CounterArray", "SignedSaturatingCounter", "UnsignedSaturatingCounter",
     "i2", "u2",
     # folded history
-    "FoldedHistory", "HistoryWindow",
+    "FoldedBank", "FoldedHistory", "HistoryWindow",
     # hashing
     "gshare_index", "mix64", "path_hash_step", "skew_h", "skew_h_inverse",
     "skew_hash", "xor_fold",

@@ -1,6 +1,8 @@
 """Behavioural tests for the static, bimodal, gshare and two-level
 predictors."""
 
+import random
+
 import pytest
 
 from repro.core.simulator import simulate
@@ -15,6 +17,7 @@ from repro.predictors import (
     TwoLevel,
 )
 from repro.predictors.twolevel import GAp, GAs, PAg, PAp, PAs, SAg, SAp, SAs
+from repro.utils.hashing import xor_fold
 from tests.conftest import make_branch, make_trace
 
 
@@ -98,6 +101,25 @@ class TestGShare:
         gshare = simulate(GShare(history_length=4, log_table_size=10), trace)
         bimodal = simulate(Bimodal(log_table_size=10), trace)
         assert gshare.mispredictions < bimodal.mispredictions / 4
+
+    def test_train_indexes_with_the_current_history(self):
+        # train reuses predict's index only for the same ip before track;
+        # otherwise (train-only callers, another ip predicted) it hashes.
+        rng = random.Random(7)
+        predictor = GShare(history_length=6, log_table_size=5)
+        expected = [0] * 32
+        for _ in range(600):
+            branch = make_branch(ip=0x4000 + 4 * rng.randrange(4),
+                                 taken=rng.random() < 0.6)
+            before_train = rng.choice(["same ip", "other ip", "none"])
+            if before_train != "none":
+                predictor.predict(branch.ip + 4 * (before_train == "other ip"))
+            i = xor_fold(branch.ip ^ predictor.history, 5)
+            expected[i] = (min(1, expected[i] + 1) if branch.taken
+                           else max(-2, expected[i] - 1))
+            predictor.train(branch)
+            predictor.track(branch)
+        assert predictor._table == expected
 
     def test_storage_bits(self):
         predictor = GShare(history_length=15, log_table_size=17)

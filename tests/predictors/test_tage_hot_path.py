@@ -1,18 +1,22 @@
 """Differential harness: the TAGE/BATAGE hot path against per-table formulas.
 
-``Tage._lookup`` and ``Batage._lookup`` fold the table-independent
-``path`` term once per prediction, take the ``ip`` terms from a memo
-filled once per static branch, and zip their per-table registers;
-``track`` updates every register in one pass over an integer history.
-The reference subclasses below keep the straightforward per-table
-formulas instead: one ``_tagged_index``/``_tag`` call per table, tags
-re-derived at allocation time, and an index-by-index ``track`` over
-their own :class:`HistoryWindow`.  Both must agree on every per-branch
+``Tage`` and ``Batage`` keep every folded register in one
+:class:`~repro.utils.folded.FoldedBank` word, take the ``ip`` terms and
+table salts from a memo filled once per static branch, read all
+indices and tags in one unpack and pass tuple-shaped state from
+``predict`` to ``train``.  The reference subclasses below share only
+the tables, counters, LFSR and statistics of the class under test.
+Everything on the hot path is their own: one :class:`FoldedHistory`
+per register over their own :class:`HistoryWindow`, one
+``_tagged_index``/``_tag`` call per table, a dict-shaped prediction
+state, tags re-derived at allocation time, and their own
+``predict``/``train``/``track``.  Both must agree on every per-branch
 prediction, on the result JSON (minus ``simulation_time``), on
-``execution_stats()`` and on the probe report, across table counts,
-table sizes, tag widths (including the 1- and 2-bit tags whose second
-tag register is clamped to one bit), history lengths around the folded
-widths and ``u`` reset periods.
+``execution_stats()`` and on the probe report, across table counts
+(more tables than a table has entries, so salts wrap), table sizes,
+tag widths (1- and 2-bit tags, whose second tag register is clamped to
+one bit, and widths at the bank's slot boundaries), history lengths
+around the folded widths and beyond 128 bits, and ``u`` reset periods.
 
 Uses `hypothesis` when the environment provides it; otherwise the same
 properties run against draws from a seeded ``random.Random``.
@@ -34,7 +38,7 @@ from repro.predictors.batage import HIGH, dual_counter_confidence
 from repro.predictors.tage import IpFolds
 from repro.probe import PredictionProbe
 from repro.utils.bits import mask
-from repro.utils.folded import HistoryWindow
+from repro.utils.folded import FoldedHistory, HistoryWindow
 from repro.utils.hashing import xor_fold
 from tests.conftest import make_trace, scalar_predictions
 
@@ -46,52 +50,77 @@ except ImportError:  # pragma: no cover - depends on the environment
     HAVE_HYPOTHESIS = False
 
 
-def _reference_track(self, branch) -> None:
-    new_bit = branch.taken
-    for t in range(self.num_tables):
-        evicted = self._window[self.history_lengths[t] - 1]
-        self._folded_index[t].update(new_bit, evicted)
-        self._folded_tag0[t].update(new_bit, evicted)
-        self._folded_tag1[t].update(new_bit, evicted)
-    self._window.push(new_bit)
-    self._path = ((self._path << 1) ^ (branch.ip & 0xFFFF)) & 0xFFFF
-    self._cached_ip = None
+class _ReferenceRegisters:
+    """Per-table folded registers, window, path and prediction state,
+    kept apart from the optimized class's attributes."""
 
+    #: Table t's index salt is SALT * t.
+    SALT = 1
 
-def _reference_tag(self, table: int, ip: int) -> int:
-    w = self.tag_widths[table]
-    value = (xor_fold(ip, w) ^ self._folded_tag0[table].value
-             ^ (self._folded_tag1[table].value << 1))
-    return value & mask(w)
-
-
-class _ReferenceTage(Tage):
-    """TAGE with one index/tag computation per table and lookup."""
-
-    track = _reference_track
-    _tag = _reference_tag
-
-    def __init__(self, **kwargs) -> None:
-        # Tage keeps its history as an integer; the reference reads the
-        # evicted bits from its own window.
-        super().__init__(**kwargs)
-        self._window = HistoryWindow(max(self.history_lengths))
+    def _init_reference(self) -> None:
+        lengths = self.history_lengths
+        self._ref_window = HistoryWindow(max(lengths))
+        self._ref_index = [FoldedHistory(length, self.log_tagged_size)
+                           for length in lengths]
+        self._ref_tag0 = [FoldedHistory(length, width)
+                          for length, width in zip(lengths, self.tag_widths)]
+        self._ref_tag1 = [FoldedHistory(length, max(1, width - 1))
+                          for length, width in zip(lengths, self.tag_widths)]
+        self._ref_path = 0
+        self._ref_ip: int | None = None
+        self._ref_state: dict[str, Any] = {}
 
     def _tagged_index(self, table: int, ip: int) -> int:
         w = self.log_tagged_size
         value = (xor_fold(ip, w) ^ xor_fold(ip >> w, w)
-                 ^ self._folded_index[table].value
-                 ^ xor_fold(self._path, w) ^ table)
+                 ^ self._ref_index[table].value
+                 ^ xor_fold(self._ref_path, w) ^ (self.SALT * table))
         return value & mask(w)
 
-    def _lookup(self, ip: int) -> dict[str, Any]:
+    def _tag(self, table: int, ip: int) -> int:
+        w = self.tag_widths[table]
+        value = (xor_fold(ip, w) ^ self._ref_tag0[table].value
+                 ^ (self._ref_tag1[table].value << 1))
+        return value & mask(w)
+
+    def predict(self, ip: int) -> bool:
+        self._ref_state = self._reference_lookup(ip)
+        self._ref_ip = ip
+        return self._ref_state["final"]
+
+    def _reference_state(self, ip: int) -> dict[str, Any]:
+        if self._ref_ip != ip or not self._ref_state:
+            self.predict(ip)
+        return self._ref_state
+
+    def track(self, branch) -> None:
+        new_bit = branch.taken
+        for t in range(self.num_tables):
+            evicted = self._ref_window[self.history_lengths[t] - 1]
+            self._ref_index[t].update(new_bit, evicted)
+            self._ref_tag0[t].update(new_bit, evicted)
+            self._ref_tag1[t].update(new_bit, evicted)
+        self._ref_window.push(new_bit)
+        self._ref_path = ((self._ref_path << 1)
+                          ^ (branch.ip & 0xFFFF)) & 0xFFFF
+        self._ref_ip = None
+
+
+class _ReferenceTage(_ReferenceRegisters, Tage):
+    """TAGE with one index/tag computation per table and lookup."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._init_reference()
+
+    def _reference_lookup(self, ip: int) -> dict[str, Any]:
         indices = [self._tagged_index(t, ip) for t in range(self.num_tables)]
         tags = [self._tag(t, ip) for t in range(self.num_tables)]
         hits = [
             t for t in range(self.num_tables)
             if self._tables[t].matches(indices[t], tags[t])
         ]
-        base_pred = self._base[self._base_index(ip)] >= 0
+        base_pred = self._base[ip & mask(self.log_base_size)] >= 0
         provider = hits[-1] if hits else None
         alt = hits[-2] if len(hits) >= 2 else None
 
@@ -113,10 +142,8 @@ class _ReferenceTage(Tage):
         final = alt_pred if alt_used else provider_pred
         return {
             "indices": indices,
-            "tags": tags,
             "provider": provider,
             "alt": alt,
-            "base_pred": base_pred,
             "provider_pred": provider_pred,
             "alt_pred": alt_pred,
             "weak": weak,
@@ -124,10 +151,63 @@ class _ReferenceTage(Tage):
             "final": final,
         }
 
-    def _allocate(self, taken, provider, indices, tags) -> None:
-        # Ignores the lookup's tags: re-derives each one from the branch
-        # address, which train() still holds in _cached_ip.
-        ip = self._cached_ip
+    def _update_base(self, ip: int, taken: bool) -> None:
+        i = ip & mask(self.log_base_size)
+        self._base[i] = (min(1, self._base[i] + 1) if taken
+                         else max(-2, self._base[i] - 1))
+
+    def train(self, branch) -> None:
+        ip, taken = branch.ip, branch.taken
+        state = self._reference_state(ip)
+        indices = state["indices"]
+        provider = state["provider"]
+        mispredicted = state["final"] != taken
+        self._stat_provider_hits[0 if provider is None else provider + 1] += 1
+
+        if self._probe is not None:
+            if provider is None:
+                source = "base"
+            elif state["alt_used"]:
+                source = ("base" if state["alt"] is None
+                          else f"T{state['alt'] + 1}")
+            else:
+                source = f"T{provider + 1}"
+            overrode = (f"T{provider + 1}"
+                        if state["alt_used"]
+                        and state["alt_pred"] != state["provider_pred"]
+                        else None)
+            self._probe.record(ip, source, not mispredicted,
+                               overrode=overrode)
+
+        if provider is None:
+            self._update_base(ip, taken)
+        else:
+            table = self._tables[provider]
+            if state["weak"] and state["provider_pred"] != state["alt_pred"]:
+                step = 1 if state["alt_pred"] == taken else -1
+                self._use_alt_on_na = min(self.USE_ALT_MAX, max(
+                    0, self._use_alt_on_na + step))
+            table.update_counter(indices[provider], taken)
+            if state["weak"]:
+                if state["alt"] is not None:
+                    self._tables[state["alt"]].update_counter(
+                        indices[state["alt"]], taken)
+                else:
+                    self._update_base(ip, taken)
+            if state["provider_pred"] != state["alt_pred"]:
+                table.update_useful(
+                    indices[provider],
+                    1 if state["provider_pred"] == taken else -1)
+
+        if mispredicted:
+            self._reference_allocate(ip, taken, provider, indices)
+        self._train_count += 1
+        if self._train_count % self.u_reset_period == 0:
+            self._graceful_u_reset()
+        self._ref_ip = None
+
+    def _reference_allocate(self, ip, taken, provider, indices) -> None:
+        # Re-derives each tag from the branch address.
         start = 0 if provider is None else provider + 1
         if start >= self.num_tables:
             return
@@ -137,46 +217,33 @@ class _ReferenceTage(Tage):
             offset += 1
             if offset >= 2:
                 break
-        allocated = False
         for t in range(start + offset, self.num_tables):
             index = indices[t]
             if int(self._tables[t].useful[index]) == 0:
-                tag = self._tag(t, ip)
-                self._tables[t].allocate(index, tag, taken)
+                self._tables[t].allocate(index, self._tag(t, ip), taken)
                 self._stat_allocations += 1
-                allocated = True
-                break
-        if not allocated:
-            self._stat_allocation_failures += 1
-            for t in range(start, self.num_tables):
-                self._tables[t].update_useful(indices[t], -1)
+                return
+        self._stat_allocation_failures += 1
+        for t in range(start, self.num_tables):
+            self._tables[t].update_useful(indices[t], -1)
 
 
-class _ReferenceBatage(Batage):
+class _ReferenceBatage(_ReferenceRegisters, Batage):
     """BATAGE with one index/tag computation per table and lookup."""
 
-    track = _reference_track
-    _tag = _reference_tag
+    SALT = 3
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self._window = HistoryWindow(max(self.history_lengths))
+        self._init_reference()
 
-    def _tagged_index(self, table: int, ip: int) -> int:
-        w = self.log_tagged_size
-        value = (xor_fold(ip, w) ^ xor_fold(ip >> w, w)
-                 ^ self._folded_index[table].value
-                 ^ xor_fold(self._path, w) ^ (table * 3))
-        return value & mask(w)
-
-    def _lookup(self, ip: int) -> dict[str, Any]:
+    def _reference_lookup(self, ip: int) -> dict[str, Any]:
         indices = [self._tagged_index(t, ip) for t in range(self.num_tables)]
-        tags = [self._tag(t, ip) for t in range(self.num_tables)]
         hits = [
             t for t in range(self.num_tables)
-            if self._tables[t].tags[indices[t]] == tags[t]
+            if self._tables[t].tags[indices[t]] == self._tag(t, ip)
         ]
-        base_index = self._base_index(ip)
+        base_index = ip & mask(self.log_base_size)
         base_n1 = self._base.n_taken[base_index]
         base_n0 = self._base.n_not_taken[base_index]
 
@@ -198,15 +265,48 @@ class _ReferenceBatage(Batage):
                 best_pred = base_n1 >= base_n0
         return {
             "indices": indices,
-            "tags": tags,
             "hits": hits,
             "provider": best_table,
             "confidence": best_conf,
             "final": best_pred,
         }
 
-    def _allocate(self, taken, provider, indices, tags) -> None:
-        ip = self._cached_ip
+    def train(self, branch) -> None:
+        ip, taken = branch.ip, branch.taken
+        state = self._reference_state(ip)
+        indices = state["indices"]
+        hits = state["hits"]
+        provider = state["provider"]
+        mispredicted = state["final"] != taken
+        self._stat_provider_hits[0 if provider is None else provider + 1] += 1
+
+        if self._probe is not None:
+            source = "base" if provider is None else f"T{provider + 1}"
+            longest = hits[-1] if hits else None
+            overrode = (f"T{longest + 1}"
+                        if longest is not None and provider != longest
+                        else None)
+            self._probe.record(ip, source, not mispredicted,
+                               overrode=overrode)
+
+        base_index = ip & mask(self.log_base_size)
+        if provider is None:
+            self._base.update(base_index, taken)
+        else:
+            self._tables[provider].update(indices[provider], taken)
+            if state["confidence"] != HIGH:
+                shorter = [t for t in hits if t < provider]
+                if shorter:
+                    self._tables[shorter[-1]].update(indices[shorter[-1]],
+                                                     taken)
+                else:
+                    self._base.update(base_index, taken)
+
+        if mispredicted:
+            self._reference_allocate(ip, taken, provider, indices)
+        self._ref_ip = None
+
+    def _reference_allocate(self, ip, taken, provider, indices) -> None:
         start = 0 if provider is None else provider + 1
         if start >= self.num_tables:
             return
@@ -233,6 +333,9 @@ class _ReferenceBatage(Batage):
 #: Bases of the branch-address pool: low, 47-bit PIE-like and 64-bit.
 _IP_BASES = (0x40_0000, 0x5555_5540_0000, 0xFFFF_F000_0000_0000)
 
+#: Tag widths on either side of the bank's 8/16/32/64-bit slot sizes.
+_SLOT_EDGES = (7, 8, 15, 16, 31, 32)
+
 
 def draw_case(integer: Callable[[int, int], int],
               choice: Callable[[list], Any]) -> tuple[dict, dict, Any]:
@@ -240,17 +343,19 @@ def draw_case(integer: Callable[[int, int], int],
 
     History lengths are drawn around the folded widths: one below,
     equal to, and multiples of ``log_tagged_size`` or the first tag
-    width, so the evicted bit lands at every fold position.
+    width, so the evicted bit lands at every fold position, or past
+    128 bits.  Tables of 2 to 8 entries next to up to 12 tables make
+    the salts wrap.
     """
-    num_tables = integer(1, 8)
-    log_tagged_size = integer(1, 12)
-    tag_widths = tuple(choice([1, 2, integer(3, 14)])
+    num_tables = integer(1, 12)
+    log_tagged_size = choice([integer(1, 3), integer(1, 12)])
+    tag_widths = tuple(choice([1, 2, integer(3, 14), choice(_SLOT_EDGES)])
                        for _ in range(num_tables))
     width = choice([log_tagged_size, tag_widths[0]])
     min_history = choice([max(1, width - 1), width, 2 * width,
                           integer(1, 3) * width])
     max_history = choice([min_history, min_history + width,
-                          min_history * integer(2, 6)])
+                          min_history * integer(2, 6), integer(129, 300)])
     shape = dict(num_tables=num_tables, log_base_size=integer(1, 8),
                  log_tagged_size=log_tagged_size, tag_widths=tag_widths,
                  min_history=min_history, max_history=max_history)
@@ -342,7 +447,7 @@ class _MemoWatchingTage(Tage):
 
     memo_peak = 0
 
-    def _lookup(self, ip: int) -> dict[str, Any]:
+    def _lookup(self, ip: int) -> tuple:
         state = super()._lookup(ip)
         self.memo_peak = max(self.memo_peak, len(self._ip_folds))
         return state

@@ -2,15 +2,18 @@
 
 The whole point of :class:`FoldedHistory` is the O(1)-maintained
 invariant ``folded.value == xor_fold(window.value(L), W)``; these tests
-hammer it across lengths, widths and outcome sequences.
+hammer it across lengths, widths and outcome sequences, and check every
+lane of a :class:`FoldedBank` against it.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.bits import mask
-from repro.utils.folded import FoldedHistory, HistoryWindow, push_history
+from repro.utils.folded import FoldedBank, FoldedHistory, HistoryWindow
 from repro.utils.hashing import xor_fold
 
 
@@ -130,54 +133,115 @@ class TestFoldedHistoryInvariant:
         assert int(folded) == folded.value
 
 
-class TestPushHistory:
-    """The one-pass update of many registers over an integer history."""
+class TestFoldedBank:
+    """Every lane of the packed bank against FoldedHistory and xor_fold."""
 
-    # Width above length, width dividing length, 1-bit widths and a
-    # length-1 register, beside TAGE-like shapes.
-    FIXED_SHAPES = [(5, 11), (24, 8), (9, 1), (1, 1), (1, 4), (16, 16),
-                    (130, 10), (130, 13), (130, 12)]
+    # (history lengths, index width, tag widths).  Slots of 8 bits
+    # (widths 1-7), then widths and width spreads that force 16, 32, 64
+    # and 128-bit slots, beside the default TAGE and BATAGE shapes.
+    FIXED_SHAPES = [
+        ((5,), 3, (4,)),
+        ((1, 2, 3), 1, (1, 2, 7)),
+        ((9, 24), 8, (8, 1)),
+        ((16, 40, 130), 15, (15, 16, 8)),
+        ((3, 300), 16, (1, 16)),
+        ((7, 64, 200), 31, (1, 12, 31)),
+        ((11, 129), 40, (1, 2)),
+        ((5, 9, 15, 25, 44, 75, 130), 10, (7, 8, 9, 10, 11, 12, 13)),
+        ((5, 10, 17, 29, 50, 87, 150), 10, (8, 9, 10, 11, 12, 13, 14)),
+    ]
 
-    def _run(self, shapes, outcomes):
-        longest = max(length for length, _ in shapes)
+    def _run(self, lengths, index_width, tag_widths, outcomes):
+        shapes = ([(length, index_width) for length in lengths]
+                  + list(zip(lengths, tag_widths))
+                  + [(length, max(1, w - 1))
+                     for length, w in zip(lengths, tag_widths)])
+        longest = max(lengths)
         window = HistoryWindow(longest)
-        registers = [FoldedHistory(length, width) for length, width in shapes]
         independent = [FoldedHistory(length, width)
                        for length, width in shapes]
-        history = 0
+        bank = FoldedBank(lengths, index_width, tag_widths)
         for taken in outcomes:
             for folded in independent:
                 folded.update(taken, window[folded.history_length - 1])
             window.push(taken)
-            history = push_history(registers, history, taken, mask(longest))
-            assert history == window.value(longest)
-            for register, folded in zip(registers, independent):
-                expected = xor_fold(window.value(register.history_length),
-                                    register.folded_width)
-                assert register.value == expected == folded.value
+            bank.push(taken)
+            history = window.value(longest)
+            assert bank.history == history
+            expected = tuple(xor_fold(history & mask(length), width)
+                             for length, width in shapes)
+            assert self._lanes(bank) == expected
+            assert expected == tuple(folded.value for folded in independent)
+        return bank
 
-    @given(st.lists(st.booleans(), max_size=300))
-    def test_fixed_shapes_match_xor_fold_and_update(self, outcomes):
-        self._run(self.FIXED_SHAPES, outcomes)
+    @staticmethod
+    def _lanes(bank):
+        return tuple((bank.word >> (k * bank.slot)) & mask(bank.slot)
+                     for k in range(3 * len(bank.tag_widths)))
 
-    @settings(max_examples=50)
-    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=64),
-                              st.integers(min_value=1, max_value=16)),
-                    min_size=1, max_size=8),
-           st.lists(st.booleans(), min_size=70, max_size=160))
-    def test_random_shapes_match_xor_fold_and_update(self, shapes, outcomes):
-        self._run(shapes, outcomes)
+    def _check_read(self, bank, rng):
+        n = len(bank.tag_widths)
+        lanes = self._lanes(bank)
+        index_terms = [rng.getrandbits(bank.index_width) for _ in range(n)]
+        tag_terms = [rng.getrandbits(w) for w in bank.tag_widths]
+        shared = rng.getrandbits(rng.choice([bank.index_width, 16, 64]))
+        read = bank.read(bank.pack(index_terms, tag_terms), shared)
+        fold = xor_fold(shared, bank.index_width)
+        assert read[:n] == tuple(lanes[t] ^ index_terms[t] ^ fold
+                                 for t in range(n))
+        assert read[n:] == tuple(
+            (lanes[n + t] ^ (lanes[2 * n + t] << 1) ^ tag_terms[t])
+            & mask(w) for t, w in enumerate(bank.tag_widths))
+
+    @settings(max_examples=20, deadline=None)
+    @given(outcomes=st.lists(st.booleans(), max_size=400),
+           seed=st.integers(0, 2**32))
+    def test_fixed_shapes_match_xor_fold_and_update(self, outcomes, seed):
+        for shape in self.FIXED_SHAPES:
+            bank = self._run(*shape, outcomes)
+            self._check_read(bank, random.Random(seed))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_random_shapes_match_xor_fold_and_update(self, data):
+        n = data.draw(st.integers(1, 12))
+        lengths = data.draw(st.lists(st.integers(1, 300), min_size=n,
+                                     max_size=n))
+        index_width = data.draw(st.integers(1, 16))
+        tag_widths = data.draw(st.lists(st.integers(1, 16), min_size=n,
+                                        max_size=n))
+        outcomes = data.draw(st.lists(st.booleans(), min_size=70,
+                                      max_size=400))
+        bank = self._run(lengths, index_width, tag_widths, outcomes)
+        self._check_read(bank, random.Random(data.draw(st.integers(0, 99))))
+
+    @pytest.mark.parametrize("index_width, tag_widths, slot", [
+        (7, (7, 6), 8), (8, (1,), 16), (12, (12, 15), 16), (16, (4,), 32),
+        (9, (1,), 32), (28, (30, 20), 32), (17, (1,), 64), (40, (30,), 64),
+        (33, (1,), 128)])
+    def test_slot_fits_widest_register_and_twice_the_spread(
+            self, index_width, tag_widths, slot):
+        bank = FoldedBank([3] * len(tag_widths), index_width, tag_widths)
+        assert bank.slot == slot
 
     def test_truthy_outcomes_shift_in_a_one(self):
         import numpy as np
 
-        plain = [FoldedHistory(5, 3)]
-        mixed = [FoldedHistory(5, 3)]
-        history_plain = history_mixed = 0
+        plain = FoldedBank([5], 3, [4])
+        mixed = FoldedBank([5], 3, [4])
         for taken, raw in [(True, np.bool_(True)), (False, 0),
                            (True, 2), (True, np.int64(1))]:
-            history_plain = push_history(plain, history_plain, taken,
-                                         mask(5))
-            history_mixed = push_history(mixed, history_mixed, raw, mask(5))
-            assert history_mixed == history_plain
-            assert mixed[0].value == plain[0].value
+            plain.push(taken)
+            mixed.push(raw)
+            assert mixed.history == plain.history
+            assert mixed.word == plain.word
+
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError):
+            FoldedBank([], 4, [])
+        with pytest.raises(ValueError):
+            FoldedBank([4, 8], 4, [6])
+        with pytest.raises(ValueError):
+            FoldedBank([0], 4, [6])
+        with pytest.raises(ValueError):
+            FoldedBank([4], 0, [6])
